@@ -9,7 +9,7 @@ import numpy as np
 
 from prunerl.graph import load_edge_list
 from prunerl.metrics import PathQuerySet, louvain, pagerank, spearman_rho
-from prunerl.rewards import reward_spsp
+from prunerl.rewards import spsp_penalty
 
 g = load_edge_list("data/karate.txt")
 print(f"karate club: {g.node_count} nodes, {g.edge_count} edges")
@@ -29,7 +29,7 @@ print(f"\nafter pruning 30 edges: kept ratio = {gp.edge_kept_ratio():.3f}")
 rho = spearman_rho(pr_before, pagerank(gp))
 print(f"PageRank rank correlation vs original: {rho:.4f}")
 
-spsp = reward_spsp(g, gp, queries)
+spsp = spsp_penalty(gp, queries)
 print(f"mean shortest-path increase over 200 pairs: {spsp:.4f} hops")
 
 part = louvain(gp, rng)

@@ -10,7 +10,7 @@ import numpy as np
 from prunerl import baselines
 from prunerl.graph import load_edge_list
 from prunerl.metrics import PathQuerySet, pagerank, spearman_rho
-from prunerl.rewards import reward_spsp
+from prunerl.rewards import spsp_penalty
 
 g = load_edge_list("data/karate.txt")
 ratio = 0.5
@@ -29,7 +29,7 @@ print(f"{'method':>18} {'kept':>5} {'pagerank rho':>13} {'spsp penalty':>13}")
 for name, run in methods.items():
     sp = run()
     rho = spearman_rho(pr, pagerank(sp))
-    spsp = reward_spsp(g, sp, queries)
+    spsp = spsp_penalty(sp, queries)
     print(f"{name:>18} {sp.edge_count:>5} {rho:>13.4f} {spsp:>13.4f}")
 
 print("\nhigher rho is better (rank preservation); lower spsp penalty is "

@@ -36,16 +36,14 @@ from .metrics import (
 from .qmodel import QModel, load_checkpoint, save_checkpoint
 from .replay import ReplayBuffer, Transition
 from .rewards import (
+    OBJECTIVES,
     CommunityReward,
     ModularityReward,
     PagerankReward,
     RewardSpec,
     SpspReward,
     make_reward_spec,
-    reward_community,
-    reward_modularity,
-    reward_pagerank,
-    reward_spsp,
+    spsp_penalty,
 )
 
 __version__ = "0.1.0"

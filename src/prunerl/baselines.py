@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from .errors import PruneRLError
-from .metrics import PathQuerySet, batch_spsp
+from .metrics import PathQuerySet
+from .rewards import spsp_penalty
 
 log = logging.getLogger(__name__)
 
@@ -309,7 +310,7 @@ def spanner_comparison_protocol(g, stretch_values, sparsify_to_count, rng,
         for _ in range(runs):
             sp = baswana_sen_spanner(g, t_eff, rng)
             counts.append(sp.edge_count)
-            penalties.append(_spsp_increase(g, sp, queries))
+            penalties.append(spsp_penalty(sp, queries))
         mean_count = int(round(float(np.mean(counts))))
         learned = sparsify_to_count(mean_count, rng)
         rows.append(
@@ -317,19 +318,8 @@ def spanner_comparison_protocol(g, stretch_values, sparsify_to_count, rng,
                 "t": t,
                 "mean_ratio": float(np.mean(counts)) / g.original_edge_count,
                 "spanner_rspsp": float(np.mean(penalties)),
-                "agent_rspsp": _spsp_increase(g, learned, queries),
+                "agent_rspsp": spsp_penalty(learned, queries),
             }
         )
     return rows
 
-
-def _spsp_increase(g, gp, queries):
-    """Mean shortest-path increase; unreachable pairs count as |V|."""
-    dists = batch_spsp(gp, queries.pairs)
-    diffs = []
-    for d0, d1 in zip(queries.baseline, dists):
-        if d1 == math.inf:
-            diffs.append(0.0 if d0 == math.inf else float(g.node_count))
-        else:
-            diffs.append(float(d1 - d0))
-    return float(np.mean(diffs)) if diffs else 0.0

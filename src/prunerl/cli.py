@@ -19,8 +19,8 @@ from .agent import Agent, train_loop
 from .config import load_run_config, rng_streams
 from .errors import ConfigError, PruneRLError
 from .graph import load_communities, load_edge_list
-from .metrics import PathQuerySet, adjusted_rand_index, louvain, pagerank, spearman_rho
-from .rewards import make_reward_spec, reward_spsp
+from .metrics import pagerank  # noqa: F401  perfbench/test_perfbench.py reads cli.pagerank
+from .rewards import OBJECTIVES, make_reward_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,11 +40,14 @@ def _align_sparsified(graph, path):
     became isolated."""
     kept = set()
     with open(path) as f:
-        for line in f:
+        for line_no, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            u_orig, v_orig = line.split()[:2]
+            tokens = line.split()
+            if len(tokens) < 2:
+                raise ConfigError(f"{path}:{line_no}: expected two node ids, got {line!r}")
+            u_orig, v_orig = tokens[:2]
             try:
                 u = graph.id_map[int(u_orig)]
                 v = graph.id_map[int(v_orig)]
@@ -62,17 +65,7 @@ def _align_sparsified(graph, path):
     return aligned
 
 
-def _build_reward(cfg, graph):
-    obj = cfg.objective
-    if obj.kind == "community":
-        labels = load_communities(obj.labels_path, graph)
-        return make_reward_spec("community", graph, labels=labels, label_sign=obj.label_sign)
-    if obj.kind == "spsp":
-        return make_reward_spec("spsp", graph, pairs_per_endpoint=obj.pairs_per_endpoint)
-    return make_reward_spec(obj.kind, graph)
-
-
-def _run_method(method, graph, ratio, seed, checkpoint, eval_h):
+def _run_method(method, graph, ratio, seed, agent, eval_h):
     rng = np.random.default_rng(seed)
     if method == "random_edge":
         return baselines.random_edge(graph, ratio, rng)
@@ -83,41 +76,19 @@ def _run_method(method, graph, ratio, seed, checkpoint, eval_h):
     if method == "l_spar":
         return baselines.l_spar(graph, r=ratio)
     if method == "agent":
-        if not checkpoint:
+        if agent is None:
             raise ConfigError("method 'agent' requires a checkpoint")
-        agent = Agent.load(checkpoint, graph)
         return agent.sparsify(graph, ratio, eval_h, rng)
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _evaluate_metric(graph, sparsified, metric, labels=None, seed=0,
-                     spsp_pairs=8196, louvain_runs=8):
-    rng = np.random.default_rng(seed)
-    if metric == "pagerank":
-        return spearman_rho(pagerank(graph), pagerank(sparsified))
-    if metric == "community":
-        if labels is None:
-            raise ConfigError("community metric requires ground-truth labels")
-        scores = [
-            adjusted_rand_index(louvain(sparsified, rng).labels, labels)
-            for _ in range(louvain_runs)
-        ]
-        return float(np.mean(scores))
-    if metric == "modularity":
-        scores = [louvain(sparsified, rng).modularity for _ in range(louvain_runs)]
-        return float(np.mean(scores))
-    if metric == "spsp":
-        queries = PathQuerySet.sample(graph, spsp_pairs, rng)
-        return reward_spsp(graph, sparsified, queries)
-    raise ConfigError(f"unknown metric {metric!r}")
-
-
-METRIC_FOR_OBJECTIVE = {
-    "pagerank": "pagerank",
-    "community": "community",
-    "modularity": "modularity",
-    "spsp": "spsp",
-}
+def _load_agent_if(path, graph):
+    if not path:
+        return None
+    try:
+        return Agent.load(path, graph)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: cannot read checkpoint: {exc}") from None
 
 
 def _write_csv(path, rows, fieldnames):
@@ -133,7 +104,11 @@ def _write_csv(path, rows, fieldnames):
 def cmd_train(args):
     cfg = load_run_config(args.config)
     graph = load_edge_list(cfg.dataset, directed=cfg.directed)
-    reward = _build_reward(cfg, graph)
+    obj = cfg.objective
+    reward = make_reward_spec(
+        obj.kind, graph, labels=_load_labels_if(obj.labels_path, graph),
+        label_sign=obj.label_sign, pairs_per_endpoint=obj.pairs_per_endpoint,
+    )
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     streams = rng_streams(args.seed if args.seed is not None else cfg.seed)
@@ -161,8 +136,8 @@ def cmd_train(args):
 def cmd_sparsify(args):
     graph = load_edge_list(args.dataset, directed=args.directed)
     sparsified = _run_method(
-        args.method, graph, args.ratio, args.seed, args.checkpoint,
-        args.eval_subgraph_len,
+        args.method, graph, args.ratio, args.seed,
+        _load_agent_if(args.checkpoint, graph), args.eval_subgraph_len,
     )
     header = [
         f"method={args.method} ratio={args.ratio} seed={args.seed}",
@@ -180,11 +155,10 @@ def cmd_sparsify(args):
 def cmd_evaluate(args):
     graph = load_edge_list(args.dataset, directed=args.directed)
     sparsified = _align_sparsified(graph, args.sparsified)
-    labels = _load_labels_if(args.labels, graph)
-    value = _evaluate_metric(
-        graph, sparsified, args.metric, labels=labels, seed=args.seed,
-        spsp_pairs=args.spsp_pairs,
-    )
+    objective = make_reward_spec(args.metric, graph,
+                                 labels=_load_labels_if(args.labels, graph))
+    value = objective.evaluate(sparsified, np.random.default_rng(args.seed),
+                               spsp_pairs=args.spsp_pairs)
     row = {
         "dataset": args.dataset,
         "method": "file",
@@ -202,10 +176,12 @@ def cmd_evaluate(args):
 def cmd_compare(args):
     cfg = load_run_config(args.config)
     graph = load_edge_list(cfg.dataset, directed=cfg.directed)
-    labels = _load_labels_if(cfg.objective.labels_path, graph)
-    metric = METRIC_FOR_OBJECTIVE[cfg.objective.kind]
+    metric = cfg.objective.kind
+    objective = make_reward_spec(
+        metric, graph, labels=_load_labels_if(cfg.objective.labels_path, graph))
+    agent = _load_agent_if(args.checkpoint, graph)
     methods = list(BASELINE_METHODS)
-    if args.checkpoint:
+    if agent is not None:
         methods.append("agent")
     cells = [
         (method, ratio, seed)
@@ -217,16 +193,16 @@ def cmd_compare(args):
     def run_cell(cell):
         method, ratio, seed = cell
         try:
-            sp = _run_method(method, graph, ratio, seed, args.checkpoint,
+            sp = _run_method(method, graph, ratio, seed, agent,
                              cfg.evaluation.eval_subgraph_len)
-            value = _evaluate_metric(
-                graph, sp, metric, labels=labels, seed=seed,
-                spsp_pairs=cfg.evaluation.spsp_pairs,
+            value = objective.evaluate(
+                sp, np.random.default_rng(seed),
                 louvain_runs=cfg.evaluation.louvain_runs,
+                spsp_pairs=cfg.evaluation.spsp_pairs,
             )
             return {"method": method, "ratio": ratio, "seed": seed,
                     "value": value, "error": ""}
-        except Exception as exc:  # isolate per-cell failures
+        except PruneRLError as exc:  # isolate per-cell failures
             return {"method": method, "ratio": ratio, "seed": seed,
                     "value": float("nan"), "error": str(exc)}
 
@@ -247,8 +223,7 @@ def cmd_compare(args):
     best = {}
     for (method, ratio), vals in agg.items():
         m = float(np.mean(vals))
-        # spsp is a penalty: lower wins; everything else: higher wins
-        score = -m if metric == "spsp" else m
+        score = m if objective.higher_is_better else -m
         if ratio not in best or score > best[ratio][1]:
             best[ratio] = (method, score)
     table_rows = [
@@ -271,7 +246,7 @@ def cmd_compare(args):
 
 def cmd_spanner_compare(args):
     graph = load_edge_list(args.dataset, directed=args.directed)
-    agent = Agent.load(args.checkpoint, graph)
+    agent = _load_agent_if(args.checkpoint, graph)
     rng = np.random.default_rng(args.seed)
 
     def sparsify_to_count(edge_count, rng_):
@@ -292,8 +267,9 @@ def cmd_spanner_compare(args):
 
 def cmd_h_sweep(args):
     graph = load_edge_list(args.dataset, directed=args.directed)
-    agent = Agent.load(args.checkpoint, graph)
-    labels = _load_labels_if(args.labels, graph)
+    agent = _load_agent_if(args.checkpoint, graph)
+    objective = make_reward_spec(args.metric, graph,
+                                 labels=_load_labels_if(args.labels, graph))
     rows = []
     for h in args.subgraph_lens:
         for seed in range(args.seeds):
@@ -301,7 +277,7 @@ def cmd_h_sweep(args):
             t0 = time.perf_counter()
             sp = agent.sparsify(graph, args.ratio, h, rng)
             elapsed = time.perf_counter() - t0
-            value = _evaluate_metric(graph, sp, args.metric, labels=labels, seed=seed)
+            value = objective.evaluate(sp, np.random.default_rng(seed))
             rows.append({"subgraph_len": h, "ratio": args.ratio,
                          "metric": args.metric, "seed": seed, "value": value,
                          "wall_time_s": elapsed})
@@ -345,7 +321,7 @@ def build_parser():
     e.add_argument("--dataset", required=True)
     e.add_argument("--sparsified", required=True)
     e.add_argument("--metric", required=True,
-                   choices=["pagerank", "community", "modularity", "spsp"])
+                   choices=list(OBJECTIVES))
     e.add_argument("--labels", default=None)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--spsp-pairs", dest="spsp_pairs", type=int, default=8196)
@@ -356,7 +332,7 @@ def build_parser():
     c = sub.add_parser("compare", help="full method x ratio x seed grid")
     c.add_argument("--config", required=True)
     c.add_argument("--checkpoint", default=None)
-    c.add_argument("--workers", type=int, default=4)
+    c.add_argument("--workers", type=int, default=1)
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_compare)
 
@@ -376,8 +352,7 @@ def build_parser():
     h.add_argument("--dataset", required=True)
     h.add_argument("--checkpoint", required=True)
     h.add_argument("--ratio", type=float, required=True)
-    h.add_argument("--metric", default="pagerank",
-                   choices=["pagerank", "community", "modularity", "spsp"])
+    h.add_argument("--metric", default="pagerank", choices=list(OBJECTIVES))
     h.add_argument("--subgraph-lens", dest="subgraph_lens", type=int, nargs="+",
                    default=[8, 16, 32, 64])
     h.add_argument("--seeds", type=int, default=3)

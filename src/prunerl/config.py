@@ -10,6 +10,7 @@ import yaml
 
 from .agent import AgentConfig
 from .errors import ConfigError
+from .rewards import OBJECTIVES
 
 SCHEMA_VERSION = 1
 
@@ -25,16 +26,14 @@ def rng_streams(master_seed):
 
 @dataclass
 class ObjectiveConfig:
-    kind: str = "modularity"  # pagerank | community | spsp | modularity
-    labels_path: str = None  # community objective only
+    kind: str = "modularity"  # a key of rewards.OBJECTIVES
+    labels_path: str = None  # ground-truth labels, which the community objective needs
     label_sign: float = 1.0
     pairs_per_endpoint: int = 16  # spsp training pairs per pruned endpoint
 
     def __post_init__(self):
-        if self.kind not in ("pagerank", "community", "spsp", "modularity"):
+        if self.kind not in OBJECTIVES:
             raise ConfigError(f"unknown objective kind {self.kind!r}")
-        if self.kind == "community" and not self.labels_path:
-            raise ConfigError("community objective requires labels_path")
 
 
 @dataclass

@@ -24,12 +24,6 @@ class Partition:
     labels: dict  # node id -> community index
     modularity: float
 
-    def label_array(self, node_count):
-        out = np.empty(node_count, dtype=np.int64)
-        for n in range(node_count):
-            out[n] = self.labels[n]
-        return out
-
 
 @dataclass
 class PathQuerySet:

@@ -1,6 +1,6 @@
 """Minimal reverse-mode autodiff over numpy float64 arrays, plus the layer
-primitives the Q-network needs: linear, leaky ReLU, softmax, embedding
-lookup, segment softmax/sum for variable-size neighborhoods, and an Adam
+primitives the Q-network needs: linear, leaky ReLU, embedding lookup,
+segment softmax/sum for variable-size neighborhoods, and an Adam
 optimizer with a gradient finite-difference checker.
 """
 
@@ -196,20 +196,6 @@ def leaky_relu(a, slope=0.01):
     return out
 
 
-def softmax(a, axis=-1):
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, parents=(a,))
-
-    def backward(g):
-        dot = (g * p).sum(axis=axis, keepdims=True)
-        a._accum(p * (g - dot))
-
-    out._backward = backward
-    return out
-
-
 def segment_softmax(a, segments, num_segments):
     """Softmax of a 1-D tensor within each segment id."""
     segments = np.asarray(segments, dtype=np.int64)
@@ -318,24 +304,6 @@ class Adam:
         self.step_count = int(state["step_count"])
         self.m = [np.array(m, dtype=np.float64) for m in state["m"]]
         self.v = [np.array(v, dtype=np.float64) for v in state["v"]]
-
-
-class SGD:
-    """Plain gradient rule, used by small layer tests."""
-
-    def __init__(self, params, lr):
-        self.params = list(params)
-        self.lr = lr
-        self.step_count = 0
-
-    def step(self):
-        for p in self.params:
-            if p.grad is None:
-                raise PruneRLError(f"missing gradient for parameter {p.name}")
-        self.step_count += 1
-        for p in self.params:
-            p.data -= self.lr * p.grad
-            p.grad = None
 
 
 # ----------------------------------------------------------------- grad check

@@ -1,12 +1,14 @@
-"""Pluggable reward functions binding sparsification objectives to the agent:
-PageRank rank preservation, community structure, shortest-path preservation,
-and raw modularity preservation.
+"""The four sparsification objectives: PageRank rank preservation, community
+structure, shortest-path preservation, and modularity.
 
-Each reward spec caches its baseline metric on the original graph once, and
-exposes before_prune/after_prune hooks so objectives that need pre-prune
-context (shortest paths) can grab it.
+This is the only module that knows what each objective computes. Each class
+holds its objective's score once; evaluation (``evaluate``) and the training
+reward (the ``before_prune``/``after_prune`` hooks) are both derived from it.
+Training baselines on the original graph are computed on first use, so
+evaluation never pays for them.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -18,40 +20,12 @@ from .metrics import (
     batch_spsp,
     bfs_distances,
     louvain,
-    modularity,
     pagerank,
     spearman_rho,
 )
 
 
-def reward_pagerank(g, gp):
-    """Spearman rho between PageRank(G) and PageRank(G'), minus the constant
-    self-correlation of 1, so an unchanged graph scores 0 and damage goes
-    negative. Rank-degenerate score vectors are an error here; the training
-    hook (PagerankReward) maps them to the worst reward instead."""
-    base = pagerank(g)
-    after = pagerank(gp)
-    return spearman_rho(base, after) - 1.0
-
-
-def reward_community(g, gp, labels, pruned_edge, base_ari, louvain_rng,
-                     label_sign=1.0):
-    """ARI(Louvain(G'), labels) - ARI(Louvain(G), labels), plus the label
-    bonus: +label_sign when the pruned edge joins two same-label nodes,
-    -label_sign otherwise."""
-    lu = labels.get(pruned_edge.u)
-    lv = labels.get(pruned_edge.v)
-    if lu is None or lv is None:
-        raise PruneRLError(
-            f"pruned edge ({pruned_edge.u},{pruned_edge.v}) has an unlabeled endpoint"
-        )
-    part = louvain(gp, louvain_rng)
-    ari = adjusted_rand_index(part.labels, labels)
-    r_label = label_sign if lu == lv else -label_sign
-    return ari - base_ari + r_label
-
-
-def reward_spsp(g, gp, queries):
+def spsp_penalty(gp, queries):
     """Mean shortest-path increase over the query set (a penalty: lower is
     better). Pairs that become unreachable count as |V|; pairs that were
     already unreachable in the baseline contribute 0."""
@@ -59,7 +33,7 @@ def reward_spsp(g, gp, queries):
     diffs = []
     for d0, d1 in zip(queries.baseline, dists):
         if d1 == math.inf:
-            diffs.append(0.0 if d0 == math.inf else float(g.node_count))
+            diffs.append(0.0 if d0 == math.inf else float(gp.node_count))
         else:
             diffs.append(float(d1 - d0))
     return float(np.mean(diffs)) if diffs else 0.0
@@ -88,22 +62,37 @@ def sample_training_pairs(gp, edge, k, rng):
     return q
 
 
-def reward_modularity(g, gp, base_q, louvain_rng):
-    """Louvain modularity of G' minus the cached Louvain modularity of G."""
-    return louvain(gp, louvain_rng).modularity - base_q
-
-
-# ---------------------------------------------------------------- reward specs
+# ---------------------------------------------------------------- objectives
 
 
 class RewardSpec:
-    """Objective plus its evaluation context. Subclasses implement the
-    before_prune/after_prune pair used inside episodes."""
+    """An objective on one original graph: ``evaluate`` scores a sparsified
+    graph, and the before_prune/after_prune pair pays the agent inside
+    episodes. The defaults fit a Louvain-based ``score(gp, rng)``: evaluation
+    averages it over ``louvain_runs`` runs on the caller's rng, and training
+    fixes one Louvain seed per episode."""
 
-    tag = None
+    higher_is_better = True
+
+    def __init__(self, g, louvain_seed=0):
+        self.graph = g
+        self._louvain_seed = louvain_seed
+        self._episode_seed = louvain_seed
+        self._base = None
+
+    def evaluate(self, gp, rng, louvain_runs=8, spsp_pairs=8196):
+        return float(np.mean([self.score(gp, rng) for _ in range(louvain_runs)]))
+
+    def _training_score(self, gp):
+        """Score on this episode's Louvain seed, minus the same score on the
+        original graph (computed once, on the first training step)."""
+        if self._base is None:
+            self._base = self.score(self.graph, np.random.default_rng(self._louvain_seed))
+        return self.score(gp, np.random.default_rng(self._episode_seed)) - self._base
 
     def on_episode_start(self, g_original, g_working, rng):
-        pass
+        # fixed per episode to cut reward variance between steps
+        self._episode_seed = int(rng.integers(1 << 31))
 
     def before_prune(self, g, edge, rng):
         return None
@@ -113,90 +102,107 @@ class RewardSpec:
 
 
 class PagerankReward(RewardSpec):
-    tag = "pagerank"
+    """Spearman rho between PageRank(G) and PageRank(G'). Rank-degenerate
+    score vectors raise; the training reward is rho - 1, so an unchanged
+    graph scores 0, and maps degenerate ranks to -1."""
 
     def __init__(self, g):
         self._base_scores = pagerank(g)
+
+    def score(self, gp):
+        return spearman_rho(self._base_scores, pagerank(gp))
+
+    def evaluate(self, gp, rng, louvain_runs=8, spsp_pairs=8196):
+        return self.score(gp)
+
+    def on_episode_start(self, g_original, g_working, rng):
+        pass  # deterministic: no Louvain seed to draw
 
     def after_prune(self, g, edge, ctx, rng):
         # heavy episode pre-pruning can leave a graph whose PageRank is
         # uniform; that ranking carries no information, so score rho as 0
         # rather than aborting the episode
         try:
-            return spearman_rho(self._base_scores, pagerank(g)) - 1.0
+            return self.score(g) - 1.0
         except PruneRLError:
             return -1.0
 
 
 class CommunityReward(RewardSpec):
-    tag = "community"
+    """ARI between Louvain(G') and the ground-truth labels. The training
+    reward is ARI(G') - ARI(G) plus the label term: +label_sign when the
+    pruned edge joins two same-label nodes, -label_sign otherwise."""
 
-    def __init__(self, g, labels, label_sign=1.0, louvain_seed=0):
+    def __init__(self, g, labels=None, label_sign=1.0, louvain_seed=0):
         if not labels:
-            raise ConfigError("community objective requires ground-truth labels")
+            raise ConfigError("community objective requires ground-truth labels "
+                              "(labels_path / --labels)")
         missing = [n for n in range(g.node_count) if n not in labels]
         if missing:
             raise ConfigError(f"labels missing for {len(missing)} nodes (e.g. {missing[0]})")
+        super().__init__(g, louvain_seed)
         self.labels = labels
         self.label_sign = label_sign
-        self._louvain_seed = louvain_seed
-        self._episode_seed = louvain_seed
-        base = louvain(g, np.random.default_rng(louvain_seed))
-        self._base_ari = adjusted_rand_index(base.labels, labels)
 
-    def on_episode_start(self, g_original, g_working, rng):
-        # fixed per episode to cut reward variance between steps
-        self._episode_seed = int(rng.integers(1 << 31))
+    def score(self, gp, rng):
+        return adjusted_rand_index(louvain(gp, rng).labels, self.labels)
 
     def after_prune(self, g, edge, ctx, rng):
-        return reward_community(
-            g, g, self.labels, edge, self._base_ari,
-            np.random.default_rng(self._episode_seed),
-            label_sign=self.label_sign,
-        )
+        same = self.labels[edge.u] == self.labels[edge.v]
+        return self._training_score(g) + (self.label_sign if same else -self.label_sign)
 
 
 class SpspReward(RewardSpec):
-    """Shortest-path preservation. During training the query set is refreshed
-    every timestep from the pruned edge's endpoints; the agent is paid the
-    negated penalty so bigger damage means lower reward."""
+    """Shortest-path preservation, scored by ``spsp_penalty``. Evaluation
+    samples ``spsp_pairs`` fixed pairs on the original graph. During training
+    the query set is refreshed every timestep from the pruned edge's
+    endpoints; the agent is paid the negated penalty so bigger damage means
+    lower reward."""
 
-    tag = "spsp"
+    higher_is_better = False
 
     def __init__(self, g, pairs_per_endpoint=16):
+        self.graph = g
         self.pairs_per_endpoint = pairs_per_endpoint
         self.last_raw_penalty = None
+
+    def evaluate(self, gp, rng, louvain_runs=8, spsp_pairs=8196):
+        return spsp_penalty(gp, PathQuerySet.sample(self.graph, spsp_pairs, rng))
+
+    def on_episode_start(self, g_original, g_working, rng):
+        pass  # no Louvain seed to draw
 
     def before_prune(self, g, edge, rng):
         return sample_training_pairs(g, edge, self.pairs_per_endpoint, rng)
 
     def after_prune(self, g, edge, queries, rng):
-        self.last_raw_penalty = reward_spsp(g, g, queries)
+        self.last_raw_penalty = spsp_penalty(g, queries)
         return -self.last_raw_penalty
 
 
 class ModularityReward(RewardSpec):
-    tag = "modularity"
+    """Louvain modularity of G'. The training reward is Q(G') - Q(G)."""
 
-    def __init__(self, g, louvain_seed=0):
-        self._episode_seed = louvain_seed
-        self._base_q = louvain(g, np.random.default_rng(louvain_seed)).modularity
-
-    def on_episode_start(self, g_original, g_working, rng):
-        self._episode_seed = int(rng.integers(1 << 31))
+    def score(self, gp, rng):
+        return louvain(gp, rng).modularity
 
     def after_prune(self, g, edge, ctx, rng):
-        return louvain(g, np.random.default_rng(self._episode_seed)).modularity - self._base_q
+        return self._training_score(g)
 
 
-def make_reward_spec(tag, g, labels=None, **kwargs):
-    """Build a RewardSpec from its objective tag, checking context up front."""
-    if tag == "pagerank":
-        return PagerankReward(g)
-    if tag == "community":
-        return CommunityReward(g, labels, **kwargs)
-    if tag == "spsp":
-        return SpspReward(g, **kwargs)
-    if tag == "modularity":
-        return ModularityReward(g, **kwargs)
-    raise ConfigError(f"unknown objective tag {tag!r}")
+OBJECTIVES = {
+    "pagerank": PagerankReward,
+    "community": CommunityReward,
+    "spsp": SpspReward,
+    "modularity": ModularityReward,
+}
+
+
+def make_reward_spec(name, g, **context):
+    """Build an objective by name. Context the objective's constructor does
+    not take (labels for PageRank, say) is ignored."""
+    if name not in OBJECTIVES:
+        raise ConfigError(f"unknown objective {name!r}")
+    cls = OBJECTIVES[name]
+    params = inspect.signature(cls).parameters
+    return cls(g, **{k: v for k, v in context.items() if k in params})

@@ -1,4 +1,5 @@
 import csv
+import sys
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,16 @@ class TestEvaluate:
                        str(bad), "--metric", "pagerank"])
         assert rc == cli.EXIT_DATA
 
+    def test_one_token_line_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1\n# a comment\n5\n")
+        rc = cli.main(["evaluate", "--dataset", KARATE, "--sparsified",
+                       str(bad), "--metric", "pagerank"])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{bad}:3:" in err and "'5'" in err
+
 
 class TestExitCodes:
     def test_no_subcommand_is_usage(self):
@@ -202,15 +213,102 @@ class TestCompare:
         assert sum(int(r["best"]) for r in table) == 1
 
     def test_agent_column_with_checkpoint(self, trained, tmp_path):
-        out_dir = tmp_path / "cmp"
-        rc = cli.main(["compare", "--config", str(trained["config"]),
-                       "--checkpoint", str(trained["checkpoint"]),
-                       "--out", str(out_dir)])
-        assert rc == cli.EXIT_OK
+        def run(workers):
+            out_dir = tmp_path / f"cmp{workers}"
+            rc = cli.main(["compare", "--config", str(trained["config"]),
+                           "--checkpoint", str(trained["checkpoint"]),
+                           "--out", str(out_dir), "--workers", str(workers)])
+            assert rc == cli.EXIT_OK
+            return out_dir
+
+        # two workers share the one loaded agent; frequent thread switches
+        # give a lost update every chance to show against a serial run
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out_dir = run(2)
+        finally:
+            sys.setswitchinterval(interval)
         table = read_csv(out_dir / "compare_table.csv")
         assert {r["method"] for r in table} == {
             "random_edge", "local_degree", "edge_forest_fire", "l_spar",
             "agent"}
+        cells = read_csv(out_dir / "compare_cells.csv")
+        assert all(c["error"] == "" for c in cells)
+        assert cells == read_csv(run(1) / "compare_cells.csv")
+
+    @pytest.mark.parametrize("content", [None, "not a checkpoint"])
+    def test_missing_checkpoint_is_data_error(self, content, tmp_path, capsys):
+        config = write_config(tmp_path / "config.yaml")
+        checkpoint = tmp_path / "checkpoint.npz"
+        if content is not None:
+            checkpoint.write_text(content)
+        out_dir = tmp_path / "cmp"
+        rc = cli.main(["compare", "--config", str(config), "--checkpoint",
+                       str(checkpoint), "--out", str(out_dir)])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (out_dir / "compare_cells.csv").exists()
+
+
+# Values recorded before the objectives were folded into one class each:
+# per objective, the compare cells (method -> value at seeds 0 and 1) and the
+# mean_reward column of a 3-episode training run.
+GOLDEN = {
+    "pagerank": (
+        {"random_edge": [0.6589350982209826, 0.8542323982166559],
+         "local_degree": [0.6814470367844531, 0.6814470367844531],
+         "edge_forest_fire": [0.6170954013241797, 0.3713792592384574],
+         "l_spar": [0.7682515698865025, 0.7682515698865025]},
+        [-0.3989045075627469, -0.10983793436393866, -0.02736685551780535],
+    ),
+    "community": (
+        {"random_edge": [0.09294624130698753, 0.346678398592169],
+         "local_degree": [0.4176257809930944, 0.6403661726242371],
+         "edge_forest_fire": [0.2403348386386166, 0.18061964403427816],
+         "l_spar": [0.3922385441789082, 0.3922385441789082]},
+        [0.6707055115287673, -0.3613839641511167, 0.5463529401753433],
+    ),
+    "spsp": (
+        {"random_edge": [15.28125, 2.828125],
+         "local_degree": [0.21875, 0.21875],
+         "edge_forest_fire": [3.28125, 4.5625],
+         "l_spar": [9.671875, 10.71875]},
+        [-3.8333333333333335, -6.4375, -3.671875],
+    ),
+    "modularity": (
+        {"random_edge": [0.4513477975016436, 0.4921104536489152],
+         "local_degree": [0.45036160420775806, 0.4474030243261013],
+         "edge_forest_fire": [0.5029585798816568, 0.5601577909270217],
+         "l_spar": [0.6307189542483661, 0.6307189542483661]},
+        [0.09119035722112656, 0.11391038651516078, 0.21761936008311863],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_objective_numbers_are_unchanged(kind, tmp_path):
+    objective = {"kind": kind}
+    if kind == "community":
+        objective["labels_path"] = KARATE_LABELS
+    config = write_config(tmp_path / "config.yaml", objective=objective,
+                          train={"episodes": 3, "checkpoint_every": 3})
+    cells, rewards = GOLDEN[kind]
+
+    rc = cli.main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp")])
+    assert rc == cli.EXIT_OK
+    got = {}
+    for c in read_csv(tmp_path / "cmp" / "compare_cells.csv"):
+        assert c["metric"] == kind and c["error"] == ""
+        got.setdefault(c["method"], []).append(float(c["value"]))
+    assert got.keys() == cells.keys()
+    for method, values in cells.items():
+        assert got[method] == pytest.approx(values, rel=1e-12)
+
+    rc = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_OK
+    log = read_csv(tmp_path / "run" / "training_log.csv")
+    assert [float(r["mean_reward"]) for r in log] == pytest.approx(rewards, rel=1e-12)
 
 
 class TestSpannerCompare:

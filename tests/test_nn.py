@@ -6,7 +6,6 @@ from prunerl.errors import PruneRLError, ShapeError
 from prunerl.nnet import (
     Adam,
     Linear,
-    SGD,
     Tensor,
     add,
     grad_check,
@@ -15,7 +14,6 @@ from prunerl.nnet import (
     mean_all,
     segment_softmax,
     segment_sum,
-    softmax,
     sum_all,
 )
 from prunerl.qmodel import ATTENTION_SLOPE, QModel
@@ -34,9 +32,6 @@ class TestPrimitives:
     def test_leaky_relu_definition(self):
         out = leaky_relu(Tensor(np.array([[-1.0, 2.0]])), slope=0.01)
         assert np.allclose(out.data, [[-0.01, 2.0]])
-
-    def test_softmax_uniform(self):
-        assert np.allclose(softmax(Tensor(np.zeros((1, 5)))).data, 0.2)
 
     def test_segment_softmax_sums_per_segment(self, rng):
         x = Tensor(rng.standard_normal(7))
@@ -71,10 +66,15 @@ class TestBackward:
         w1 = Tensor(rng.standard_normal((3, 4)), name="w1")
         w2 = Tensor(rng.standard_normal((4, 2)), name="w2")
         x = Tensor(rng.standard_normal((2, 3)))
+        # weights keep the loss from being the constant mean of a softmax
+        coef = Tensor(rng.standard_normal(4))
 
         def model():
             h = leaky_relu(matmul(x, w1))
-            return mean_all(softmax(matmul(h, w2)))
+            # row-wise softmax of the (2, 2) logits, as two segments
+            logits = nnet.reshape(matmul(h, w2), (4,))
+            att = segment_softmax(logits, [0, 0, 1, 1], 2)
+            return mean_all(nnet.mul(att, coef))
 
         assert grad_check(model, [w1, w2], rng=rng) < 1e-4
 
@@ -108,20 +108,6 @@ class TestBackward:
 
 
 class TestOptimizers:
-    def test_sgd_quadratic_step(self):
-        w = Tensor(np.array([1.0]), name="w")
-        loss = sum_all(nnet.mul(w, w))
-        loss.backward()
-        SGD([w], lr=0.1).step()
-        assert w.data[0] == pytest.approx(0.8)
-
-    def test_zero_gradient_no_move(self, rng):
-        w = Tensor(rng.random(3), name="w")
-        before = w.data.copy()
-        w.grad = np.zeros(3)
-        SGD([w], lr=0.5).step()
-        assert np.allclose(w.data, before)
-
     def test_missing_gradient_rejected(self, rng):
         w = Tensor(rng.random(3), name="w")
         with pytest.raises(PruneRLError, match="missing gradient"):
@@ -132,15 +118,16 @@ class TestOptimizers:
         X = Tensor(rng.standard_normal((16, 4)))
         y = Tensor(-rng.standard_normal((16, 1)))
         w = Tensor(rng.standard_normal((4, 1)), name="w")
-        # SGD below 1/L is strictly monotone on a convex quadratic
-        opt = SGD([w], lr=0.002)
+        # gradient descent below 1/L is strictly monotone on a convex quadratic
+        lr = 0.002
         losses = []
         for _ in range(20):
             diff = add(matmul(X, w), y)
             loss = sum_all(nnet.mul(diff, diff))
             losses.append(float(loss.data))
+            w.zero_grad()
             loss.backward()
-            opt.step()
+            w.data -= lr * w.grad
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_adam_descends_overall(self, rng):

@@ -13,17 +13,16 @@ from prunerl.metrics import (
     pagerank,
     spearman_rho,
 )
+from prunerl import rewards
 from prunerl.rewards import (
+    OBJECTIVES,
     CommunityReward,
     ModularityReward,
     PagerankReward,
     SpspReward,
     make_reward_spec,
-    reward_community,
-    reward_modularity,
-    reward_pagerank,
-    reward_spsp,
     sample_training_pairs,
+    spsp_penalty,
 )
 
 from conftest import (
@@ -42,24 +41,33 @@ def bridged_triangles():
     return g, labels
 
 
+def training_reward(spec, gp, edge=None):
+    """The reward paid for the prune that produced gp."""
+    return spec.after_prune(gp, edge, None, None)
+
+
+def base_ari(g, labels):
+    return adjusted_rand_index(louvain(g, np.random.default_rng(0)).labels, labels)
+
+
 class TestRewardPagerank:
     def test_unchanged_graph_zero(self, karate):
-        assert reward_pagerank(karate, karate) == pytest.approx(0.0)
+        assert training_reward(PagerankReward(karate), karate) == pytest.approx(0.0)
 
     def test_bounded(self, karate, rng):
         gp = karate.copy()
         gp.random_prune(20, rng)
-        assert -2.0 <= reward_pagerank(karate, gp) <= 0.0
+        assert -2.0 <= training_reward(PagerankReward(karate), gp) <= 0.0
 
     def test_rank_degenerate_output_rejected(self):
         # prune everything: PageRank on the empty graph is uniform, so the
-        # rank correlation is undefined and the bare function refuses
+        # rank correlation is undefined and evaluation refuses
         g = star_graph(4)
         gp = g.copy()
         for eid in list(gp.live_edge_ids()):
             gp.prune_edge(int(eid))
         with pytest.raises(PruneRLError, match="variance"):
-            reward_pagerank(g, gp)
+            PagerankReward(g).evaluate(gp, np.random.default_rng(0))
 
     def test_training_hook_tolerates_degenerate_ranks(self):
         # the episode-time hook maps the same situation to the worst reward
@@ -76,42 +84,48 @@ class TestRewardPagerank:
         gp = g.copy()
         gp.prune_edge(g.edge_id(0, 5))
         expected = spearman_rho(pagerank(g), pagerank(gp)) - 1.0
-        assert reward_pagerank(g, gp) == pytest.approx(expected)
+        assert training_reward(PagerankReward(g), gp) == pytest.approx(expected)
+
+    def test_evaluation_is_rho(self, karate, rng):
+        gp = karate.copy()
+        gp.random_prune(20, rng)
+        expected = spearman_rho(pagerank(karate), pagerank(gp))
+        assert PagerankReward(karate).evaluate(gp, rng) == pytest.approx(expected)
 
 
 class TestRewardCommunity:
+    # without on_episode_start the episode Louvain seed is louvain_seed = 0,
+    # the seed of the baseline run on the original graph
+
     def test_label_term_values(self):
         g, labels = bridged_triangles()
         intra = g.edge_ref(g.edge_id(0, 1))
         inter = g.edge_ref(g.edge_id(2, 3))
+        base = base_ari(g, labels)
         for edge, label_term in ((intra, 1.0), (inter, -1.0)):
             gp = g.copy()
             gp.prune_edge(edge.eid)
             ari = adjusted_rand_index(
                 louvain(gp, np.random.default_rng(0)).labels, labels
             )
-            r = reward_community(g, gp, labels, edge, 0.25,
-                                 np.random.default_rng(0))
-            assert r == pytest.approx(ari - 0.25 + label_term)
+            r = training_reward(CommunityReward(g, labels), gp, edge)
+            assert r == pytest.approx(ari - base + label_term)
 
     def test_label_sign_switch_flips_term(self):
         g, labels = bridged_triangles()
         inter = g.edge_ref(g.edge_id(2, 3))
         gp = g.copy()
         gp.prune_edge(inter.eid)
-        r_pos = reward_community(g, gp, labels, inter, 0.0,
-                                 np.random.default_rng(0), label_sign=1.0)
-        r_neg = reward_community(g, gp, labels, inter, 0.0,
-                                 np.random.default_rng(0), label_sign=-1.0)
+        r_pos = training_reward(CommunityReward(g, labels, label_sign=1.0), gp, inter)
+        r_neg = training_reward(CommunityReward(g, labels, label_sign=-1.0), gp, inter)
         assert r_neg - r_pos == pytest.approx(2.0)
 
     def test_unlabeled_endpoint_rejected(self):
+        # every endpoint a prune can reach is labeled, or the objective
+        # refuses to be built
         g, _ = bridged_triangles()
-        e = g.edge_ref(0)
-        gp = g.copy()
-        gp.prune_edge(e.eid)
-        with pytest.raises(PruneRLError, match="unlabeled"):
-            reward_community(g, gp, {0: 0}, e, 0.0, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="missing"):
+            CommunityReward(g, {0: 0})
 
     def test_bridge_prune_recovers_ground_truth(self):
         # removing the inter-community edge leaves two clean triangles, which
@@ -120,9 +134,10 @@ class TestRewardCommunity:
         inter = g.edge_ref(g.edge_id(2, 3))
         gp = g.copy()
         gp.prune_edge(inter.eid)
-        r = reward_community(g, gp, labels, inter, 0.5,
-                             np.random.default_rng(0))
-        assert r == pytest.approx(1.0 - 0.5 - 1.0)
+        r = training_reward(CommunityReward(g, labels), gp, inter)
+        assert r == pytest.approx(1.0 - base_ari(g, labels) - 1.0)
+        assert CommunityReward(g, labels).evaluate(
+            gp, np.random.default_rng(0), louvain_runs=3) == pytest.approx(1.0)
 
     def test_spec_requires_full_label_coverage(self):
         g, _ = bridged_triangles()
@@ -133,7 +148,7 @@ class TestRewardCommunity:
 class TestRewardSpsp:
     def test_unchanged_graph_zero(self, karate, rng):
         q = PathQuerySet.sample(karate, 50, rng)
-        assert reward_spsp(karate, karate, q) == 0.0
+        assert spsp_penalty(karate, q) == 0.0
 
     def test_unreachable_pair_counts_node_total(self):
         g = path_graph(3)
@@ -141,14 +156,14 @@ class TestRewardSpsp:
         gp = g.copy()
         gp.prune_edge(g.edge_id(1, 2))
         # severed pair enters the mean as a flat |V| = 3, not a difference
-        assert reward_spsp(g, gp, q) == pytest.approx(3.0)
+        assert spsp_penalty(gp, q) == pytest.approx(3.0)
 
     def test_already_unreachable_contributes_zero(self):
         g = Graph(4, [(0, 1), (2, 3)])
         q = PathQuerySet.from_graph(g, [(0, 2)])
         gp = g.copy()
         gp.prune_edge(0)
-        assert reward_spsp(g, gp, q) == 0.0
+        assert spsp_penalty(gp, q) == 0.0
 
     def test_matches_floyd_warshall(self, rng):
         for _ in range(10):
@@ -164,7 +179,7 @@ class TestRewardSpsp:
                     diffs.append(0.0 if math.isinf(d0) else 12.0)
                 else:
                     diffs.append(d1 - d0)
-            assert reward_spsp(g, gp, q) == pytest.approx(np.mean(diffs))
+            assert spsp_penalty(gp, q) == pytest.approx(np.mean(diffs))
 
     def test_monotone_in_pruning(self, karate, rng):
         q = PathQuerySet.sample(karate, 100, rng)
@@ -172,7 +187,7 @@ class TestRewardSpsp:
         last = 0.0
         for _ in range(10):
             gp.random_prune(5, rng)
-            cur = reward_spsp(karate, gp, q)
+            cur = spsp_penalty(gp, q)
             assert cur >= last - 1e-12
             last = cur
 
@@ -204,22 +219,18 @@ class TestSampleTrainingPairs:
             34.0 if math.isinf(d1) else d1 - d0
             for d0, d1 in zip(q.baseline, dists)
         ])
-        assert reward_spsp(karate, gp, q) == pytest.approx(manual)
+        assert spsp_penalty(gp, q) == pytest.approx(manual)
 
 
 class TestRewardModularity:
     def test_unchanged_graph_zero(self, karate):
-        base = louvain(karate, np.random.default_rng(0)).modularity
-        assert reward_modularity(
-            karate, karate, base, np.random.default_rng(0)
-        ) == pytest.approx(0.0)
+        assert training_reward(ModularityReward(karate), karate) == pytest.approx(0.0)
 
     def test_pruning_bridge_improves(self):
         g, _ = bridged_triangles()
-        base = louvain(g, np.random.default_rng(0)).modularity
         gp = g.copy()
         gp.prune_edge(g.edge_id(2, 3))
-        assert reward_modularity(g, gp, base, np.random.default_rng(0)) > 0.0
+        assert training_reward(ModularityReward(g), gp) > 0.0
 
     def test_edgeless_graph_scores_minus_baseline(self):
         g = two_triangles()
@@ -227,8 +238,17 @@ class TestRewardModularity:
         gp = g.copy()
         for eid in list(gp.live_edge_ids()):
             gp.prune_edge(int(eid))
-        r = reward_modularity(g, gp, base, np.random.default_rng(0))
+        r = training_reward(ModularityReward(g), gp)
         assert r == pytest.approx(-base)
+
+    def test_evaluation_averages_louvain_runs_on_one_rng(self, karate, rng):
+        gp = karate.copy()
+        gp.random_prune(20, rng)
+        runs = np.random.default_rng(3)
+        expected = np.mean([louvain(gp, runs).modularity for _ in range(4)])
+        got = ModularityReward(karate).evaluate(
+            gp, np.random.default_rng(3), louvain_runs=4)
+        assert got == expected
 
 
 class TestRewardSpecs:
@@ -243,17 +263,34 @@ class TestRewardSpecs:
         with pytest.raises(ConfigError, match="unknown objective"):
             make_reward_spec("nonsense", karate)
 
+    def test_factory_ignores_context_an_objective_does_not_take(self, karate):
+        spec = make_reward_spec("spsp", karate, labels={0: 0}, label_sign=-1.0,
+                                pairs_per_endpoint=3)
+        assert spec.pairs_per_endpoint == 3
+
     def test_community_requires_labels(self, karate):
         with pytest.raises(ConfigError):
             make_reward_spec("community", karate)
 
-    def test_pagerank_spec_matches_function(self, karate, rng):
-        spec = make_reward_spec("pagerank", karate)
-        gp = karate.copy()
-        gp.random_prune(10, rng)
-        edge = gp.edge_ref(int(gp.live_edge_ids()[0]))
-        got = spec.after_prune(gp, edge, None, rng)
-        assert got == pytest.approx(reward_pagerank(karate, gp))
+    def test_only_spsp_is_lower_is_better(self):
+        assert {name for name, cls in OBJECTIVES.items()
+                if not cls.higher_is_better} == {"spsp"}
+
+    @pytest.mark.parametrize("name", ["community", "modularity"])
+    def test_evaluation_skips_the_training_baseline(self, name, karate,
+                                                    karate_labels_path,
+                                                    monkeypatch):
+        labels = load_communities(karate_labels_path, karate)
+        spec = make_reward_spec(name, karate, labels=labels)
+        calls = []
+        real = rewards.louvain
+        monkeypatch.setattr(rewards, "louvain",
+                            lambda g, rng: calls.append(g) or real(g, rng))
+        spec.evaluate(karate, np.random.default_rng(0), louvain_runs=3)
+        assert len(calls) == 3
+        # the first training step adds the baseline run on the original graph
+        spec.after_prune(karate, karate.edge_ref(0), None, None)
+        assert len(calls) == 5
 
     def test_spsp_spec_negates_penalty(self, karate, rng):
         spec = SpspReward(karate, pairs_per_endpoint=4)
