@@ -4,6 +4,7 @@ random-start pruning, and greedy evaluation-time sparsification.
 """
 
 import csv
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -13,6 +14,8 @@ from .errors import PruneRLError
 from .nnet import Adam, Tensor
 from .qmodel import QModel, load_checkpoint, save_checkpoint
 from .replay import ReplayBuffer, Transition
+
+LOG_FIELDS = ["episode", "step", "epsilon", "loss", "mean_reward", "buffer_size"]
 
 
 @dataclass
@@ -62,14 +65,18 @@ def select_action(qvals, epsilon, rng):
 
 
 def double_dqn_target(batch, policy, target, gamma):
-    """Per-item TD target: r, or r + gamma * Q_target(s', argmax Q_policy(s'))."""
-    out = np.empty(len(batch))
-    for i, tr in enumerate(batch):
-        if tr.done or gamma == 0.0:
-            out[i] = tr.reward
-        else:
-            a = int(np.argmax(policy.q_values(tr.next_state)))
-            out[i] = tr.reward + gamma * target.q_values(tr.next_state)[a]
+    """Per-item TD target: r, or r + gamma * Q_target(s', argmax Q_policy(s')).
+
+    One policy pass and one target pass score every non-terminal next state.
+    """
+    out = np.array([tr.reward for tr in batch], dtype=np.float64)
+    live = [i for i, tr in enumerate(batch) if not tr.done]
+    if live and gamma != 0.0:
+        next_states = [batch[i].next_state for i in live]
+        q, offsets = policy.q_forward_batch(next_states)
+        best = [lo + int(np.argmax(q.data[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        del q  # free the policy pass before the target pass
+        out[live] += gamma * target.q_forward_batch(next_states)[0].data[best]
     return out
 
 
@@ -91,13 +98,10 @@ class Agent:
         self.config = config or AgentConfig()
         self.graph = graph  # the frozen original graph
         rng = rng if rng is not None else np.random.default_rng(self.config.seed)
-        self.policy = QModel(
-            graph.node_count, directed=graph.directed,
-            emb_dim=self.config.emb_dim, hidden_dim=self.config.hidden_dim, rng=rng,
-        )
-        self.target = QModel(
-            graph.node_count, directed=graph.directed,
-            emb_dim=self.config.emb_dim, hidden_dim=self.config.hidden_dim, rng=rng,
+        self.policy, self.target = (
+            QModel(graph.node_count, directed=graph.directed, emb_dim=self.config.emb_dim,
+                   hidden_dim=self.config.hidden_dim, rng=rng)
+            for _ in range(2)
         )
         self.target.copy_from(self.policy)
         self.optimizer = Adam(self.policy.parameters(), lr=self.config.lr)
@@ -127,11 +131,8 @@ class Agent:
         idx, batch, weights = self.buffer.sample(cfg.batch_size, rng)
         targets = double_dqn_target(batch, self.policy, self.target, cfg.gamma)
 
-        qs = []
-        for tr in batch:
-            q = self.policy.q_forward(tr.state)
-            qs.append(nnet.gather_rows(nnet.reshape(q, (-1, 1)), [tr.action]))
-        pred = nnet.reshape(nnet.concat(qs, axis=0), (-1,))
+        q, offsets = self.policy.q_forward_batch([tr.state for tr in batch])
+        pred = nnet.gather_rows(q, offsets[:-1] + [tr.action for tr in batch])
         diff = pred - Tensor(targets)
         loss = nnet.mean_all(nnet.mul(Tensor(weights), nnet.mul(diff, diff)))
 
@@ -228,9 +229,7 @@ class Agent:
         model, header, arrays = load_checkpoint(path)
         config = AgentConfig(**header["extra"]["agent_config"])
         agent = cls(graph, config=config)
-        agent.policy.load_state_arrays(
-            {k: v for k, v in arrays.items() if k.startswith("param_")}
-        )
+        agent.policy.copy_from(model)
         target_arrays = {
             k[len("target_"):]: v for k, v in arrays.items()
             if k.startswith("target_param_")
@@ -259,20 +258,24 @@ def train_loop(agent, reward_spec, episodes, rng, log_path=None,
     """Run episodes until the budget or until the smoothed mean episode
     reward stops improving for `patience` episodes (0 disables patience).
 
-    Writes one CSV log row per episode:
+    Writes one CSV log row per episode, flushed as the episode ends, so a
+    crash keeps the rows of the episodes before it:
     (episode, step, epsilon, loss, mean_reward, buffer_size).
     """
     rows = []
     best = -np.inf
     since_best = 0
     history = []
-    for _ in range(episodes):
-        rec = agent.run_episode(reward_spec, rng)
-        mean_reward = float(np.mean(rec.rewards)) if rec.rewards else 0.0
-        loss = float(np.mean(rec.losses)) if rec.losses else float("nan")
-        history.append(mean_reward)
-        rows.append(
-            {
+    with open(log_path or os.devnull, "w", newline="") as log:
+        writer = csv.DictWriter(log, fieldnames=LOG_FIELDS)
+        writer.writeheader()
+        log.flush()
+        for _ in range(episodes):
+            rec = agent.run_episode(reward_spec, rng)
+            mean_reward = float(np.mean(rec.rewards)) if rec.rewards else 0.0
+            loss = float(np.mean(rec.losses)) if rec.losses else float("nan")
+            history.append(mean_reward)
+            row = {
                 "episode": agent.episodes_done,
                 "step": agent.update_steps,
                 "epsilon": repr(agent.epsilon),
@@ -280,23 +283,20 @@ def train_loop(agent, reward_spec, episodes, rng, log_path=None,
                 "mean_reward": repr(mean_reward),
                 "buffer_size": len(agent.buffer),
             }
-        )
-        if checkpoint_path and checkpoint_every and agent.episodes_done % checkpoint_every == 0:
-            agent.save(checkpoint_path)
-        if patience:
-            smoothed = float(np.mean(history[-patience_window:]))
-            if smoothed > best + 1e-12:
-                best = smoothed
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= patience:
-                    break
+            rows.append(row)
+            writer.writerow(row)
+            log.flush()
+            if checkpoint_path and checkpoint_every and agent.episodes_done % checkpoint_every == 0:
+                agent.save(checkpoint_path)
+            if patience:
+                smoothed = float(np.mean(history[-patience_window:]))
+                if smoothed > best + 1e-12:
+                    best = smoothed
+                    since_best = 0
+                else:
+                    since_best += 1
+                    if since_best >= patience:
+                        break
     if checkpoint_path:
         agent.save(checkpoint_path)
-    if log_path:
-        with open(log_path, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
     return rows

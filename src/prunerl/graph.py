@@ -27,12 +27,16 @@ class CandidateSubgraph:
 
     Degrees, 1-hop neighborhoods, and the edge-kept ratio are snapshots taken
     at sampling time, so a stored state stays evaluable after further pruning.
+    Node i's closed neighborhood, `hood[hood_ptr[i]:hood_ptr[i + 1]]`, is the
+    node itself and then its sorted live (out-)neighbors.
     """
 
     edges: list  # list[EdgeRef]
     degrees: np.ndarray  # per-edge endpoint degrees
-    node_degrees: dict  # node id -> degree snapshot (int or (in, out) tuple)
-    neighborhoods: dict  # node id -> tuple of live neighbors at snapshot time
+    nodes: np.ndarray  # sorted distinct endpoint ids
+    hood_ptr: np.ndarray  # len(nodes) + 1 offsets into hood
+    hood: np.ndarray  # closed neighborhoods, concatenated
+    node_degrees: np.ndarray  # per node: (degree,), or (in, out) when directed
     edge_ratio: float
 
     def __len__(self):
@@ -131,9 +135,6 @@ class Graph:
     def live_edge_ids(self):
         return self._live_ids[: self.edge_count].copy()
 
-    def live_edges(self):
-        return [self.edge_ref(e) for e in self.live_edge_ids()]
-
     def neighbors(self, u):
         """Live neighbors of u (out-neighbors when directed)."""
         return list(self.adj[u].keys())
@@ -189,28 +190,24 @@ class Graph:
         k = min(size, self.edge_count)
         picked = rng.choice(self._live_ids[: self.edge_count], size=k, replace=False)
         edges = [self.edge_ref(int(e)) for e in picked]
-        node_degrees = {}
-        neighborhoods = {}
-        for e in edges:
-            for n in (e.u, e.v):
-                if n not in node_degrees:
-                    node_degrees[n] = self.degree_of(n)
-                    neighborhoods[n] = tuple(sorted(self.adj[n].keys()))
+        ends = np.stack([self.src[picked], self.dst[picked]], axis=1)
+        nodes = np.unique(ends)
+        hood, hood_ptr = [], [0]
+        for n in nodes.tolist():
+            hood.append(n)
+            hood += sorted(self.adj[n])
+            hood_ptr.append(len(hood))
         if self.directed:
-            degs = np.array(
-                [[*node_degrees[e.u], *node_degrees[e.v]] for e in edges],
-                dtype=np.float64,
-            )
+            node_degrees = np.stack([self.in_degree[nodes], self.out_degree[nodes]], axis=1)
         else:
-            degs = np.array(
-                [[node_degrees[e.u], node_degrees[e.v]] for e in edges],
-                dtype=np.float64,
-            )
+            node_degrees = self.degree[nodes][:, None]
         return CandidateSubgraph(
             edges=edges,
-            degrees=degs,
+            degrees=node_degrees[np.searchsorted(nodes, ends)].reshape(k, -1).astype(np.float64),
+            nodes=nodes,
+            hood_ptr=np.array(hood_ptr),
+            hood=np.array(hood),
             node_degrees=node_degrees,
-            neighborhoods=neighborhoods,
             edge_ratio=self.edge_kept_ratio(),
         )
 

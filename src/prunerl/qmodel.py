@@ -8,11 +8,12 @@ subgraph length is not fixed: any number of candidate edges can be scored.
 """
 
 import json
+import zipfile
 
 import numpy as np
 
 from . import nnet
-from .errors import DeadEdgeError, PruneRLError, ShapeError
+from .errors import ConfigError, DeadEdgeError, PruneRLError, ShapeError
 from .nnet import Linear, Tensor
 
 ATTENTION_SLOPE = 0.2  # leaky slope inside attention scoring
@@ -57,9 +58,6 @@ class QModel:
             out.extend(layer.parameters())
         return out
 
-    def param_names(self):
-        return [p.name for p in self.parameters()]
-
     def copy_from(self, other):
         for dst, src in zip(self.parameters(), other.parameters()):
             dst.data = src.data.copy()
@@ -71,71 +69,80 @@ class QModel:
 
     # ------------------------------------------------------------------ layers
 
-    def gat_node_encode(self, neighborhoods, nodes):
-        """Attention-weighted 1-hop aggregation for the given nodes.
-
-        `neighborhoods` maps node id -> iterable of neighbor ids (a Graph's
-        live adjacency or a CandidateSubgraph snapshot). Each neighborhood is
-        extended with the node itself, so isolated nodes attend only to
-        themselves. Returns a Tensor of shape (len(nodes), emb_dim) aligned
-        with `nodes`.
-        """
-        centers = []
-        nbrs = []
-        segments = []
-        for i, n in enumerate(nodes):
-            hood = [n] + sorted(neighborhoods[n])
-            centers.extend([n] * len(hood))
-            nbrs.extend(hood)
-            segments.extend([i] * len(hood))
-        proj_centers = self.gat_proj(nnet.embed_lookup(self.embeddings, centers))
-        proj_nbrs = self.gat_proj(nnet.embed_lookup(self.embeddings, nbrs))
-        scores = self.gat_score(nnet.concat([proj_centers, proj_nbrs], axis=1))
-        scores = nnet.leaky_relu(nnet.reshape(scores, (-1,)), ATTENTION_SLOPE)
-        weights = nnet.segment_softmax(scores, segments, len(nodes))
+    def gat_encode(self, hood_ptr, hood):
+        """Attention-weighted aggregation over closed 1-hop neighborhoods:
+        node i attends over CSR segment `hood[hood_ptr[i]:hood_ptr[i + 1]]`,
+        itself (listed first) included, so an isolated node attends only to
+        itself. Returns a Tensor of shape (len(hood_ptr) - 1, emb_dim)."""
+        count = len(hood_ptr) - 1
+        segments = np.repeat(np.arange(count), np.diff(hood_ptr))
+        uniq, rows = np.unique(hood, return_inverse=True)
+        proj = self.gat_proj(nnet.gather_rows(self.embeddings, uniq))
+        proj_nbrs = nnet.gather_rows(proj, rows)
+        # gat_score of a [center, neighbor] row is one dot product per half
+        # of its weights: take both per distinct node, then gather
+        w, d = self.gat_score.W, self.emb_dim
+        center_part = nnet.matmul(proj, nnet.gather_rows(w, np.arange(d)))
+        nbr_part = nnet.matmul(proj, nnet.gather_rows(w, np.arange(d, 2 * d)))
+        scores = nnet.add(nnet.gather_rows(center_part, rows[hood_ptr[:-1]][segments]),
+                          nnet.gather_rows(nbr_part, rows))
+        scores = nnet.reshape(nnet.add(scores, self.gat_score.b), (-1,))
+        scores = nnet.leaky_relu(scores, ATTENTION_SLOPE)
+        weights = nnet.segment_softmax(scores, segments, count)
         weighted = nnet.mul(nnet.reshape(weights, (-1, 1)), proj_nbrs)
-        return nnet.segment_sum(weighted, segments, len(nodes))
+        return nnet.segment_sum(weighted, segments, count)
 
-    def _encode_nodes(self, neighborhoods, nodes, node_degrees, edge_ratio):
-        gat_out = self.gat_node_encode(neighborhoods, nodes)
-        if self.directed:
-            degs = np.array([node_degrees[n] for n in nodes], dtype=np.float64)
-        else:
-            degs = np.array([[node_degrees[n]] for n in nodes], dtype=np.float64)
+    def q_forward_batch(self, subs):
+        """Q-values of several candidate subgraphs in one pass over their
+        disjoint union: (Tensor of every Q-value, offsets), the values of
+        subs[i] being entries offsets[i]:offsets[i + 1]. Neighborhoods,
+        degrees, and the edge ratio come from each subgraph's snapshot, so
+        replayed states stay evaluable after further pruning.
+        """
+        if not subs or any(len(s) == 0 for s in subs):
+            raise PruneRLError("q_forward needs nonempty candidate subgraphs")
+        sizes = [len(s.nodes) for s in subs]
+        hood_base = np.cumsum([0] + [len(s.hood) for s in subs[:-1]])
+        hood_ends = np.concatenate([s.hood_ptr[1:] for s in subs]) + np.repeat(hood_base, sizes)
+        gat_out = self.gat_encode(np.concatenate([[0], hood_ends]),
+                                  np.concatenate([s.hood for s in subs]))
+        degs = np.concatenate([s.node_degrees for s in subs])
         degs = degs / max(1, self.node_count - 1)  # feature scaling only
-        ratio = np.full((len(nodes), 1), edge_ratio)
+        ratio = np.repeat([s.edge_ratio for s in subs], sizes)[:, None]
         x = nnet.concat([gat_out, Tensor(degs), Tensor(ratio)], axis=1)
         h = nnet.leaky_relu(self.node_fc1(x), HIDDEN_SLOPE)
-        return nnet.leaky_relu(self.node_fc2(h), HIDDEN_SLOPE)
+        enc = nnet.leaky_relu(self.node_fc2(h), HIDDEN_SLOPE)
 
-    def q_forward(self, sub, require_live_in=None):
-        """Q-value per candidate edge; Tensor of shape (len(sub),).
-
-        Neighborhoods, degrees, and the edge ratio come from the subgraph's
-        snapshot, so replayed states stay evaluable after further pruning.
-        Pass a graph as `require_live_in` to reject stale snapshots (acting
-        and evaluation paths do; replay training does not).
-        """
-        if len(sub) == 0:
-            raise PruneRLError("q_forward needs a nonempty candidate subgraph")
-        if require_live_in is not None:
-            for e in sub.edges:
-                if not require_live_in.is_alive(e.eid):
-                    raise DeadEdgeError(f"stale candidate edge {e}")
-        nodes = sorted({n for e in sub.edges for n in (e.u, e.v)})
-        pos = {n: i for i, n in enumerate(nodes)}
-        enc = self._encode_nodes(sub.neighborhoods, nodes, sub.node_degrees, sub.edge_ratio)
-        u_idx = [pos[e.u] for e in sub.edges]
-        v_idx = [pos[e.v] for e in sub.edges]
-        enc_u = nnet.gather_rows(enc, u_idx)
-        enc_v = nnet.gather_rows(enc, v_idx)
+        # Endpoint rows are looked up on every pass, so a copy of a snapshot
+        # with reordered or flipped edges is scored as those edges. Keying
+        # nodes by (item, node) keeps the concatenated node lists sorted.
+        counts = [len(s) for s in subs]
+        keys = np.concatenate([s.nodes + i * self.node_count for i, s in enumerate(subs)])
+        ends = np.array([(e.u, e.v) for s in subs for e in s.edges])
+        item = np.repeat(np.arange(len(subs)) * self.node_count, counts)
+        ends = np.searchsorted(keys, ends + item[:, None])
+        enc_u = nnet.gather_rows(enc, ends[:, 0])
+        enc_v = nnet.gather_rows(enc, ends[:, 1])
         if self.directed:
             pair = nnet.concat([enc_u, enc_v], axis=1)
         else:
             pair = nnet.add(enc_u, enc_v)  # order-insensitive: Q(u,v) = Q(v,u)
         h = nnet.leaky_relu(self.edge_fc1(pair), HIDDEN_SLOPE)
         h = nnet.leaky_relu(self.edge_fc2(h), HIDDEN_SLOPE)
-        return nnet.reshape(self.head(h), (-1,))
+        q = nnet.reshape(self.head(h), (-1,))
+        return q, np.cumsum([0] + counts)
+
+    def q_forward(self, sub, require_live_in=None):
+        """Q-value per candidate edge; Tensor of shape (len(sub),).
+
+        Pass a graph as `require_live_in` to reject stale snapshots (acting
+        and evaluation paths do; replay training does not).
+        """
+        if require_live_in is not None:
+            for e in sub.edges:
+                if not require_live_in.is_alive(e.eid):
+                    raise DeadEdgeError(f"stale candidate edge {e}")
+        return self.q_forward_batch([sub])[0]
 
     def q_values(self, sub, require_live_in=None):
         """Numpy view of q_forward, for action selection."""
@@ -203,10 +210,22 @@ def save_checkpoint(path, model, extra=None, optimizer=None, agent_state=None,
 
 
 def load_checkpoint(path, rng=None):
-    """Load a checkpoint. Returns (model, header, raw arrays)."""
-    with np.load(path if str(path).endswith(".npz") else str(path)) as z:
+    """Load a checkpoint. Returns (model, header, raw arrays); raises
+    ConfigError for a file that is not an npz archive with a JSON header."""
+    try:
+        z = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # ValueError: would need pickle
+        z = None
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise ConfigError(f"{path}: not a prunerl checkpoint (not an npz archive)")
+    with z:
         arrays = {k: z[k] for k in z.files}
-    header = json.loads(bytes(arrays.pop("__header__")).decode())
+    try:
+        header = json.loads(bytes(arrays.pop("__header__")).decode())
+    except KeyError:
+        raise ConfigError(f"{path}: not a prunerl checkpoint (no __header__ array)") from None
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ConfigError(f"{path}: not a prunerl checkpoint (header is not JSON: {exc})") from None
     if header.get("format_version") != 1:
         raise PruneRLError(f"unsupported checkpoint version {header.get('format_version')}")
     model = QModel.from_config(header["model"], rng=rng)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prunerl import nnet
 from prunerl.agent import (
     Agent,
     AgentConfig,
@@ -10,12 +11,13 @@ from prunerl.agent import (
     train_loop,
 )
 from prunerl.errors import PruneRLError
-from prunerl.graph import load_edge_list
+from prunerl.graph import Graph, load_edge_list
 from prunerl.qmodel import QModel
 from prunerl.replay import Transition
 from prunerl.rewards import PagerankReward, SpspReward
 
 from conftest import complete_graph
+from oracles import double_dqn_target_oracle, q_forward_oracle
 
 SMALL = dict(emb_dim=8, hidden_dim=16, train_subgraph_len=8, batch_size=8)
 
@@ -75,6 +77,94 @@ class TestDoubleDQNTarget:
         a_star = int(np.argmax(policy.q_values(nxt)))
         expected = 1.0 + 0.9 * float(target.q_values(nxt)[a_star])
         assert double_dqn_target(batch, policy, target, 0.9)[0] == pytest.approx(expected)
+
+
+def replay_batch(g, rng, size=12):
+    """Transitions over pruned copies of g: states of mixed length, every
+    third one done."""
+    batch = []
+    for i in range(size):
+        gi = g.copy()
+        gi.random_prune(int(rng.integers(0, g.edge_count - 1)), rng)
+        state = gi.sample_subgraph(int(rng.integers(1, 33)), rng)
+        gi.prune_edge(state.edges[0])
+        batch.append(Transition(state, int(rng.integers(len(state))), float(rng.normal()),
+                                gi.sample_subgraph(int(rng.integers(1, 33)), rng), i % 3 == 0))
+    return batch
+
+
+def directed_graph():
+    return Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (1, 4), (4, 1)],
+                 directed=True)
+
+
+class TestBatchedQNet:
+    def test_karate_replay_batch_matches_oracle(self, karate, rng):
+        model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
+        batch = replay_batch(karate, rng)
+        subs = [tr.state for tr in batch] + [tr.next_state for tr in batch]
+        q, offsets = model.q_forward_batch(subs)
+        assert len({len(s) for s in subs}) > 5
+        assert q.shape == (sum(len(s) for s in subs),)
+        for sub, lo, hi in zip(subs, offsets[:-1], offsets[1:]):
+            assert np.allclose(q.data[lo:hi], q_forward_oracle(model, sub).data,
+                               rtol=0, atol=1e-10)
+
+    def test_directed_batch_matches_oracle(self, rng):
+        g = directed_graph()
+        model = QModel(6, directed=True, emb_dim=4, hidden_dim=8, rng=rng)
+        subs = [g.sample_subgraph(k, rng) for k in (1, 3, 9, 5)]
+        q, offsets = model.q_forward_batch(subs)
+        for sub, lo, hi in zip(subs, offsets[:-1], offsets[1:]):
+            assert np.allclose(q.data[lo:hi], q_forward_oracle(model, sub).data,
+                               rtol=0, atol=1e-10)
+
+    def test_directed_grad_check(self, rng):
+        g = directed_graph()
+        model = QModel(6, directed=True, emb_dim=4, hidden_dim=8, rng=rng)
+        subs = [g.sample_subgraph(k, rng) for k in (2, 4, 3)]
+        w = nnet.Tensor(rng.normal(size=sum(len(s) for s in subs)))
+
+        def loss_fn():
+            return nnet.sum_all(nnet.mul(model.q_forward_batch(subs)[0], w))
+
+        assert nnet.grad_check(loss_fn, model.parameters(), tolerance=1e-4, h=1e-6,
+                               rng=np.random.default_rng(1)) < 1e-4
+
+    @pytest.mark.parametrize("gamma", [0.95, 0.0])
+    def test_targets_match_oracle(self, karate, rng, gamma):
+        policy = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
+        target = QModel(34, emb_dim=16, hidden_dim=32, rng=np.random.default_rng(7))
+        batch = replay_batch(karate, rng)
+        assert np.allclose(double_dqn_target(batch, policy, target, gamma),
+                           double_dqn_target_oracle(batch, policy, target, gamma),
+                           rtol=0, atol=1e-10)
+
+    def test_all_done_batch_makes_no_pass(self, karate, rng):
+        batch = [tr for tr in replay_batch(karate, rng) if tr.done]
+        out = double_dqn_target(batch, None, None, 0.95)
+        assert np.array_equal(out, [tr.reward for tr in batch])
+
+    def test_loss_gradients_match_oracle(self, karate, rng):
+        model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
+        batch = replay_batch(karate, rng)
+        actions = [tr.action for tr in batch]
+
+        def grads(pred):
+            loss = nnet.sum_all(nnet.mul(pred, pred))
+            loss.backward()
+            out = [p.grad.copy() for p in model.parameters()]
+            for p in model.parameters():
+                p.zero_grad()
+            return out
+
+        q, offsets = model.q_forward_batch([tr.state for tr in batch])
+        batched = grads(nnet.gather_rows(q, offsets[:-1] + actions))
+        per_item = grads(nnet.concat([
+            nnet.gather_rows(q_forward_oracle(model, tr.state), [tr.action])
+            for tr in batch], axis=0))
+        for a, b in zip(batched, per_item):
+            assert np.allclose(a, b, rtol=0, atol=1e-10)
 
 
 class TestSoftUpdate:
@@ -198,6 +288,27 @@ class TestEpisodes:
             "episode", "step", "epsilon", "loss", "mean_reward", "buffer_size"
         ]
         assert len(lines) == 4
+
+    def test_log_rows_reach_disk_before_a_crash(self, karate, rng, tmp_path):
+        log = tmp_path / "log.csv"
+
+        class FailsInThirdEpisode(PagerankReward):
+            started = 0
+
+            def on_episode_start(self, g_original, g_working, rng):
+                self.started += 1
+                if self.started == 3:
+                    self.on_disk = log.read_text()  # while the log is still open
+                    raise RuntimeError("reward failed")
+
+        agent = Agent(karate, AgentConfig(**SMALL), rng=rng)
+        reward = FailsInThirdEpisode(karate)
+        with pytest.raises(RuntimeError):
+            train_loop(agent, reward, 5, rng, log_path=log)
+        for text in (reward.on_disk, log.read_text()):
+            lines = text.strip().splitlines()
+            assert lines[0].startswith("episode,step,")
+            assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
 
 class TestSparsify:

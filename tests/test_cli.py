@@ -2,6 +2,7 @@ import csv
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -237,17 +238,28 @@ class TestCompare:
         assert all(c["error"] == "" for c in cells)
         assert cells == read_csv(run(1) / "compare_cells.csv")
 
-    @pytest.mark.parametrize("content", [None, "not a checkpoint"])
+    @pytest.mark.parametrize("content", [
+        None, "not a checkpoint",
+        pytest.param({"param_0_embeddings": np.zeros((34, 4))}, id="npz without header"),
+        pytest.param({"__header__": np.frombuffer(b"{model: 1", dtype=np.uint8)},
+                     id="header not JSON"),
+    ])
     def test_missing_checkpoint_is_data_error(self, content, tmp_path, capsys):
         config = write_config(tmp_path / "config.yaml")
         checkpoint = tmp_path / "checkpoint.npz"
-        if content is not None:
+        if isinstance(content, str):
             checkpoint.write_text(content)
+        elif content is not None:
+            np.savez(checkpoint, **content)
         out_dir = tmp_path / "cmp"
         rc = cli.main(["compare", "--config", str(config), "--checkpoint",
                        str(checkpoint), "--out", str(out_dir)])
         assert rc == cli.EXIT_DATA
-        assert capsys.readouterr().err.count("\n") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        if content is not None:
+            assert err.startswith(f"error: {checkpoint}: not a prunerl checkpoint (")
+            assert "pickle" not in err
         assert not (out_dir / "compare_cells.csv").exists()
 
 

@@ -190,6 +190,25 @@ class TestSampleSubgraph:
         g.random_prune(5, rng)
         assert np.all(sub.degrees == 3.0)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_node_snapshot_matches_live_graph(self, karate, rng, directed):
+        g = karate.copy() if not directed else make_graph(
+            5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (4, 0), (2, 4)], directed=True)
+        g.random_prune(2, rng)
+        sub = g.sample_subgraph(4, rng)
+        ends = sorted({n for e in sub.edges for n in (e.u, e.v)})
+        assert sub.nodes.tolist() == ends
+        assert len(sub.hood_ptr) == len(ends) + 1
+        for i, n in enumerate(ends):
+            hood = sub.hood[sub.hood_ptr[i]:sub.hood_ptr[i + 1]].tolist()
+            assert hood == [n] + sorted(g.neighbors(n))
+            deg = g.degree_of(n)
+            assert tuple(sub.node_degrees[i]) == (deg if directed else (deg,))
+        expected = [[*np.atleast_1d(g.degree_of(e.u)), *np.atleast_1d(g.degree_of(e.v))]
+                    for e in sub.edges]
+        assert np.array_equal(sub.degrees, expected)
+        assert sub.degrees.dtype == np.float64
+
 
 class TestEdgeKeptRatio:
     def test_fresh_graph(self, karate):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,25 @@ class TestPrimitives:
         with pytest.raises(PruneRLError):
             Tensor(np.array([1.0, np.nan]))
 
+    def test_gather_rows_rejects_other_ranks(self):
+        for shape in ((), (2, 2, 2)):
+            with pytest.raises(ShapeError):
+                nnet.gather_rows(Tensor(np.zeros(shape)), [0])
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 3)])
+    def test_scatters_equal_add_at(self, rng, shape):
+        # bincount adds in input order, so the sums equal np.add.at's bit for bit
+        idx = rng.integers(0, 5, size=40)
+        g = rng.standard_normal((40,) + shape[1:])
+        x = Tensor(rng.standard_normal(shape))
+        loss = sum_all(nnet.mul(nnet.gather_rows(x, idx), Tensor(g)))
+        loss.backward()
+        expected = np.zeros(shape)
+        np.add.at(expected, idx, g)
+        assert np.array_equal(x.grad, expected)
+        if len(shape) == 2:
+            assert np.array_equal(segment_sum(Tensor(g), idx, 5).data, expected)
+
     def test_backward_needs_scalar(self, rng):
         with pytest.raises(ShapeError):
             Tensor(rng.random((2, 2))).backward()
@@ -90,6 +111,17 @@ class TestBackward:
             return sum_all(leaky_relu(pooled, ATTENTION_SLOPE))
 
         assert grad_check(model, [w], rng=rng) < 1e-4
+
+    def test_backward_leaves_no_reference_cycle(self, rng):
+        # a graph left in a cycle stays in memory until the collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            w = Tensor(rng.random(3), name="w")
+            sum_all(nnet.mul(w, w)).backward()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_corrupted_gradient_detected(self, rng):
         # negative control: an op whose backward is off by a factor of 2
@@ -164,24 +196,30 @@ class TestOptimizers:
         assert np.array_equal(w.data, w2.data)
 
 
+def gat_encode(model, hoods):
+    """Encode each node of {node: neighbors}, attending over itself first."""
+    rows = [[n, *sorted(nbrs)] for n, nbrs in hoods.items()]
+    return model.gat_encode(np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows))
+
+
 class TestGATEncode:
     def test_isolated_node_self_projection(self, rng):
         model = QModel(3, directed=False, emb_dim=4, hidden_dim=8, rng=rng)
-        out = model.gat_node_encode({0: ()}, [0])
+        out = gat_encode(model, {0: ()})
         proj = model.embeddings.data[0:1] @ model.gat_proj.W.data
         assert np.allclose(out.data, proj, atol=1e-12)
 
     def test_identical_neighbors_uniform_attention(self, rng):
         model = QModel(4, directed=False, emb_dim=4, hidden_dim=8, rng=rng)
         model.embeddings.data[:] = model.embeddings.data[0]
-        out = model.gat_node_encode({0: (1, 2, 3)}, [0])
+        out = gat_encode(model, {0: (1, 2, 3)})
         proj = model.embeddings.data[0:1] @ model.gat_proj.W.data
         assert np.allclose(out.data, proj, atol=1e-10)
 
     def test_matches_dense_oracle(self, rng):
         # node 1 of the path 0-1-2, recomputed densely from the same formula
         model = QModel(3, directed=False, emb_dim=5, hidden_dim=8, rng=rng)
-        out = model.gat_node_encode({1: (0, 2)}, [1]).data[0]
+        out = gat_encode(model, {1: (0, 2)}).data[0]
 
         h = model.embeddings.data @ model.gat_proj.W.data
         a = model.gat_score.W.data.reshape(-1)
@@ -201,6 +239,6 @@ class TestGATEncode:
         model = QModel(6, directed=False, emb_dim=4, hidden_dim=8, rng=rng)
         g = path_graph(6)
         hoods = {n: tuple(g.adj[n].keys()) for n in range(6)}
-        out = model.gat_node_encode(hoods, list(range(6)))
+        out = gat_encode(model, hoods)
         assert out.data.shape == (6, 4)
         assert np.all(np.isfinite(out.data))
