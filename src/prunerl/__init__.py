@@ -15,6 +15,7 @@ from .errors import (
     CommunityFileError,
     ConfigError,
     ConvergenceError,
+    DataError,
     DeadEdgeError,
     EdgeListParseError,
     PruneRLError,

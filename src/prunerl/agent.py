@@ -229,7 +229,7 @@ class Agent:
         model, header, arrays = load_checkpoint(path)
         config = AgentConfig(**header["extra"]["agent_config"])
         agent = cls(graph, config=config)
-        agent.policy.copy_from(model)
+        agent.policy.load_state_arrays(model.state_arrays())  # checks the shapes
         target_arrays = {
             k[len("target_"):]: v for k, v in arrays.items()
             if k.startswith("target_param_")

@@ -9,6 +9,7 @@ import logging
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import PruneRLError
 from .metrics import PathQuerySet
@@ -25,10 +26,9 @@ def _target_edges(g, r):
 
 def _prune_to_kept(g, keep_eids):
     out = g.copy()
-    keep = set(int(e) for e in keep_eids)
-    for eid in g.live_edge_ids():
-        if int(eid) not in keep:
-            out.prune_edge(int(eid))
+    live = g.live_edge_ids()
+    for eid in live[~np.isin(live, np.fromiter(keep_eids, dtype=np.int64))].tolist():
+        out.prune_edge(eid)
     return out
 
 
@@ -72,43 +72,59 @@ def _exponent_search(g, r, survivors_at):
     return exponent, kept
 
 
+def _degree_ranked(g, key, keep_count, r, exponent):
+    """Node v keeps the first keep_count(deg(v), x) of its live incident
+    edges, ranked by (key(neighbors, eids), eid); an edge survives if either
+    endpoint keeps it. The exponent x is searched toward round(r*|E|) unless
+    given. Returns (x, sorted kept edge ids)."""
+    indptr, nbrs, eids = g.live_csr()
+    rows = np.repeat(np.arange(g.node_count), np.diff(indptr))
+    ranked = eids[np.lexsort((eids, key(nbrs, eids), rows))]
+    rank = np.arange(ranked.size) - indptr[rows]
+    # counts are taken once per distinct degree with numpy's scalar power:
+    # the vectorized power can round differently
+    degrees, node_degree = np.unique(g.degree, return_inverse=True)
+    row_degree = node_degree[rows]
+
+    def survivors(x):
+        counts = np.array([keep_count(d, x) if d > 0 else 0 for d in degrees])
+        return np.unique(ranked[rank < counts[row_degree]])
+
+    if exponent is not None:
+        return exponent, survivors(exponent)
+    return _exponent_search(g, r, survivors)
+
+
 def local_degree(g, r=None, alpha=None):
     """Keep each node's top floor(deg(v)^alpha) incident edges, ranked by the
     other endpoint's degree (descending); an edge survives if either endpoint
     keeps it. With alpha=None, alpha is searched to match round(r*|E|)."""
     if g.directed:
         raise PruneRLError("local_degree is defined for undirected graphs")
-    deg = g.degree
-
-    def survivors(a):
-        kept = set()
-        for v in range(g.node_count):
-            inc = sorted(
-                g.adj[v].items(), key=lambda kv: (-deg[kv[0]], kv[1])
-            )
-            k = int(math.floor(deg[v] ** a)) if deg[v] > 0 else 0
-            for _, eid in inc[:k]:
-                kept.add(eid)
-        return kept
-
-    if alpha is not None:
-        if not (0.0 <= alpha <= 1.0):
-            raise PruneRLError(f"alpha must be in [0, 1], got {alpha}")
-        kept = survivors(alpha)
-    else:
-        if r is None:
-            raise PruneRLError("local_degree needs either r or alpha")
-        alpha, kept = _exponent_search(g, r, survivors)
+    if alpha is not None and not (0.0 <= alpha <= 1.0):
+        raise PruneRLError(f"alpha must be in [0, 1], got {alpha}")
+    if alpha is None and r is None:
+        raise PruneRLError("local_degree needs either r or alpha")
+    alpha, kept = _degree_ranked(g, lambda nbrs, eids: -g.degree[nbrs],
+                                 lambda d, a: int(math.floor(d ** a)), r, alpha)
     out = _prune_to_kept(g, kept)
     out.method_params = {"method": "local_degree", "alpha": alpha}
     return out
 
 
-def jaccard_closed(g, u, v):
-    """Jaccard similarity of the closed neighborhoods N(u)+{u}, N(v)+{v}."""
-    nu = set(g.adj[u]) | {u}
-    nv = set(g.adj[v]) | {v}
-    return len(nu & nv) / len(nu | nv)
+def jaccard_scores(g):
+    """Jaccard similarity of the closed neighborhoods N(u)+{u}, N(v)+{v} of
+    every live edge (u, v), indexed by edge id; nan for pruned edges."""
+    indptr, nbrs, _ = g.live_csr()
+    n = g.node_count
+    adj = csr_matrix((np.ones(nbrs.size, dtype=np.int64), nbrs, indptr), shape=(n, n))
+    eids = g.live_edge_ids()
+    u, v = g.src[eids], g.dst[eids]
+    common = np.asarray((adj @ adj)[u, v]).ravel()  # open common neighbors
+    # the closed neighborhoods share the common neighbors plus u and v
+    sim = np.full(g.original_edge_count, np.nan)
+    sim[eids] = (common + 2) / (g.degree[u] + g.degree[v] - common)
+    return sim
 
 
 def l_spar(g, r=None, e=None):
@@ -117,32 +133,15 @@ def l_spar(g, r=None, e=None):
     toward round(r*|E|) when not given."""
     if g.directed:
         raise PruneRLError("l_spar is defined for undirected graphs")
-    sim = {}
-    for eid in g.live_edge_ids():
-        u, v = int(g.src[eid]), int(g.dst[eid])
-        sim[int(eid)] = jaccard_closed(g, u, v)
-
-    def survivors(exp):
-        kept = set()
-        for v in range(g.node_count):
-            inc = sorted(
-                g.adj[v].items(), key=lambda kv: (-sim[kv[1]], kv[1])
-            )
-            k = int(math.ceil(g.degree[v] ** exp)) if g.degree[v] > 0 else 0
-            for _, eid in inc[:k]:
-                kept.add(eid)
-        return kept
-
-    if e is not None:
-        if not (0.0 < e <= 1.0):
-            raise PruneRLError(f"exponent must be in (0, 1], got {e}")
-        kept = survivors(e)
-    else:
-        if r is None:
-            raise PruneRLError("l_spar needs either r or e")
-        e, kept = _exponent_search(g, r, survivors)
+    if e is not None and not (0.0 < e <= 1.0):
+        raise PruneRLError(f"exponent must be in (0, 1], got {e}")
+    if e is None and r is None:
+        raise PruneRLError("l_spar needs either r or e")
+    sim = jaccard_scores(g)
+    e, kept = _degree_ranked(g, lambda nbrs, eids: -sim[eids],
+                             lambda d, x: int(math.ceil(d ** x)), r, e)
     out = _prune_to_kept(g, kept)
-    out.method_params = {"method": "l_spar", "e": e, "similarity": sim}
+    out.method_params = {"method": "l_spar", "e": e}
     return out
 
 
@@ -160,6 +159,7 @@ def edge_forest_fire(g, r, p, rng, burn_budget=None):
     if burn_budget is None:
         burn_budget = 4 * g.node_count
     visits = np.zeros(g.original_edge_count)
+    indptr, nbrs, eids = (a.tolist() for a in g.live_csr())
     total_burnt = 0
     while total_burnt < burn_budget:
         start = int(rng.integers(g.node_count))
@@ -168,7 +168,7 @@ def edge_forest_fire(g, r, p, rng, burn_budget=None):
         total_burnt += 1
         while queue:
             u = queue.pop(0)
-            fresh = [v for v in g.adj[u] if v not in burnt]
+            fresh = [i for i in range(indptr[u], indptr[u + 1]) if nbrs[i] not in burnt]
             if not fresh:
                 continue
             n_burn = min(int(rng.geometric(1.0 - p) - 1), len(fresh)) if p > 0 else 0
@@ -176,8 +176,8 @@ def edge_forest_fire(g, r, p, rng, burn_budget=None):
                 continue
             picked = rng.choice(len(fresh), size=n_burn, replace=False)
             for i in picked:
-                v = fresh[i]
-                visits[g.adj[u][v]] += 1
+                v = nbrs[fresh[i]]
+                visits[eids[fresh[i]]] += 1
                 burnt.add(v)
                 queue.append(v)
                 total_burnt += 1
@@ -210,7 +210,9 @@ def baswana_sen_spanner(g, t_stretch, rng):
     n = g.node_count
     # residual edge set as adjacency of dicts nbr -> eid; the edge id doubles
     # as a distinct pseudo-weight, which the algorithm needs for tie-breaking
-    work = [dict(g.adj[u]) for u in range(n)]
+    indptr, nbrs, eids = (a.tolist() for a in g.live_csr())
+    work = [dict(zip(nbrs[indptr[u]:indptr[u + 1]], eids[indptr[u]:indptr[u + 1]]))
+            for u in range(n)]
     residual_nodes = set(range(n))
     spanner = set()
     center = {v: v for v in range(n)}  # cluster center per residual vertex

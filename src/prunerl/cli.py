@@ -17,7 +17,7 @@ import numpy as np
 from . import baselines
 from .agent import Agent, train_loop
 from .config import load_run_config, rng_streams
-from .errors import ConfigError, PruneRLError
+from .errors import ConfigError, DataError, PruneRLError
 from .graph import load_communities, load_edge_list
 from .metrics import pagerank  # noqa: F401  perfbench/test_perfbench.py reads cli.pagerank
 from .rewards import OBJECTIVES, make_reward_spec
@@ -145,8 +145,7 @@ def cmd_sparsify(args):
     ]
     params = getattr(sparsified, "method_params", None)
     if params:
-        shown = {k: v for k, v in params.items() if not isinstance(v, dict)}
-        header.append(f"params={shown}")
+        header.append(f"params={params}")
     sparsified.save_edge_list(args.out, header_lines=header)
     print(f"wrote {sparsified.edge_count} live edges to {args.out}")
     return EXIT_OK
@@ -201,17 +200,17 @@ def cmd_compare(args):
                 spsp_pairs=cfg.evaluation.spsp_pairs,
             )
             return {"method": method, "ratio": ratio, "seed": seed,
-                    "value": value, "error": ""}
+                    "achieved_edges": sp.edge_count, "value": value, "error": ""}
         except PruneRLError as exc:  # isolate per-cell failures
             return {"method": method, "ratio": ratio, "seed": seed,
-                    "value": float("nan"), "error": str(exc)}
+                    "achieved_edges": "", "value": float("nan"), "error": str(exc)}
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         results = list(pool.map(run_cell, cells))
 
     per_seed_rows = [
-        {"dataset": cfg.dataset, "method": r["method"],
-         "edge_kept_ratio": r["ratio"], "metric": metric, "seed": r["seed"],
+        {"dataset": cfg.dataset, "method": r["method"], "edge_kept_ratio": r["ratio"],
+         "achieved_edges": r["achieved_edges"], "metric": metric, "seed": r["seed"],
          "value": r["value"], "error": r["error"]}
         for r in results
     ]
@@ -235,7 +234,8 @@ def cmd_compare(args):
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "compare_cells.csv", per_seed_rows,
-               ["dataset", "method", "edge_kept_ratio", "metric", "seed", "value", "error"])
+               ["dataset", "method", "edge_kept_ratio", "achieved_edges", "metric", "seed",
+                "value", "error"])
     _write_csv(out_dir / "compare_table.csv", table_rows,
                ["dataset", "method", "ratio", "metric", "mean", "n_seeds", "best"])
     for row in table_rows:
@@ -372,7 +372,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except PruneRLError as exc:

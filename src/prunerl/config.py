@@ -94,7 +94,10 @@ def _build(cls, data, context):
 
 def load_run_config(path):
     with open(path) as f:
-        data = yaml.safe_load(f)
+        try:
+            data = yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     version = data.pop("schema_version", None)

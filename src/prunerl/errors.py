@@ -5,7 +5,11 @@ class PruneRLError(Exception):
     """Base class for all package errors."""
 
 
-class EdgeListParseError(PruneRLError):
+class DataError(PruneRLError):
+    """Unusable input data: dataset, labels, config or checkpoint (exit 2)."""
+
+
+class EdgeListParseError(DataError):
     """Malformed edge-list line; carries the 1-based line number."""
 
     def __init__(self, path, line_no, line):
@@ -15,7 +19,7 @@ class EdgeListParseError(PruneRLError):
         super().__init__(f"{path}:{line_no}: malformed edge-list line: {line!r}")
 
 
-class CommunityFileError(PruneRLError):
+class CommunityFileError(DataError):
     """Bad community file: overlapping communities or unknown node ids."""
 
 
@@ -35,5 +39,5 @@ class ShapeError(PruneRLError):
     """Tensor shape mismatch; names both offending shapes."""
 
 
-class ConfigError(PruneRLError):
+class ConfigError(DataError):
     """Invalid run configuration (unknown keys, bad values, missing context)."""

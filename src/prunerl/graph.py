@@ -1,15 +1,16 @@
 """Graph representation, edge-list ingestion, pruning, and subgraph sampling.
 
-The graph keeps a stable id per original edge. Pruning flips a liveness flag
-and removes the edge from the adjacency structure, so stale EdgeRefs held by
-a replay buffer remain resolvable long after the edge is gone.
+The graph keeps a stable id per original edge and one array adjacency (CSR)
+of all original edges. Pruning only flips a liveness flag, so the adjacency
+is shared by every copy and stale EdgeRefs held by a replay buffer remain
+resolvable long after the edge is gone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommunityFileError, DeadEdgeError, EdgeListParseError, PruneRLError
+from .errors import CommunityFileError, DataError, DeadEdgeError, EdgeListParseError, PruneRLError
 
 
 @dataclass(frozen=True)
@@ -60,20 +61,27 @@ class Graph:
         self.id_map = id_map if id_map is not None else {i: i for i in range(node_count)}
         self.inverse_id_map = {c: o for o, c in self.id_map.items()}
 
-        m = len(edges)
-        self.src = np.empty(m, dtype=np.int64)
-        self.dst = np.empty(m, dtype=np.int64)
-        self.adj = [dict() for _ in range(node_count)]  # u -> {v: eid}
-        for eid, (u, v) in enumerate(edges):
-            if u == v:
-                raise PruneRLError(f"self-loop ({u},{u}) not allowed")
-            if v in self.adj[u]:
-                raise PruneRLError(f"duplicate edge ({u},{v})")
-            self.src[eid] = u
-            self.dst[eid] = v
-            self.adj[u][v] = eid
-            if not directed:
-                self.adj[v][u] = eid
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        m = len(pairs)
+        self.src, self.dst = pairs[:, 0].copy(), pairs[:, 1].copy()
+        if m and (pairs.min() < 0 or pairs.max() >= node_count):
+            raise PruneRLError(f"edge endpoint out of range for {node_count} nodes")
+        # the first offending edge in id order names the error
+        ends = pairs if directed else np.sort(pairs, axis=1)
+        _, first = np.unique(ends[:, 0] * node_count + ends[:, 1], return_index=True)
+        bad = np.flatnonzero((np.bincount(first, minlength=m) == 0) | (self.src == self.dst))
+        if bad.size:
+            u, v = int(self.src[bad[0]]), int(self.dst[bad[0]])
+            raise PruneRLError(f"self-loop ({u},{u}) not allowed" if u == v
+                               else f"duplicate edge ({u},{v})")
+        # CSR of every original edge (both directions when undirected), rows
+        # in (node, edge id) order: the order neighbours are visited in
+        both = pairs if directed else np.concatenate([pairs, pairs[:, ::-1]])
+        eids = np.tile(np.arange(m), 1 if directed else 2)
+        order = np.argsort(both[:, 0] * (m + 1) + eids)
+        row_len = np.bincount(both[:, 0], minlength=node_count)
+        self.indptr = np.concatenate(([0], np.cumsum(row_len)))
+        self.nbrs, self.eids = both[order, 1], eids[order]
 
         self.alive = np.ones(m, dtype=bool)
         self.original_edge_count = m
@@ -83,14 +91,10 @@ class Graph:
         self._live_pos = np.arange(m, dtype=np.int64)
 
         if directed:
-            self.out_degree = np.zeros(node_count, dtype=np.int64)
-            self.in_degree = np.zeros(node_count, dtype=np.int64)
-            np.add.at(self.out_degree, self.src, 1)
-            np.add.at(self.in_degree, self.dst, 1)
+            self.out_degree = row_len
+            self.in_degree = np.bincount(self.dst, minlength=node_count)
         else:
-            self.degree = np.zeros(node_count, dtype=np.int64)
-            np.add.at(self.degree, self.src, 1)
-            np.add.at(self.degree, self.dst, 1)
+            self.degree = row_len
 
     # ------------------------------------------------------------------ basics
 
@@ -102,7 +106,7 @@ class Graph:
         g.inverse_id_map = self.inverse_id_map
         g.src = self.src
         g.dst = self.dst
-        g.adj = [d.copy() for d in self.adj]
+        g.indptr, g.nbrs, g.eids = self.indptr, self.nbrs, self.eids
         g.alive = self.alive.copy()
         g.original_edge_count = self.original_edge_count
         g.edge_count = self.edge_count
@@ -119,15 +123,10 @@ class Graph:
         return EdgeRef(int(self.src[eid]), int(self.dst[eid]), int(eid))
 
     def edge_id(self, u, v):
-        """Stable id of edge (u, v), or None if it never existed."""
-        eid = self.adj[u].get(v)
-        if eid is not None:
-            return eid
-        # may have been pruned (removed from adj); scan the original arrays
-        hits = np.nonzero((self.src == u) & (self.dst == v))[0]
-        if not self.directed and hits.size == 0:
-            hits = np.nonzero((self.src == v) & (self.dst == u))[0]
-        return int(hits[0]) if hits.size else None
+        """Stable id of edge (u, v), live or pruned, or None if it never existed."""
+        lo, hi = self.indptr[u], self.indptr[u + 1]
+        hits = np.flatnonzero(self.nbrs[lo:hi] == v)
+        return int(self.eids[lo + hits[0]]) if hits.size else None
 
     def is_alive(self, eid):
         return bool(self.alive[eid])
@@ -136,8 +135,16 @@ class Graph:
         return self._live_ids[: self.edge_count].copy()
 
     def neighbors(self, u):
-        """Live neighbors of u (out-neighbors when directed)."""
-        return list(self.adj[u].keys())
+        """Live neighbors of u (out-neighbors when directed), in edge id order."""
+        lo, hi = self.indptr[u], self.indptr[u + 1]
+        return self.nbrs[lo:hi][self.alive[self.eids[lo:hi]]].tolist()
+
+    def live_csr(self):
+        """(indptr, nbrs, eids) of the live edges, rows in (node, edge id)
+        order; undirected edges appear in both endpoints' rows."""
+        deg = self.out_degree if self.directed else self.degree
+        live = self.alive[self.eids]
+        return np.concatenate(([0], np.cumsum(deg))), self.nbrs[live], self.eids[live]
 
     def degree_of(self, u):
         if self.directed:
@@ -156,9 +163,7 @@ class Graph:
             raise DeadEdgeError(f"edge id {eid} is already pruned")
         u, v = int(self.src[eid]), int(self.dst[eid])
         self.alive[eid] = False
-        del self.adj[u][v]
         if not self.directed:
-            del self.adj[v][u]
             self.degree[u] -= 1
             self.degree[v] -= 1
         else:
@@ -189,14 +194,18 @@ class Graph:
             raise PruneRLError("cannot sample a subgraph from an edgeless graph")
         k = min(size, self.edge_count)
         picked = rng.choice(self._live_ids[: self.edge_count], size=k, replace=False)
-        edges = [self.edge_ref(int(e)) for e in picked]
+        edges = [EdgeRef(u, v, e) for u, v, e in
+                 zip(self.src[picked].tolist(), self.dst[picked].tolist(), picked.tolist())]
         ends = np.stack([self.src[picked], self.dst[picked]], axis=1)
         nodes = np.unique(ends)
-        hood, hood_ptr = [], [0]
-        for n in nodes.tolist():
-            hood.append(n)
-            hood += sorted(self.adj[n])
-            hood_ptr.append(len(hood))
+        # gather the nodes' CSR rows and keep the live entries; one sort on
+        # (segment, 0 for the node itself or 1 + neighbour) orders each hood
+        starts, counts = self.indptr[nodes], self.indptr[nodes + 1] - self.indptr[nodes]
+        rows = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        live = self.alive[self.eids[rows]]
+        nbrs = self.nbrs[rows[live]]
+        seg = np.concatenate([np.arange(nodes.size), np.repeat(np.arange(nodes.size), counts)[live]])
+        order = np.argsort(seg * (self.node_count + 1) + np.concatenate([np.zeros_like(nodes), nbrs + 1]))
         if self.directed:
             node_degrees = np.stack([self.in_degree[nodes], self.out_degree[nodes]], axis=1)
         else:
@@ -205,8 +214,8 @@ class Graph:
             edges=edges,
             degrees=node_degrees[np.searchsorted(nodes, ends)].reshape(k, -1).astype(np.float64),
             nodes=nodes,
-            hood_ptr=np.array(hood_ptr),
-            hood=np.array(hood),
+            hood_ptr=np.concatenate(([0], np.cumsum(np.bincount(seg)))),
+            hood=np.concatenate([nodes, nbrs])[order],
             node_degrees=node_degrees,
             edge_ratio=self.edge_kept_ratio(),
         )
@@ -255,7 +264,7 @@ def load_edge_list(path, directed=False):
                 raise EdgeListParseError(path, line_no, raw.rstrip("\n")) from None
             pairs.append((u, v))
     if not pairs:
-        raise PruneRLError(f"{path}: empty edge set")
+        raise DataError(f"{path}: empty edge set")
 
     id_map = {}
     for u, v in pairs:
@@ -279,7 +288,7 @@ def load_edge_list(path, directed=False):
         seen.add(key)
         edges.append((cu, cv))
     if not edges:
-        raise PruneRLError(f"{path}: no usable edges after dropping loops/duplicates")
+        raise DataError(f"{path}: no usable edges after dropping loops/duplicates")
 
     g = Graph(len(id_map), edges, directed=directed, id_map=id_map)
     g.dropped_self_loops = self_loops
@@ -296,12 +305,16 @@ def load_communities(path, graph):
     labels = {}
     with open(path) as f:
         idx = 0
-        for raw in f:
+        for line_no, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             for tok in line.split():
-                node = int(tok)
+                try:
+                    node = int(tok)
+                except ValueError:
+                    raise CommunityFileError(
+                        f"{path}:{line_no}: node id {tok!r} is not an integer") from None
                 if node not in graph.id_map:
                     raise CommunityFileError(f"{path}: node id {node} not in graph")
                 cid = graph.id_map[node]

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 from scipy.stats import rankdata
 
 from .errors import ConvergenceError, PruneRLError
@@ -73,18 +75,15 @@ def pagerank(g, damping=0.85, tol=1e-10, max_iter=200):
     """
     n = g.node_count
     x = np.full(n, 1.0 / n)
-    out_deg = np.array(
-        [len(g.adj[u]) for u in range(n)], dtype=np.float64
-    )  # live out-neighbors (undirected: live degree)
+    indptr, nbrs, _ = g.live_csr()
+    out_deg = np.diff(indptr)  # live out-neighbors (undirected: live degree)
     dangling = out_deg == 0
+    sources = np.repeat(np.arange(n), out_deg)
     for _ in range(max_iter):
-        nxt = np.zeros(n)
-        # push each node's mass along its live edges
-        for u in range(n):
-            if out_deg[u]:
-                share = x[u] / out_deg[u]
-                for v in g.adj[u]:
-                    nxt[v] += share
+        # push each node's mass along its live edges; bincount adds in
+        # (source, edge id) order, the order of a loop over the adjacency
+        share = x / np.maximum(out_deg, 1)
+        nxt = np.bincount(nbrs, weights=share[sources], minlength=n)
         nxt = (1.0 - damping) / n + damping * (nxt + x[dangling].sum() / n)
         if np.abs(nxt - x).sum() < tol:
             return nxt
@@ -126,18 +125,15 @@ def modularity(g, partition_labels):
     if m == 0:
         return 0.0
     labels = partition_labels.labels if isinstance(partition_labels, Partition) else partition_labels
-    intra = {}
-    deg_sum = {}
-    for eid in g.live_edge_ids():
-        u, v = int(g.src[eid]), int(g.dst[eid])
-        if labels[u] == labels[v]:
-            intra[labels[u]] = intra.get(labels[u], 0) + 1
-    for n in range(g.node_count):
-        c = labels[n]
-        deg_sum[c] = deg_sum.get(c, 0) + int(g.degree[n])
+    _, first, comm = np.unique([labels[n] for n in range(g.node_count)],
+                               return_index=True, return_inverse=True)
+    eids = g.live_edge_ids()
+    cu, cv = comm[g.src[eids]], comm[g.dst[eids]]
+    intra = np.bincount(cu[cu == cv], minlength=first.size).tolist()
+    deg_sum = np.bincount(comm, weights=g.degree, minlength=first.size).tolist()
     q = 0.0
-    for c, d in deg_sum.items():
-        q += intra.get(c, 0) / m - (d / (2.0 * m)) ** 2
+    for c in np.argsort(first).tolist():  # communities in order of their first node
+        q += intra[c] / m - (deg_sum[c] / (2.0 * m)) ** 2
     return q
 
 
@@ -267,22 +263,19 @@ def adjusted_rand_index(a, b):
 # ---------------------------------------------------------------------- paths
 
 
+def _hop_distances(g, sources):
+    """Rows of hop distances from each source (inf where unreachable)."""
+    indptr, nbrs, _ = g.live_csr()
+    n = g.node_count
+    live = csr_matrix((np.ones(nbrs.size), nbrs, indptr), shape=(n, n))
+    # the CSR holds both directions of an undirected edge already; dijkstra
+    # is what shortest_path dispatches to here, without its ~40 us of checks
+    return dijkstra(live, directed=True, unweighted=True, indices=sources)
+
+
 def bfs_distances(g, source):
     """Hop distances from source to every node (inf where unreachable)."""
-    dist = np.full(g.node_count, UNREACHABLE)
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in g.adj[u]:
-                if dist[v] == UNREACHABLE:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+    return _hop_distances(g, source)
 
 
 def shortest_path_distance(g, u, v):
@@ -294,14 +287,9 @@ def shortest_path_distance(g, u, v):
 
 
 def batch_spsp(g, pairs):
-    """Distances for many pairs, one BFS per distinct source."""
-    by_source = {}
-    for u, _ in pairs:
-        by_source.setdefault(u, None)
-    for u in by_source:
-        by_source[u] = bfs_distances(g, u)
-    out = []
-    for u, v in pairs:
-        d = by_source[u][v]
-        out.append(UNREACHABLE if d == UNREACHABLE else int(d))
-    return out
+    """Distances for many pairs, from one search over their distinct sources."""
+    if not pairs:
+        return []
+    sources, row = np.unique([u for u, _ in pairs], return_inverse=True)
+    dist = _hop_distances(g, sources)[row, [v for _, v in pairs]]
+    return [UNREACHABLE if d == UNREACHABLE else int(d) for d in dist.tolist()]

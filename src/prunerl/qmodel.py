@@ -13,7 +13,7 @@ import zipfile
 import numpy as np
 
 from . import nnet
-from .errors import ConfigError, DeadEdgeError, PruneRLError, ShapeError
+from .errors import ConfigError, DataError, DeadEdgeError, PruneRLError
 from .nnet import Linear, Tensor
 
 ATTENTION_SLOPE = 0.2  # leaky slope inside attention scoring
@@ -165,10 +165,10 @@ class QModel:
         for i, p in enumerate(self.parameters()):
             key = f"param_{i}_{p.name}"
             if key not in arrays:
-                raise PruneRLError(f"checkpoint missing parameter {key}")
+                raise DataError(f"checkpoint missing parameter {key}")
             data = np.asarray(arrays[key], dtype=np.float64)
             if data.shape != p.data.shape:
-                raise ShapeError(
+                raise DataError(
                     f"checkpoint shape {data.shape} != model shape {p.data.shape} for {p.name}"
                 )
             p.data = data.copy()
@@ -227,7 +227,7 @@ def load_checkpoint(path, rng=None):
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise ConfigError(f"{path}: not a prunerl checkpoint (header is not JSON: {exc})") from None
     if header.get("format_version") != 1:
-        raise PruneRLError(f"unsupported checkpoint version {header.get('format_version')}")
+        raise DataError(f"unsupported checkpoint version {header.get('format_version')}")
     model = QModel.from_config(header["model"], rng=rng)
     model.load_state_arrays(arrays)
     return model, header, arrays

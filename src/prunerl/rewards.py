@@ -18,7 +18,6 @@ from .metrics import (
     PathQuerySet,
     adjusted_rand_index,
     batch_spsp,
-    bfs_distances,
     louvain,
     pagerank,
     spearman_rho,
@@ -50,16 +49,8 @@ def sample_training_pairs(gp, edge, k, rng):
     if not candidates:
         raise PruneRLError("graph too small to sample shortest-path pairs")
     others = rng.choice(candidates, size=k, replace=len(candidates) < k)
-    pairs = []
-    baseline = []
-    for endpoint in (edge.u, edge.v):
-        dist = bfs_distances(gp, endpoint)
-        for o in others:
-            pairs.append((endpoint, int(o)))
-            baseline.append(dist[int(o)])
-    q = PathQuerySet(pairs=pairs)
-    q.baseline = baseline
-    return q
+    return PathQuerySet.from_graph(
+        gp, [(endpoint, int(o)) for endpoint in (edge.u, edge.v) for o in others])
 
 
 # ---------------------------------------------------------------- objectives

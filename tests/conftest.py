@@ -58,6 +58,16 @@ def random_connected_graph(n, rng, extra_edge_prob=0.3):
     return Graph(n, sorted(edges))
 
 
+def random_sparse_graph(n, m, rng, directed=False):
+    """m distinct random edges on n nodes, in the order they were drawn."""
+    edges = {}
+    while len(edges) < m:
+        u, v = (int(x) for x in rng.integers(n, size=2))
+        if u != v:
+            edges.setdefault((u, v) if directed else (min(u, v), max(u, v)), (u, v))
+    return Graph(n, list(edges.values()), directed=directed)
+
+
 def floyd_warshall(g):
     """Dense all-pairs shortest hop counts; independent of the BFS code."""
     n = g.node_count

@@ -7,7 +7,7 @@ import pytest
 from prunerl.baselines import (
     baswana_sen_spanner,
     edge_forest_fire,
-    jaccard_closed,
+    jaccard_scores,
     l_spar,
     local_degree,
     random_edge,
@@ -129,13 +129,13 @@ class TestLSpar:
     def test_identical_closed_neighborhoods_score_one(self):
         # in K3 every pair has identical closed neighborhoods
         g = complete_graph(3)
-        assert jaccard_closed(g, 0, 1) == pytest.approx(1.0)
+        assert jaccard_scores(g)[g.edge_id(0, 1)] == pytest.approx(1.0)
 
     def test_triangle_free_jaccard(self):
         # endpoints sharing no neighbors: |{u,v}| / |N[u] u N[v]|
         # = 2 / (deg(u) + deg(v))
         g = make_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-        assert jaccard_closed(g, 0, 1) == pytest.approx(2 / (3 + 3))
+        assert jaccard_scores(g)[g.edge_id(0, 1)] == pytest.approx(2 / (3 + 3))
 
     def test_exponent_one_unchanged(self, karate):
         out = l_spar(karate, e=1.0)

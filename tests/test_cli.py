@@ -192,6 +192,58 @@ class TestExitCodes:
         assert rc == cli.EXIT_RUNTIME
 
 
+def bad_input(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+# each case: (files to write, argv, text the one-line message must contain)
+DATA_ERRORS = {
+    "malformed dataset line": (
+        {"bad.txt": "0 1\nnot-an-edge\n"},
+        ["sparsify", "--dataset", "{bad}", "--method", "random_edge",
+         "--ratio", "0.5", "--out", "{out}"],
+        "bad.txt:2: malformed edge-list line"),
+    "empty edge list": (
+        {"empty.txt": "# only comments\n"},
+        ["sparsify", "--dataset", "{empty}", "--method", "random_edge",
+         "--ratio", "0.5", "--out", "{out}"],
+        "empty edge set"),
+    "overlapping communities": (
+        {"labels.txt": "0 1 2\n2 3\n"},
+        ["evaluate", "--dataset", KARATE, "--sparsified", KARATE, "--metric",
+         "community", "--labels", "{labels}"],
+        "node id 2 appears in more than one community"),
+    "non-integer community id": (
+        {"labels.txt": "0 1\n2 x3\n"},
+        ["evaluate", "--dataset", KARATE, "--sparsified", KARATE, "--metric",
+         "community", "--labels", "{labels}"],
+        "labels.txt:2: node id 'x3' is not an integer"),
+    "checkpoint for another graph": (
+        {"small.txt": "0 1\n1 2\n2 0\n"},
+        ["sparsify", "--dataset", "{small}", "--method", "agent", "--checkpoint",
+         "{checkpoint}", "--ratio", "0.5", "--out", "{out}"],
+        "checkpoint shape (34, 8) != model shape (3, 8)"),
+    "malformed YAML config": (
+        {"config.yaml": "schema_version: 1\ndataset: [unclosed\n"},
+        ["compare", "--config", "{config}", "--out", "{out}"],
+        "config.yaml: not valid YAML"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATA_ERRORS))
+def test_data_errors_exit_2_with_one_line(case, trained, tmp_path, capsys):
+    files, argv, message = DATA_ERRORS[case]
+    paths = {Path(name).stem: bad_input(tmp_path, name, text) for name, text in files.items()}
+    paths.update(out=str(tmp_path / "out"), checkpoint=str(trained["checkpoint"]))
+    rc = cli.main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 class TestCompare:
     def test_grid_and_aggregation(self, tmp_path):
         config = write_config(tmp_path / "config.yaml")
@@ -212,6 +264,17 @@ class TestCompare:
                 sum(per_seed) / len(per_seed))
             assert int(row["n_seeds"]) == 2
         assert sum(int(r["best"]) for r in table) == 1
+
+    def test_cells_report_achieved_edges(self, tmp_path):
+        config = write_config(tmp_path / "config.yaml",
+                              evaluation={"ratios": [0.4], "seeds": 1})
+        rc = cli.main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp")])
+        assert rc == cli.EXIT_OK
+        achieved = {c["method"]: int(c["achieved_edges"])
+                    for c in read_csv(tmp_path / "cmp" / "compare_cells.csv")}
+        # round(0.4 * 78) = 31 requested; no L-Spar exponent lands near it
+        assert achieved == {"random_edge": 31, "local_degree": 32,
+                            "edge_forest_fire": 31, "l_spar": 27}
 
     def test_agent_column_with_checkpoint(self, trained, tmp_path):
         def run(workers):

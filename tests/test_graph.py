@@ -7,7 +7,8 @@ from prunerl.errors import CommunityFileError, DeadEdgeError, EdgeListParseError
 from prunerl.graph import Graph, load_communities, load_edge_list
 from prunerl.metrics import shortest_path_distance
 
-from conftest import complete_graph, make_graph, path_graph
+from conftest import complete_graph, make_graph, path_graph, random_sparse_graph
+from oracles import adjacency
 
 
 class TestLoadEdgeList:
@@ -109,7 +110,7 @@ class TestPruning:
         for _ in range(40):
             karate.random_prune(1, rng)
             for n in range(karate.node_count):
-                assert karate.degree_of(n) == len(karate.adj[n])
+                assert karate.degree_of(n) == len(karate.neighbors(n))
 
     def test_copy_is_independent(self, karate):
         clone = karate.copy()
@@ -218,3 +219,60 @@ class TestEdgeKeptRatio:
         g = make_graph(8, [(i, (i + 1) % 8) for i in range(8)])
         g.random_prune(2, rng)
         assert g.edge_kept_ratio() == 0.75
+
+
+class TestArrayAdjacency:
+    @pytest.fixture(params=["karate", "directed", "random"])
+    def pruned_graph(self, request, karate, rng):
+        if request.param == "karate":
+            g = karate
+        elif request.param == "directed":
+            g = random_sparse_graph(30, 120, rng, directed=True)
+        else:
+            g = random_sparse_graph(200, 800, rng)
+        for _ in range(g.edge_count // 3):
+            g.random_prune(1, rng)
+        return g
+
+    def test_neighbors_match_dict_oracle(self, pruned_graph):
+        adj = adjacency(pruned_graph)
+        for u in range(pruned_graph.node_count):
+            assert pruned_graph.neighbors(u) == list(adj[u])
+
+    def test_edge_id_resolves_live_and_dead_edges(self, pruned_graph):
+        g = pruned_graph
+        assert not g.alive.all()
+        for eid in range(g.original_edge_count):
+            u, v = int(g.src[eid]), int(g.dst[eid])
+            assert g.edge_id(u, v) == eid
+            if not g.directed:
+                assert g.edge_id(v, u) == eid
+        assert g.edge_id(0, 0) is None
+
+    def test_pruning_a_copy_leaves_the_original(self, pruned_graph, rng):
+        g = pruned_graph
+        before = (g.alive.copy(), g.live_edge_ids(), [g.neighbors(u) for u in range(g.node_count)],
+                  [g.degree_of(u) for u in range(g.node_count)])
+        clone = g.copy()
+        clone.random_prune(clone.edge_count // 2, rng)
+        after = (g.alive, g.live_edge_ids(), [g.neighbors(u) for u in range(g.node_count)],
+                 [g.degree_of(u) for u in range(g.node_count)])
+        assert np.array_equal(before[0], after[0])
+        assert np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+        assert clone.edge_count < g.edge_count
+
+    @pytest.mark.parametrize("edges, directed, message", [
+        ([(0, 1), (2, 2)], False, r"self-loop \(2,2\) not allowed"),
+        ([(0, 1), (1, 0)], False, r"duplicate edge \(1,0\)"),
+        ([(0, 1), (0, 1)], True, r"duplicate edge \(0,1\)"),
+        ([(0, 1), (1, 0), (2, 2)], False, r"duplicate edge \(1,0\)"),
+        ([(0, 1), (2, 2), (1, 0)], False, r"self-loop \(2,2\) not allowed"),
+    ])
+    def test_constructor_rejects_loops_and_duplicates(self, edges, directed, message):
+        with pytest.raises(PruneRLError, match=message):
+            Graph(3, edges, directed=directed)
+
+    def test_directed_reverse_edge_is_distinct(self):
+        g = Graph(2, [(0, 1), (1, 0)], directed=True)
+        assert (g.edge_id(0, 1), g.edge_id(1, 0)) == (0, 1)

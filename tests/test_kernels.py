@@ -1,0 +1,118 @@
+"""The array kernels in metrics and baselines against the pure-Python
+oracles they replaced (tests/oracles.py), on randomly pruned graphs: the
+small random suites, directed graphs, and one ~2k-node graph."""
+
+import math
+
+import numpy as np
+import pytest
+
+from prunerl import baselines
+from prunerl.metrics import batch_spsp, bfs_distances, louvain, modularity, pagerank
+
+from conftest import random_connected_graph, random_sparse_graph
+from oracles import (
+    adjacency,
+    batch_spsp_oracle,
+    bfs_distances_oracle,
+    jaccard_closed,
+    l_spar_survivors,
+    local_degree_survivors,
+    modularity_oracle,
+    pagerank_oracle,
+)
+
+
+def pruned(g, rng, share):
+    g.random_prune(int(share * g.edge_count), rng)
+    return g
+
+
+def undirected_graphs():
+    rng = np.random.default_rng(41)
+    small = [pruned(random_connected_graph(12, rng, extra_edge_prob=0.3), rng, rng.random() / 2)
+             for _ in range(20)]
+    return small + [pruned(random_sparse_graph(2000, 10000, rng), rng, 0.25)]
+
+
+def directed_graphs():
+    rng = np.random.default_rng(42)
+    return [pruned(random_sparse_graph(15, 45, rng, directed=True), rng, rng.random() / 2)
+            for _ in range(20)]
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return undirected_graphs() + directed_graphs()
+
+
+@pytest.fixture(scope="module")
+def undirected(graphs):
+    return [g for g in graphs if not g.directed]
+
+
+def test_pagerank_is_bit_equal(graphs):
+    for g in graphs:
+        assert np.array_equal(pagerank(g), pagerank_oracle(g))
+
+
+def test_distances_are_equal(graphs):
+    rng = np.random.default_rng(5)
+    for g in graphs:
+        adj = adjacency(g)
+        for s in rng.choice(g.node_count, size=min(8, g.node_count), replace=False).tolist():
+            assert np.array_equal(bfs_distances(g, s), bfs_distances_oracle(g, s, adj))
+        pairs = [(int(u), int(v)) for u, v in rng.integers(g.node_count, size=(64, 2)) if u != v]
+        got = batch_spsp(g, pairs)
+        assert got == batch_spsp_oracle(g, pairs)
+        assert all(type(d) is int or d == math.inf for d in got)
+
+
+def test_modularity_matches(undirected):
+    rng = np.random.default_rng(6)
+    for g in undirected:
+        for labels in (rng.integers(0, 5, size=g.node_count).tolist(),
+                       louvain(g, rng).labels):
+            labels = dict(enumerate(labels)) if isinstance(labels, list) else labels
+            assert abs(modularity(g, labels) - modularity_oracle(g, labels)) <= 1e-12
+
+
+def test_jaccard_scores_are_equal(undirected):
+    for g in undirected:
+        adj = adjacency(g)
+        scores = baselines.jaccard_scores(g)
+        alive = np.zeros(g.original_edge_count, dtype=bool)
+        alive[g.live_edge_ids()] = True
+        assert np.isnan(scores[~alive]).all()
+        for eid in g.live_edge_ids().tolist():
+            assert scores[eid] == jaccard_closed(g, int(g.src[eid]), int(g.dst[eid]), adj)
+
+
+@pytest.mark.parametrize("method, oracle", [
+    (baselines.local_degree, local_degree_survivors),
+    (baselines.l_spar, l_spar_survivors),
+])
+def test_kept_sets_are_equal_at_every_probed_exponent(method, oracle, undirected, monkeypatch):
+    search = baselines._exponent_search
+    probes = []
+
+    def spy(g, r, survivors_at):
+        def recorded(x):
+            kept = survivors_at(x)
+            probes.append((x, kept))
+            return kept
+        return search(g, r, recorded)
+
+    monkeypatch.setattr(baselines, "_exponent_search", spy)
+    for g in undirected:
+        kept_at = oracle(g)
+        for r in (0.3, 0.7) if g.node_count < 100 else (0.5,):
+            probes.clear()
+            out = method(g, r=r)
+            assert len(probes) >= 3
+            for x, kept in probes:
+                assert kept.tolist() == sorted(kept_at(x))
+            x = out.method_params["alpha" if method is baselines.local_degree else "e"]
+            assert set(out.live_edge_ids().tolist()) == kept_at(x)
+        for x in (0.25, 1.0):
+            assert set(method(g, 0.5, x).live_edge_ids().tolist()) == kept_at(x)

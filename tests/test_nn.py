@@ -238,7 +238,7 @@ class TestGATEncode:
     def test_finite_over_a_path(self, rng):
         model = QModel(6, directed=False, emb_dim=4, hidden_dim=8, rng=rng)
         g = path_graph(6)
-        hoods = {n: tuple(g.adj[n].keys()) for n in range(6)}
+        hoods = {n: tuple(g.neighbors(n)) for n in range(6)}
         out = gat_encode(model, hoods)
         assert out.data.shape == (6, 4)
         assert np.all(np.isfinite(out.data))
