@@ -40,9 +40,10 @@ print(f"pruned 8 edges; bridge alive: {bridge_alive}")
 
 # inspect the learned Q-values on the full graph
 sub = g.sample_subgraph(21, np.random.default_rng(2))
-q = np.asarray(agent.policy.q_values(sub))
+q = agent.policy.q_forward(sub, require_live_in=g).data
 order = np.argsort(q)  # ascending; the agent prunes the argmax each step
+ends = sub.nodes[sub.ends]  # (u, v) of each candidate edge
 print("three edges the policy most wants to prune:",
-      [(sub.edges[i].u, sub.edges[i].v) for i in order[-3:]])
+      [tuple(ends[i].tolist()) for i in order[-3:]])
 print("three edges it most wants to keep:",
-      [(sub.edges[i].u, sub.edges[i].v) for i in order[:3]])
+      [tuple(ends[i].tolist()) for i in order[:3]])

@@ -21,7 +21,7 @@ from .errors import (
     PruneRLError,
     ShapeError,
 )
-from .graph import CandidateSubgraph, EdgeRef, Graph, load_communities, load_edge_list
+from .graph import CandidateSubgraph, Graph, load_communities, load_edge_list
 from .metrics import (
     UNREACHABLE,
     Partition,

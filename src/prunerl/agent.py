@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import nnet
-from .errors import PruneRLError
+from .errors import ConfigError, PruneRLError
 from .nnet import Adam, Tensor
 from .qmodel import QModel, load_checkpoint, save_checkpoint
 from .replay import ReplayBuffer, Transition
@@ -82,7 +82,7 @@ def double_dqn_target(batch, policy, target, gamma):
 
 @dataclass
 class EpisodeRecord:
-    prunes: list = field(default_factory=list)  # EdgeRefs in prune order
+    prunes: list = field(default_factory=list)  # edge ids in prune order
     rewards: list = field(default_factory=list)
     losses: list = field(default_factory=list)
     t_planned: int = 0
@@ -164,13 +164,13 @@ class Agent:
         record = EpisodeRecord(t_planned=t_steps, t_preprune=t_pre)
         state = g.sample_subgraph(cfg.train_subgraph_len, rng)
         for t in range(t_steps):
-            qvals = self.policy.q_values(state, require_live_in=g)
+            qvals = self.policy.q_forward(state, require_live_in=g).data
             action = select_action(qvals, self.epsilon if train else 0.0, rng)
-            edge = state.edges[action]
-            pre_ctx = reward_spec.before_prune(g, edge, rng)
-            g.prune_edge(edge)
-            reward = reward_spec.after_prune(g, edge, pre_ctx, rng)
-            record.prunes.append(edge)
+            eid = int(state.eids[action])
+            pre_ctx = reward_spec.before_prune(g, eid, rng)
+            g.prune_edge(eid)
+            reward = reward_spec.after_prune(g, eid, pre_ctx, rng)
+            record.prunes.append(eid)
             record.rewards.append(reward)
 
             exhausted = g.edge_count == 0
@@ -203,8 +203,8 @@ class Agent:
             )
         while out.edge_count > target:
             sub = out.sample_subgraph(eval_subgraph_len, rng)
-            qvals = self.policy.q_values(sub, require_live_in=out)
-            out.prune_edge(sub.edges[int(np.argmax(qvals))])
+            qvals = self.policy.q_forward(sub, require_live_in=out).data
+            out.prune_edge(sub.eids[np.argmax(qvals)])
         return out
 
     # ------------------------------------------------------------- persistence
@@ -227,6 +227,8 @@ class Agent:
     @classmethod
     def load(cls, path, graph):
         model, header, arrays = load_checkpoint(path)
+        if "agent_config" not in header["extra"]:
+            raise ConfigError(f"{path}: not a prunerl checkpoint (header extra lacks agent_config)")
         config = AgentConfig(**header["extra"]["agent_config"])
         agent = cls(graph, config=config)
         agent.policy.load_state_arrays(model.state_arrays())  # checks the shapes

@@ -37,7 +37,7 @@ def _load_labels_if(path, graph):
 def _align_sparsified(graph, path):
     """Rebuild a sparsified edge list on the original graph's node universe,
     so metric vectors stay index-aligned even when the file omits nodes that
-    became isolated."""
+    became isolated. Every line must name an edge of the dataset."""
     kept = set()
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
@@ -45,24 +45,29 @@ def _align_sparsified(graph, path):
             if not line or line.startswith("#"):
                 continue
             tokens = line.split()
-            if len(tokens) < 2:
+            if len(tokens) != 2:
                 raise ConfigError(f"{path}:{line_no}: expected two node ids, got {line!r}")
-            u_orig, v_orig = tokens[:2]
             try:
-                u = graph.id_map[int(u_orig)]
-                v = graph.id_map[int(v_orig)]
+                u, v = (graph.id_map[int(t)] for t in tokens)
             except (KeyError, ValueError):
-                raise ConfigError(
-                    f"{path}: edge ({u_orig}, {v_orig}) is not in the dataset"
-                )
-            kept.add((u, v) if graph.directed else (min(u, v), max(u, v)))
+                u = None
+            eid = None if u is None else graph.edge_id(u, v)
+            if eid is None:
+                raise ConfigError(f"{path}:{line_no}: edge ({tokens[0]}, {tokens[1]}) "
+                                  "is not in the dataset")
+            kept.add(eid)
     aligned = graph.copy()
     for eid in aligned.live_edge_ids():
-        u, v = int(aligned.src[eid]), int(aligned.dst[eid])
-        key = (u, v) if graph.directed else (min(u, v), max(u, v))
-        if key not in kept:
-            aligned.prune_edge(aligned.edge_ref(eid))
+        if eid not in kept:
+            aligned.prune_edge(eid)
     return aligned
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
 
 
 def _run_method(method, graph, ratio, seed, agent, eval_h):
@@ -324,7 +329,7 @@ def build_parser():
                    choices=list(OBJECTIVES))
     e.add_argument("--labels", default=None)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--spsp-pairs", dest="spsp_pairs", type=int, default=8196)
+    e.add_argument("--spsp-pairs", dest="spsp_pairs", type=_positive_int, default=8196)
     e.add_argument("--directed", action="store_true")
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_evaluate)
@@ -340,9 +345,9 @@ def build_parser():
     sc.add_argument("--dataset", required=True)
     sc.add_argument("--checkpoint", required=True)
     sc.add_argument("--stretch", type=int, nargs="+", default=[3, 5, 7])
-    sc.add_argument("--runs", type=int, default=16)
+    sc.add_argument("--runs", type=_positive_int, default=16)
     sc.add_argument("--seed", type=int, default=0)
-    sc.add_argument("--spsp-pairs", dest="spsp_pairs", type=int, default=512)
+    sc.add_argument("--spsp-pairs", dest="spsp_pairs", type=_positive_int, default=512)
     sc.add_argument("--eval-subgraph-len", dest="eval_subgraph_len", type=int, default=32)
     sc.add_argument("--directed", action="store_true")
     sc.add_argument("--out", default=None)
@@ -355,7 +360,7 @@ def build_parser():
     h.add_argument("--metric", default="pagerank", choices=list(OBJECTIVES))
     h.add_argument("--subgraph-lens", dest="subgraph_lens", type=int, nargs="+",
                    default=[8, 16, 32, 64])
-    h.add_argument("--seeds", type=int, default=3)
+    h.add_argument("--seeds", type=_positive_int, default=3)
     h.add_argument("--labels", default=None)
     h.add_argument("--directed", action="store_true")
     h.add_argument("--out", default=None)

@@ -56,8 +56,9 @@ class EvalConfig:
         for r in self.ratios:
             if not (0.0 < r <= 1.0):
                 raise ConfigError(f"evaluation ratio must be in (0, 1], got {r}")
-        if self.seeds < 1:
-            raise ConfigError("seeds must be >= 1")
+        for name in ("seeds", "eval_subgraph_len", "spsp_pairs", "louvain_runs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"evaluation {name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass

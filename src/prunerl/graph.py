@@ -2,8 +2,8 @@
 
 The graph keeps a stable id per original edge and one array adjacency (CSR)
 of all original edges. Pruning only flips a liveness flag, so the adjacency
-is shared by every copy and stale EdgeRefs held by a replay buffer remain
-resolvable long after the edge is gone.
+is shared by every copy, and an edge id held by a stored candidate snapshot
+still names the same endpoints long after the edge is gone.
 """
 
 from dataclasses import dataclass
@@ -13,27 +13,20 @@ import numpy as np
 from .errors import CommunityFileError, DataError, DeadEdgeError, EdgeListParseError, PruneRLError
 
 
-@dataclass(frozen=True)
-class EdgeRef:
-    """A live-or-dead edge named by its endpoints and stable id."""
-
-    u: int
-    v: int
-    eid: int
-
-
 @dataclass
 class CandidateSubgraph:
     """A uniformly sampled batch of live edges presented to the agent.
 
     Degrees, 1-hop neighborhoods, and the edge-kept ratio are snapshots taken
     at sampling time, so a stored state stays evaluable after further pruning.
-    Node i's closed neighborhood, `hood[hood_ptr[i]:hood_ptr[i + 1]]`, is the
-    node itself and then its sorted live (out-)neighbors.
+    Candidate edge j is edge id `eids[j]` with endpoints
+    `nodes[ends[j]]` (source first). Node i's closed neighborhood,
+    `hood[hood_ptr[i]:hood_ptr[i + 1]]`, is the node itself and then its
+    sorted live (out-)neighbors.
     """
 
-    edges: list  # list[EdgeRef]
-    degrees: np.ndarray  # per-edge endpoint degrees
+    eids: np.ndarray  # (k,) sampled live edge ids
+    ends: np.ndarray  # (k, 2) endpoint rows into nodes
     nodes: np.ndarray  # sorted distinct endpoint ids
     hood_ptr: np.ndarray  # len(nodes) + 1 offsets into hood
     hood: np.ndarray  # closed neighborhoods, concatenated
@@ -41,7 +34,7 @@ class CandidateSubgraph:
     edge_ratio: float
 
     def __len__(self):
-        return len(self.edges)
+        return len(self.eids)
 
 
 class Graph:
@@ -119,9 +112,6 @@ class Graph:
             g.degree = self.degree.copy()
         return g
 
-    def edge_ref(self, eid):
-        return EdgeRef(int(self.src[eid]), int(self.dst[eid]), int(eid))
-
     def edge_id(self, u, v):
         """Stable id of edge (u, v), live or pruned, or None if it never existed."""
         lo, hi = self.indptr[u], self.indptr[u + 1]
@@ -156,9 +146,8 @@ class Graph:
 
     # ----------------------------------------------------------------- pruning
 
-    def prune_edge(self, edge):
-        """Remove a live edge. Pruning a dead edge is a bookkeeping bug."""
-        eid = edge.eid if isinstance(edge, EdgeRef) else int(edge)
+    def prune_edge(self, eid):
+        """Remove a live edge by id. Pruning a dead edge is a bookkeeping bug."""
         if not self.alive[eid]:
             raise DeadEdgeError(f"edge id {eid} is already pruned")
         u, v = int(self.src[eid]), int(self.dst[eid])
@@ -194,10 +183,8 @@ class Graph:
             raise PruneRLError("cannot sample a subgraph from an edgeless graph")
         k = min(size, self.edge_count)
         picked = rng.choice(self._live_ids[: self.edge_count], size=k, replace=False)
-        edges = [EdgeRef(u, v, e) for u, v, e in
-                 zip(self.src[picked].tolist(), self.dst[picked].tolist(), picked.tolist())]
-        ends = np.stack([self.src[picked], self.dst[picked]], axis=1)
-        nodes = np.unique(ends)
+        pairs = np.stack([self.src[picked], self.dst[picked]], axis=1)
+        nodes = np.unique(pairs)
         # gather the nodes' CSR rows and keep the live entries; one sort on
         # (segment, 0 for the node itself or 1 + neighbour) orders each hood
         starts, counts = self.indptr[nodes], self.indptr[nodes + 1] - self.indptr[nodes]
@@ -211,8 +198,8 @@ class Graph:
         else:
             node_degrees = self.degree[nodes][:, None]
         return CandidateSubgraph(
-            edges=edges,
-            degrees=node_degrees[np.searchsorted(nodes, ends)].reshape(k, -1).astype(np.float64),
+            eids=picked,
+            ends=np.searchsorted(nodes, pairs),
             nodes=nodes,
             hood_ptr=np.concatenate(([0], np.cumsum(np.bincount(seg)))),
             hood=np.concatenate([nodes, nbrs])[order],

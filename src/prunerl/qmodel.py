@@ -113,14 +113,10 @@ class QModel:
         h = nnet.leaky_relu(self.node_fc1(x), HIDDEN_SLOPE)
         enc = nnet.leaky_relu(self.node_fc2(h), HIDDEN_SLOPE)
 
-        # Endpoint rows are looked up on every pass, so a copy of a snapshot
-        # with reordered or flipped edges is scored as those edges. Keying
-        # nodes by (item, node) keeps the concatenated node lists sorted.
+        # each item's endpoint rows, shifted past the nodes of the items before it
         counts = [len(s) for s in subs]
-        keys = np.concatenate([s.nodes + i * self.node_count for i, s in enumerate(subs)])
-        ends = np.array([(e.u, e.v) for s in subs for e in s.edges])
-        item = np.repeat(np.arange(len(subs)) * self.node_count, counts)
-        ends = np.searchsorted(keys, ends + item[:, None])
+        node_base = np.cumsum([0] + sizes[:-1])
+        ends = np.concatenate([s.ends for s in subs]) + np.repeat(node_base, counts)[:, None]
         enc_u = nnet.gather_rows(enc, ends[:, 0])
         enc_v = nnet.gather_rows(enc, ends[:, 1])
         if self.directed:
@@ -139,14 +135,10 @@ class QModel:
         and evaluation paths do; replay training does not).
         """
         if require_live_in is not None:
-            for e in sub.edges:
-                if not require_live_in.is_alive(e.eid):
-                    raise DeadEdgeError(f"stale candidate edge {e}")
+            dead = sub.eids[~require_live_in.alive[sub.eids]]
+            if dead.size:
+                raise DeadEdgeError(f"stale candidate edge id {dead[0]}")
         return self.q_forward_batch([sub])[0]
-
-    def q_values(self, sub, require_live_in=None):
-        """Numpy view of q_forward, for action selection."""
-        return self.q_forward(sub, require_live_in=require_live_in).data.copy()
 
     # -------------------------------------------------------------- checkpoint
 
@@ -226,8 +218,13 @@ def load_checkpoint(path, rng=None):
         raise ConfigError(f"{path}: not a prunerl checkpoint (no __header__ array)") from None
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise ConfigError(f"{path}: not a prunerl checkpoint (header is not JSON: {exc})") from None
+    if not isinstance(header, dict):
+        raise ConfigError(f"{path}: not a prunerl checkpoint (header is not a JSON object)")
     if header.get("format_version") != 1:
         raise DataError(f"unsupported checkpoint version {header.get('format_version')}")
+    missing = sorted({"model", "extra", "agent_state"} - header.keys())
+    if missing:
+        raise ConfigError(f"{path}: not a prunerl checkpoint (header lacks {', '.join(missing)})")
     model = QModel.from_config(header["model"], rng=rng)
     model.load_state_arrays(arrays)
     return model, header, arrays

@@ -38,19 +38,20 @@ def spsp_penalty(gp, queries):
     return float(np.mean(diffs)) if diffs else 0.0
 
 
-def sample_training_pairs(gp, edge, k, rng):
-    """Pair k random nodes against both endpoints of the edge about to be
+def sample_training_pairs(gp, eid, k, rng):
+    """Pair k random nodes against both endpoints of edge `eid`, about to be
     pruned, with baseline distances taken on the pre-prune graph. Exploits
     the fact that only paths through the pruned edge can change."""
     if k < 1:
         raise PruneRLError("need at least one sampled node per endpoint")
     n = gp.node_count
-    candidates = [x for x in range(n) if x not in (edge.u, edge.v)]
+    ends = (int(gp.src[eid]), int(gp.dst[eid]))
+    candidates = [x for x in range(n) if x not in ends]
     if not candidates:
         raise PruneRLError("graph too small to sample shortest-path pairs")
     others = rng.choice(candidates, size=k, replace=len(candidates) < k)
     return PathQuerySet.from_graph(
-        gp, [(endpoint, int(o)) for endpoint in (edge.u, edge.v) for o in others])
+        gp, [(endpoint, int(o)) for endpoint in ends for o in others])
 
 
 # ---------------------------------------------------------------- objectives
@@ -85,10 +86,10 @@ class RewardSpec:
         # fixed per episode to cut reward variance between steps
         self._episode_seed = int(rng.integers(1 << 31))
 
-    def before_prune(self, g, edge, rng):
+    def before_prune(self, g, eid, rng):
         return None
 
-    def after_prune(self, g, edge, ctx, rng):
+    def after_prune(self, g, eid, ctx, rng):
         raise NotImplementedError
 
 
@@ -109,7 +110,7 @@ class PagerankReward(RewardSpec):
     def on_episode_start(self, g_original, g_working, rng):
         pass  # deterministic: no Louvain seed to draw
 
-    def after_prune(self, g, edge, ctx, rng):
+    def after_prune(self, g, eid, ctx, rng):
         # heavy episode pre-pruning can leave a graph whose PageRank is
         # uniform; that ranking carries no information, so score rho as 0
         # rather than aborting the episode
@@ -138,8 +139,8 @@ class CommunityReward(RewardSpec):
     def score(self, gp, rng):
         return adjusted_rand_index(louvain(gp, rng).labels, self.labels)
 
-    def after_prune(self, g, edge, ctx, rng):
-        same = self.labels[edge.u] == self.labels[edge.v]
+    def after_prune(self, g, eid, ctx, rng):
+        same = self.labels[int(g.src[eid])] == self.labels[int(g.dst[eid])]
         return self._training_score(g) + (self.label_sign if same else -self.label_sign)
 
 
@@ -163,10 +164,10 @@ class SpspReward(RewardSpec):
     def on_episode_start(self, g_original, g_working, rng):
         pass  # no Louvain seed to draw
 
-    def before_prune(self, g, edge, rng):
-        return sample_training_pairs(g, edge, self.pairs_per_endpoint, rng)
+    def before_prune(self, g, eid, rng):
+        return sample_training_pairs(g, eid, self.pairs_per_endpoint, rng)
 
-    def after_prune(self, g, edge, queries, rng):
+    def after_prune(self, g, eid, queries, rng):
         self.last_raw_penalty = spsp_penalty(g, queries)
         return -self.last_raw_penalty
 
@@ -177,7 +178,7 @@ class ModularityReward(RewardSpec):
     def score(self, gp, rng):
         return louvain(gp, rng).modularity
 
-    def after_prune(self, g, edge, ctx, rng):
+    def after_prune(self, g, eid, ctx, rng):
         return self._training_score(g)
 
 

@@ -48,7 +48,8 @@ def gat_node_encode_oracle(model, neighborhoods, nodes):
 def q_forward_oracle(model, sub):
     """Q-value per candidate edge of one subgraph; Tensor of shape (len(sub),)."""
     neighborhoods, node_degrees = snapshot_dicts(sub)
-    nodes = sorted({n for e in sub.edges for n in (e.u, e.v)})
+    pairs = sub.nodes[sub.ends].tolist()
+    nodes = sorted({n for pair in pairs for n in pair})
     pos = {n: i for i, n in enumerate(nodes)}
     gat_out = gat_node_encode_oracle(model, neighborhoods, nodes)
     degs = np.array([node_degrees[n] for n in nodes], dtype=np.float64)
@@ -57,8 +58,8 @@ def q_forward_oracle(model, sub):
     x = nnet.concat([gat_out, Tensor(degs), Tensor(ratio)], axis=1)
     h = nnet.leaky_relu(model.node_fc1(x), HIDDEN_SLOPE)
     enc = nnet.leaky_relu(model.node_fc2(h), HIDDEN_SLOPE)
-    enc_u = nnet.gather_rows(enc, [pos[e.u] for e in sub.edges])
-    enc_v = nnet.gather_rows(enc, [pos[e.v] for e in sub.edges])
+    enc_u = nnet.gather_rows(enc, [pos[u] for u, _ in pairs])
+    enc_v = nnet.gather_rows(enc, [pos[v] for _, v in pairs])
     if model.directed:
         pair = nnet.concat([enc_u, enc_v], axis=1)
     else:

@@ -74,8 +74,8 @@ class TestDoubleDQNTarget:
         target = QModel(4, emb_dim=4, hidden_dim=8, rng=np.random.default_rng(7))
         batch = self._batch(rng, reward=1.0, done=False)
         nxt = batch[0].next_state
-        a_star = int(np.argmax(policy.q_values(nxt)))
-        expected = 1.0 + 0.9 * float(target.q_values(nxt)[a_star])
+        a_star = int(np.argmax(policy.q_forward(nxt).data))
+        expected = 1.0 + 0.9 * float(target.q_forward(nxt).data[a_star])
         assert double_dqn_target(batch, policy, target, 0.9)[0] == pytest.approx(expected)
 
 
@@ -87,7 +87,7 @@ def replay_batch(g, rng, size=12):
         gi = g.copy()
         gi.random_prune(int(rng.integers(0, g.edge_count - 1)), rng)
         state = gi.sample_subgraph(int(rng.integers(1, 33)), rng)
-        gi.prune_edge(state.edges[0])
+        gi.prune_edge(state.eids[0])
         batch.append(Transition(state, int(rng.integers(len(state))), float(rng.normal()),
                                 gi.sample_subgraph(int(rng.integers(1, 33)), rng), i % 3 == 0))
     return batch
@@ -190,35 +190,32 @@ class TestQModelLaws:
         model = QModel(5, emb_dim=4, hidden_dim=8, rng=rng)
         for k in (1, 3, 10):
             sub = g.sample_subgraph(k, rng)
-            assert model.q_values(sub).shape == (len(sub),)
+            assert model.q_forward(sub).data.shape == (len(sub),)
 
     def test_edge_order_permutation_equivariant(self, rng):
         g = complete_graph(5)
         model = QModel(5, emb_dim=4, hidden_dim=8, rng=rng)
         sub = g.sample_subgraph(6, rng)
-        q = model.q_values(sub)
+        q = model.q_forward(sub).data
         perm = rng.permutation(len(sub))
         import copy
 
         sub2 = copy.copy(sub)
-        sub2.edges = [sub.edges[i] for i in perm]
-        sub2.degrees = sub.degrees[perm]
-        q2 = model.q_values(sub2)
+        sub2.eids = sub.eids[perm]
+        sub2.ends = sub.ends[perm]
+        q2 = model.q_forward(sub2).data
         assert np.allclose(q2, q[perm], atol=1e-12)
 
     def test_endpoint_order_symmetric_when_undirected(self, rng):
-        from prunerl.graph import EdgeRef
-
         g = complete_graph(4)
         model = QModel(4, emb_dim=4, hidden_dim=8, rng=rng)
         sub = g.sample_subgraph(6, rng)
-        q = model.q_values(sub)
+        q = model.q_forward(sub).data
         import copy
 
         flipped = copy.copy(sub)
-        flipped.edges = [EdgeRef(e.v, e.u, e.eid) for e in sub.edges]
-        flipped.degrees = sub.degrees[:, ::-1].copy()
-        q2 = model.q_values(flipped)
+        flipped.ends = sub.ends[:, ::-1].copy()
+        q2 = model.q_forward(flipped).data
         assert np.allclose(q2, q, atol=1e-12)
 
     def test_stale_snapshot_rejected_when_acting(self, rng):
@@ -226,11 +223,11 @@ class TestQModelLaws:
 
         g = complete_graph(4)
         sub = g.sample_subgraph(6, rng)
-        g.prune_edge(sub.edges[0])
+        g.prune_edge(sub.eids[0])
         model = QModel(4, emb_dim=4, hidden_dim=8, rng=rng)
-        model.q_values(sub)  # replay path: snapshot stays evaluable
+        model.q_forward(sub)  # replay path: snapshot stays evaluable
         with pytest.raises(DeadEdgeError):
-            model.q_values(sub, require_live_in=g)
+            model.q_forward(sub, require_live_in=g)
 
 
 class TestTrainStep:
@@ -244,7 +241,7 @@ class TestTrainStep:
         agent.buffer.add(t, priority=1.0)
 
         def td_error():
-            q = agent.policy.q_values(t.state)[t.action]
+            q = agent.policy.q_forward(t.state).data[t.action]
             return abs(1.0 - q)
 
         e0 = td_error()
@@ -275,7 +272,7 @@ class TestEpisodes:
                           rng=np.random.default_rng(seed))
             rec = agent.run_episode(SpspReward(karate, pairs_per_endpoint=4),
                                     np.random.default_rng(seed))
-            return rec.rewards, [e.eid for e in rec.prunes]
+            return rec.rewards, rec.prunes
 
         assert run(3) == run(3)
 

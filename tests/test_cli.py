@@ -8,6 +8,7 @@ import yaml
 
 from prunerl import cli
 from prunerl.graph import load_edge_list
+from prunerl.qmodel import QModel, save_checkpoint
 
 from conftest import DATA_DIR
 
@@ -185,11 +186,27 @@ class TestExitCodes:
                        "--out", str(tmp_path / "o.txt")])
         assert rc == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--dataset", KARATE, "--sparsified", KARATE, "--metric", "spsp",
+         "--spsp-pairs", "0"],
+        ["h-sweep", "--dataset", KARATE, "--checkpoint", "c.npz", "--ratio", "0.5",
+         "--seeds", "0"],
+        ["spanner-compare", "--dataset", KARATE, "--checkpoint", "c.npz", "--runs", "-2"],
+    ], ids=["spsp-pairs", "seeds", "runs"])
+    def test_nonpositive_count_is_usage(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "must be a positive integer" in capsys.readouterr().err
+
     def test_bad_ratio_is_runtime_error(self, tmp_path):
         rc = cli.main(["sparsify", "--dataset", KARATE, "--method",
                        "random_edge", "--ratio", "2.0",
                        "--out", str(tmp_path / "o.txt")])
         assert rc == cli.EXIT_RUNTIME
+
+
+def eval_config(**evaluation):
+    """Config text for karate with the given evaluation section."""
+    return yaml.safe_dump({"schema_version": 1, "dataset": KARATE, "evaluation": evaluation})
 
 
 def bad_input(tmp_path, name, text):
@@ -229,6 +246,26 @@ DATA_ERRORS = {
         {"config.yaml": "schema_version: 1\ndataset: [unclosed\n"},
         ["compare", "--config", "{config}", "--out", "{out}"],
         "config.yaml: not valid YAML"),
+    "zero louvain_runs in config": (
+        {"config.yaml": eval_config(louvain_runs=0)},
+        ["compare", "--config", "{config}", "--out", "{out}"],
+        "evaluation louvain_runs must be >= 1, got 0"),
+    "zero spsp_pairs in config": (
+        {"config.yaml": eval_config(spsp_pairs=0)},
+        ["compare", "--config", "{config}", "--out", "{out}"],
+        "evaluation spsp_pairs must be >= 1, got 0"),
+    "negative eval_subgraph_len in config": (
+        {"config.yaml": eval_config(eval_subgraph_len=-1)},
+        ["compare", "--config", "{config}", "--out", "{out}"],
+        "evaluation eval_subgraph_len must be >= 1, got -1"),
+    "sparsified line with no dataset edge": (
+        {"sparse.txt": "0 1\n2 30\n"},
+        ["evaluate", "--dataset", KARATE, "--sparsified", "{sparse}", "--metric", "pagerank"],
+        "sparse.txt:2: edge (2, 30) is not in the dataset"),
+    "sparsified line of three tokens": (
+        {"sparse.txt": "0 1\n0 2 7\n"},
+        ["evaluate", "--dataset", KARATE, "--sparsified", "{sparse}", "--metric", "pagerank"],
+        "sparse.txt:2: expected two node ids, got '0 2 7'"),
 }
 
 
@@ -306,12 +343,20 @@ class TestCompare:
         pytest.param({"param_0_embeddings": np.zeros((34, 4))}, id="npz without header"),
         pytest.param({"__header__": np.frombuffer(b"{model: 1", dtype=np.uint8)},
                      id="header not JSON"),
+        pytest.param({"__header__": np.frombuffer(b"[1, 2]", dtype=np.uint8)},
+                     id="header not an object"),
+        pytest.param({"__header__": np.frombuffer(b'{"format_version": 1}', dtype=np.uint8)},
+                     id="header without model"),
+        pytest.param(lambda path: save_checkpoint(path, QModel(34, emb_dim=4, hidden_dim=8)),
+                     id="model without agent config"),
     ])
     def test_missing_checkpoint_is_data_error(self, content, tmp_path, capsys):
         config = write_config(tmp_path / "config.yaml")
         checkpoint = tmp_path / "checkpoint.npz"
         if isinstance(content, str):
             checkpoint.write_text(content)
+        elif callable(content):
+            content(checkpoint)
         elif content is not None:
             np.savez(checkpoint, **content)
         out_dir = tmp_path / "cmp"

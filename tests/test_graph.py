@@ -84,26 +84,25 @@ class TestLoadCommunities:
 class TestPruning:
     def test_triangle_degrees(self):
         g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
-        g.prune_edge(g.edge_ref(g.edge_id(0, 1)))
+        g.prune_edge(g.edge_id(0, 1))
         assert [g.degree_of(i) for i in range(3)] == [1, 1, 2]
 
     def test_path_becomes_unreachable(self):
         g = path_graph(3)
-        g.prune_edge(g.edge_ref(g.edge_id(0, 1)))
+        g.prune_edge(g.edge_id(0, 1))
         assert g.degree_of(0) == 0
         assert shortest_path_distance(g, 0, 2) == math.inf
 
     def test_double_prune_is_error(self):
         g = make_graph(2, [(0, 1)])
-        e = g.edge_ref(0)
-        g.prune_edge(e)
+        g.prune_edge(0)
         with pytest.raises(DeadEdgeError):
-            g.prune_edge(e)
+            g.prune_edge(0)
 
     def test_directed_degrees(self):
         g = make_graph(3, [(0, 1), (1, 2)], directed=True)
         assert g.degree_of(1) == (1, 1)
-        g.prune_edge(g.edge_ref(g.edge_id(0, 1)))
+        g.prune_edge(g.edge_id(0, 1))
         assert g.degree_of(1) == (0, 1)
 
     def test_degrees_match_adjacency_after_prune_sequence(self, karate, rng):
@@ -114,7 +113,7 @@ class TestPruning:
 
     def test_copy_is_independent(self, karate):
         clone = karate.copy()
-        clone.prune_edge(clone.edge_ref(0))
+        clone.prune_edge(0)
         assert karate.is_alive(0)
         assert not clone.is_alive(0)
 
@@ -154,7 +153,7 @@ class TestSampleSubgraph:
         g = complete_graph(4)
         sub = g.sample_subgraph(100, rng)
         assert len(sub) == 6
-        assert sorted(e.eid for e in sub.edges) == list(range(6))
+        assert sorted(sub.eids.tolist()) == list(range(6))
 
     def test_k4_uniform_single(self, rng):
         counts = np.zeros(6)
@@ -162,7 +161,7 @@ class TestSampleSubgraph:
         g = complete_graph(4)
         for _ in range(trials):
             sub = g.sample_subgraph(1, rng)
-            counts[sub.edges[0].eid] += 1
+            counts[sub.eids[0]] += 1
         assert np.all(np.abs(counts / trials - 1 / 6) < 0.02)
 
     def test_edge_ratio_snapshot(self, rng):
@@ -175,13 +174,13 @@ class TestSampleSubgraph:
         karate.random_prune(30, rng)
         for _ in range(50):
             sub = karate.sample_subgraph(16, rng)
-            eids = [e.eid for e in sub.edges]
+            eids = sub.eids.tolist()
             assert len(set(eids)) == len(eids)
             assert all(karate.is_alive(eid) for eid in eids)
 
     def test_zero_live_edges_rejected(self, rng):
         g = make_graph(2, [(0, 1)])
-        g.prune_edge(g.edge_ref(0))
+        g.prune_edge(0)
         with pytest.raises(PruneRLError):
             g.sample_subgraph(1, rng)
 
@@ -189,7 +188,7 @@ class TestSampleSubgraph:
         g = complete_graph(4)
         sub = g.sample_subgraph(6, rng)
         g.random_prune(5, rng)
-        assert np.all(sub.degrees == 3.0)
+        assert np.all(sub.node_degrees == 3)
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_node_snapshot_matches_live_graph(self, karate, rng, directed):
@@ -197,7 +196,9 @@ class TestSampleSubgraph:
             5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (4, 0), (2, 4)], directed=True)
         g.random_prune(2, rng)
         sub = g.sample_subgraph(4, rng)
-        ends = sorted({n for e in sub.edges for n in (e.u, e.v)})
+        pairs = np.stack([g.src[sub.eids], g.dst[sub.eids]], axis=1)
+        assert np.array_equal(sub.nodes[sub.ends], pairs)
+        ends = sorted(set(pairs.ravel().tolist()))
         assert sub.nodes.tolist() == ends
         assert len(sub.hood_ptr) == len(ends) + 1
         for i, n in enumerate(ends):
@@ -205,10 +206,9 @@ class TestSampleSubgraph:
             assert hood == [n] + sorted(g.neighbors(n))
             deg = g.degree_of(n)
             assert tuple(sub.node_degrees[i]) == (deg if directed else (deg,))
-        expected = [[*np.atleast_1d(g.degree_of(e.u)), *np.atleast_1d(g.degree_of(e.v))]
-                    for e in sub.edges]
-        assert np.array_equal(sub.degrees, expected)
-        assert sub.degrees.dtype == np.float64
+        expected = [[*np.atleast_1d(g.degree_of(u)), *np.atleast_1d(g.degree_of(v))]
+                    for u, v in pairs.tolist()]
+        assert np.array_equal(sub.node_degrees[sub.ends].reshape(len(sub), -1), expected)
 
 
 class TestEdgeKeptRatio:

@@ -52,7 +52,7 @@ class TestPagerank:
 
     def test_isolated_pair_dangling_split(self):
         g = Graph(2, [(0, 1)])
-        g.prune_edge(g.edge_ref(0))
+        g.prune_edge(0)
         assert np.allclose(pagerank(g), 0.5, atol=1e-12)
 
     def test_star_hub_closed_form(self):
@@ -117,7 +117,7 @@ class TestLouvain:
 
     def test_edgeless_graph_singletons(self, rng):
         g = Graph(3, [(0, 1)])
-        g.prune_edge(g.edge_ref(0))
+        g.prune_edge(0)
         part = louvain(g, rng)
         assert len(set(part.labels.values())) == 3
         assert part.modularity == 0.0
@@ -151,7 +151,7 @@ class TestModularity:
 
     def test_empty_graph_convention(self):
         g = Graph(2, [(0, 1)])
-        g.prune_edge(g.edge_ref(0))
+        g.prune_edge(0)
         assert modularity(g, {0: 0, 1: 1}) == 0.0
 
 

@@ -41,9 +41,9 @@ def bridged_triangles():
     return g, labels
 
 
-def training_reward(spec, gp, edge=None):
+def training_reward(spec, gp, eid=None):
     """The reward paid for the prune that produced gp."""
-    return spec.after_prune(gp, edge, None, None)
+    return spec.after_prune(gp, eid, None, None)
 
 
 def base_ari(g, labels):
@@ -99,12 +99,12 @@ class TestRewardCommunity:
 
     def test_label_term_values(self):
         g, labels = bridged_triangles()
-        intra = g.edge_ref(g.edge_id(0, 1))
-        inter = g.edge_ref(g.edge_id(2, 3))
+        intra = g.edge_id(0, 1)
+        inter = g.edge_id(2, 3)
         base = base_ari(g, labels)
         for edge, label_term in ((intra, 1.0), (inter, -1.0)):
             gp = g.copy()
-            gp.prune_edge(edge.eid)
+            gp.prune_edge(edge)
             ari = adjusted_rand_index(
                 louvain(gp, np.random.default_rng(0)).labels, labels
             )
@@ -113,9 +113,9 @@ class TestRewardCommunity:
 
     def test_label_sign_switch_flips_term(self):
         g, labels = bridged_triangles()
-        inter = g.edge_ref(g.edge_id(2, 3))
+        inter = g.edge_id(2, 3)
         gp = g.copy()
-        gp.prune_edge(inter.eid)
+        gp.prune_edge(inter)
         r_pos = training_reward(CommunityReward(g, labels, label_sign=1.0), gp, inter)
         r_neg = training_reward(CommunityReward(g, labels, label_sign=-1.0), gp, inter)
         assert r_neg - r_pos == pytest.approx(2.0)
@@ -131,9 +131,9 @@ class TestRewardCommunity:
         # removing the inter-community edge leaves two clean triangles, which
         # Louvain labels exactly: ARI = 1, label term = -1 for an inter prune
         g, labels = bridged_triangles()
-        inter = g.edge_ref(g.edge_id(2, 3))
+        inter = g.edge_id(2, 3)
         gp = g.copy()
-        gp.prune_edge(inter.eid)
+        gp.prune_edge(inter)
         r = training_reward(CommunityReward(g, labels), gp, inter)
         assert r == pytest.approx(1.0 - base_ari(g, labels) - 1.0)
         assert CommunityReward(g, labels).evaluate(
@@ -194,26 +194,25 @@ class TestRewardSpsp:
 
 class TestSampleTrainingPairs:
     def test_pair_count_law(self, karate, rng):
-        edge = karate.edge_ref(0)
+        ends = (int(karate.src[0]), int(karate.dst[0]))
         for k in (1, 4, 16):
-            q = sample_training_pairs(karate, edge, k, rng)
+            q = sample_training_pairs(karate, 0, k, rng)
             assert len(q.pairs) == 2 * k
             assert all(u != v for u, v in q.pairs)
-            assert all(u in (edge.u, edge.v) for u, _ in q.pairs)
+            assert all(u in ends for u, _ in q.pairs)
 
     def test_zero_k_rejected(self, karate, rng):
         with pytest.raises(PruneRLError):
-            sample_training_pairs(karate, karate.edge_ref(0), 0, rng)
+            sample_training_pairs(karate, 0, 0, rng)
 
     def test_baselines_finite_on_connected_graph(self, karate, rng):
-        q = sample_training_pairs(karate, karate.edge_ref(5), 8, rng)
+        q = sample_training_pairs(karate, 5, 8, rng)
         assert all(math.isfinite(d) for d in q.baseline)
 
     def test_self_consistent_with_reward(self, karate, rng):
-        edge = karate.edge_ref(3)
-        q = sample_training_pairs(karate, edge, 8, rng)
+        q = sample_training_pairs(karate, 3, 8, rng)
         gp = karate.copy()
-        gp.prune_edge(edge.eid)
+        gp.prune_edge(3)
         dists = batch_spsp(gp, q.pairs)
         manual = np.mean([
             34.0 if math.isinf(d1) else d1 - d0
@@ -289,16 +288,16 @@ class TestRewardSpecs:
         spec.evaluate(karate, np.random.default_rng(0), louvain_runs=3)
         assert len(calls) == 3
         # the first training step adds the baseline run on the original graph
-        spec.after_prune(karate, karate.edge_ref(0), None, None)
+        spec.after_prune(karate, 0, None, None)
         assert len(calls) == 5
 
     def test_spsp_spec_negates_penalty(self, karate, rng):
         spec = SpspReward(karate, pairs_per_endpoint=4)
         g = karate.copy()
         spec.on_episode_start(karate, g, rng)
-        edge = g.edge_ref(int(g.live_edge_ids()[0]))
+        edge = int(g.live_edge_ids()[0])
         ctx = spec.before_prune(g, edge, rng)
-        g.prune_edge(edge.eid)
+        g.prune_edge(edge)
         r = spec.after_prune(g, edge, ctx, rng)
         assert r == pytest.approx(-spec.last_raw_penalty)
         assert r <= 0.0
