@@ -317,7 +317,7 @@ def build_parser():
     s.add_argument("--ratio", type=float, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--checkpoint", default=None)
-    s.add_argument("--eval-subgraph-len", dest="eval_subgraph_len", type=int, default=32)
+    s.add_argument("--eval-subgraph-len", dest="eval_subgraph_len", type=_positive_int, default=32)
     s.add_argument("--directed", action="store_true")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sparsify)
@@ -337,7 +337,7 @@ def build_parser():
     c = sub.add_parser("compare", help="full method x ratio x seed grid")
     c.add_argument("--config", required=True)
     c.add_argument("--checkpoint", default=None)
-    c.add_argument("--workers", type=int, default=1)
+    c.add_argument("--workers", type=_positive_int, default=1)
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_compare)
 
@@ -348,7 +348,7 @@ def build_parser():
     sc.add_argument("--runs", type=_positive_int, default=16)
     sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--spsp-pairs", dest="spsp_pairs", type=_positive_int, default=512)
-    sc.add_argument("--eval-subgraph-len", dest="eval_subgraph_len", type=int, default=32)
+    sc.add_argument("--eval-subgraph-len", dest="eval_subgraph_len", type=_positive_int, default=32)
     sc.add_argument("--directed", action="store_true")
     sc.add_argument("--out", default=None)
     sc.set_defaults(func=cmd_spanner_compare)
@@ -358,7 +358,7 @@ def build_parser():
     h.add_argument("--checkpoint", required=True)
     h.add_argument("--ratio", type=float, required=True)
     h.add_argument("--metric", default="pagerank", choices=list(OBJECTIVES))
-    h.add_argument("--subgraph-lens", dest="subgraph_lens", type=int, nargs="+",
+    h.add_argument("--subgraph-lens", dest="subgraph_lens", type=_positive_int, nargs="+",
                    default=[8, 16, 32, 64])
     h.add_argument("--seeds", type=_positive_int, default=3)
     h.add_argument("--labels", default=None)

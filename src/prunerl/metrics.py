@@ -3,7 +3,8 @@ communities, modularity, ARI, and BFS shortest paths.
 
 All functions are pure given an immutable graph snapshot. Unreachability is
 represented by ``math.inf``, never an integer; turning it into a penalty is
-the reward module's business.
+the reward module's business. The kernels are array code over the live
+edges, except Louvain, whose sequential local moves run on Python lists.
 """
 
 import math
@@ -141,7 +142,8 @@ def louvain(g, rng, resolution=1.0, min_gain=1e-12):
     """Greedy modularity optimization (local moves + aggregation).
 
     Node visit order within each local-move sweep is shuffled with the
-    caller's rng. Isolated nodes end up as singleton communities.
+    caller's rng. Isolated nodes end up as singleton communities. The
+    working graph is Python lists, whose scalar reads cost less than numpy's.
     """
     if g.directed:
         raise PruneRLError("louvain requires an undirected graph")
@@ -149,82 +151,80 @@ def louvain(g, rng, resolution=1.0, min_gain=1e-12):
     if g.edge_count == 0:
         return Partition(labels={i: i for i in range(n)}, modularity=0.0)
 
-    # weighted working graph: list of dicts nbr->weight, loops[i] = self-loop weight
-    adj = [dict() for _ in range(n)]
-    for eid in g.live_edge_ids():
-        u, v = int(g.src[eid]), int(g.dst[eid])
-        adj[u][v] = adj[u].get(v, 0.0) + 1.0
-        adj[v][u] = adj[v].get(u, 0.0) + 1.0
-    loops = np.zeros(n)
-    membership = np.arange(n)  # community of each current super-node
-    node_of = [[i] for i in range(n)]  # original nodes inside each super-node
+    # unit-weight rows in live edge id order, which breaks ties (not CSR order once pruned)
+    rows = [[] for _ in range(n)]
+    eids = g.live_edge_ids()
+    for u, v in zip(g.src[eids].tolist(), g.dst[eids].tolist()):
+        rows[u].append((v, 1.0))
+        rows[v].append((u, 1.0))
+    k = [float(len(row)) for row in rows]  # weighted degree of each super-node
+    label = np.arange(n)  # super-node of each original node
     m2 = 2.0 * g.edge_count
 
     while True:
-        nn = len(adj)
-        k = np.array([sum(a.values()) + 2.0 * loops[i] for i, a in enumerate(adj)])
-        comm = np.arange(nn)
+        nn = len(rows)
+        comm = list(range(nn))
         comm_tot = k.copy()  # sum of degrees per community
-        improved_any = False
+        # a node that stayed is skipped until a community it weighed gains or
+        # loses a member, as when a neighbour moves: until then its choice is
+        # the same (k is integral, so staying leaves the totals exact)
+        seen = [-1] * nn  # move count at each node's last stay; -1: none yet
+        deps = [(c,) for c in comm]  # the communities that stay weighed
+        changed = [0] * nn  # move count at each community's last change
+        clock = 0
         order = np.arange(nn)
-        while True:
-            moved = 0
+        start = -1  # move count before the last sweep
+        while clock != start:
+            start = clock
             rng.shuffle(order)
-            for i in order:
-                ci = comm[i]
-                # weights from i to each neighboring community
+            for i in order.tolist():
+                for c in deps[i]:
+                    if changed[c] > seen[i]:
+                        break
+                else:
+                    continue  # nothing it weighed has changed since it stayed
+                ci, ki = comm[i], k[i]
+                # weights from i to each neighboring community, first seen first
                 w2c = {}
-                for j, w in adj[i].items():
-                    w2c[comm[j]] = w2c.get(comm[j], 0.0) + w
-                comm_tot[ci] -= k[i]
-                base = w2c.get(ci, 0.0) - resolution * comm_tot[ci] * k[i] / m2
-                best_c, best_gain = ci, 0.0
+                for j, w in rows[i]:
+                    c = comm[j]
+                    if c in w2c:
+                        w2c[c] += w
+                    else:
+                        w2c[c] = w
+                comm_tot[ci] -= ki
+                base = w2c.pop(ci, 0.0) - resolution * comm_tot[ci] * ki / m2
+                best_c, bar = ci, min_gain  # a tie keeps the first community seen
                 for c, w in w2c.items():
-                    if c == ci:
-                        continue
-                    gain = (w - resolution * comm_tot[c] * k[i] / m2) - base
-                    if gain > best_gain + min_gain:
-                        best_gain = gain
-                        best_c = c
-                comm_tot[best_c] += k[i]
-                if best_c != ci:
+                    gain = (w - resolution * comm_tot[c] * ki / m2) - base
+                    if gain > bar:
+                        best_c, bar = c, gain + min_gain
+                comm_tot[best_c] += ki
+                if best_c == ci:
+                    seen[i], deps[i] = clock, (ci, *w2c)
+                else:
                     comm[i] = best_c
-                    moved += 1
-                    improved_any = True
-            if moved == 0:
-                break
-        if not improved_any:
-            break
-        # aggregate communities into super-nodes
-        uniq = {c: idx for idx, c in enumerate(sorted(set(int(c) for c in comm)))}
-        new_n = len(uniq)
-        new_adj = [dict() for _ in range(new_n)]
-        new_loops = np.zeros(new_n)
-        new_nodes = [[] for _ in range(new_n)]
-        for i in range(nn):
-            ci = uniq[int(comm[i])]
-            new_nodes[ci].extend(node_of[i])
-            new_loops[ci] += loops[i]
-            for j, w in adj[i].items():
-                cj = uniq[int(comm[j])]
-                if ci == cj:
-                    if i < j:
-                        new_loops[ci] += w
-                elif i != j:
-                    new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
-        # each undirected cross weight was added twice (once per direction)
-        adj = new_adj
-        loops = new_loops
-        node_of = new_nodes
-        if new_n == nn:
+                    clock += 1
+                    changed[ci] = changed[best_c] = clock
+        # aggregate communities into super-nodes (done once none merge); a
+        # super-node's degree is its community's total, and its row meets
+        # neighbours first seen first: members ascending, then row order
+        kept, comm = np.unique(comm, return_inverse=True)
+        label = comm[label]
+        comm = comm.tolist()
+        new_rows = [{} for _ in kept]
+        for ci, row in zip(comm, rows):
+            for j, w in row:
+                cj = comm[j]
+                if cj != ci:
+                    new_rows[ci][cj] = new_rows[ci].get(cj, 0.0) + w
+        rows = [list(acc.items()) for acc in new_rows]
+        k = [comm_tot[c] for c in kept.tolist()]
+        if len(kept) == nn:
             break
 
-    labels = {}
-    for c, members in enumerate(node_of):
-        for orig in members:
-            labels[orig] = c
-    q = modularity(g, labels)
-    return Partition(labels=labels, modularity=q)
+    labels = dict(enumerate(label.tolist()))
+    return Partition(labels=labels, modularity=modularity(g, labels))
 
 
 # ------------------------------------------------------------------------ ari
@@ -243,8 +243,8 @@ def adjusted_rand_index(a, b):
         raise PruneRLError("adjusted_rand_index needs at least 2 nodes")
     _, ia = np.unique(la, return_inverse=True)
     _, ib = np.unique(lb, return_inverse=True)
-    table = np.zeros((ia.max() + 1, ib.max() + 1), dtype=np.int64)
-    np.add.at(table, (ia, ib), 1)
+    na, nb = ia.max() + 1, ib.max() + 1
+    table = np.bincount(ia * nb + ib, minlength=na * nb).reshape(na, nb)
 
     def comb2(x):
         return x * (x - 1) / 2.0

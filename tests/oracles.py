@@ -9,6 +9,8 @@ The graph kernels below walk a dict-of-dicts adjacency in Python, rebuilt
 from the live edges in edge id order: the forms of `metrics.pagerank`,
 `bfs_distances`, `batch_spsp` and `modularity`, of `baselines.jaccard_scores`,
 and of the per-exponent survivor sets of `local_degree` and `l_spar`.
+`louvain_oracle` is the dict form of `metrics.louvain`; its dicts are filled
+in `live_edge_ids()` order, which pruning's swap-removes reorder.
 """
 
 import math
@@ -16,6 +18,7 @@ import math
 import numpy as np
 
 from prunerl import nnet
+from prunerl.metrics import Partition, modularity
 from prunerl.nnet import Tensor
 from prunerl.qmodel import ATTENTION_SLOPE, HIDDEN_SLOPE
 
@@ -200,3 +203,86 @@ def l_spar_survivors(g):
         return out
 
     return kept
+
+
+def louvain_oracle(g, rng, resolution=1.0, min_gain=1e-12):
+    """The dict-of-dicts form of `metrics.louvain`: the same rng draws,
+    visit order and first-seen tie order, on dict rows and numpy scalars."""
+    n = g.node_count
+    if g.edge_count == 0:
+        return Partition(labels={i: i for i in range(n)}, modularity=0.0)
+
+    # weighted working graph: list of dicts nbr->weight, loops[i] = self-loop weight
+    adj = [dict() for _ in range(n)]
+    for eid in g.live_edge_ids():
+        u, v = int(g.src[eid]), int(g.dst[eid])
+        adj[u][v] = adj[u].get(v, 0.0) + 1.0
+        adj[v][u] = adj[v].get(u, 0.0) + 1.0
+    loops = np.zeros(n)
+    node_of = [[i] for i in range(n)]  # original nodes inside each super-node
+    m2 = 2.0 * g.edge_count
+
+    while True:
+        nn = len(adj)
+        k = np.array([sum(a.values()) + 2.0 * loops[i] for i, a in enumerate(adj)])
+        comm = np.arange(nn)
+        comm_tot = k.copy()  # sum of degrees per community
+        improved_any = False
+        order = np.arange(nn)
+        while True:
+            moved = 0
+            rng.shuffle(order)
+            for i in order:
+                ci = comm[i]
+                # weights from i to each neighboring community
+                w2c = {}
+                for j, w in adj[i].items():
+                    w2c[comm[j]] = w2c.get(comm[j], 0.0) + w
+                comm_tot[ci] -= k[i]
+                base = w2c.get(ci, 0.0) - resolution * comm_tot[ci] * k[i] / m2
+                best_c, best_gain = ci, 0.0
+                for c, w in w2c.items():
+                    if c == ci:
+                        continue
+                    gain = (w - resolution * comm_tot[c] * k[i] / m2) - base
+                    if gain > best_gain + min_gain:
+                        best_gain = gain
+                        best_c = c
+                comm_tot[best_c] += k[i]
+                if best_c != ci:
+                    comm[i] = best_c
+                    moved += 1
+                    improved_any = True
+            if moved == 0:
+                break
+        if not improved_any:
+            break
+        # aggregate communities into super-nodes
+        uniq = {c: idx for idx, c in enumerate(sorted(set(int(c) for c in comm)))}
+        new_n = len(uniq)
+        new_adj = [dict() for _ in range(new_n)]
+        new_loops = np.zeros(new_n)
+        new_nodes = [[] for _ in range(new_n)]
+        for i in range(nn):
+            ci = uniq[int(comm[i])]
+            new_nodes[ci].extend(node_of[i])
+            new_loops[ci] += loops[i]
+            for j, w in adj[i].items():
+                cj = uniq[int(comm[j])]
+                if ci == cj:
+                    if i < j:
+                        new_loops[ci] += w
+                elif i != j:
+                    new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
+        adj = new_adj
+        loops = new_loops
+        node_of = new_nodes
+        if new_n == nn:
+            break
+
+    labels = {}
+    for c, members in enumerate(node_of):
+        for orig in members:
+            labels[orig] = c
+    q = modularity(g, labels)
+    return Partition(labels=labels, modularity=q)

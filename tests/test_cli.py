@@ -192,7 +192,15 @@ class TestExitCodes:
         ["h-sweep", "--dataset", KARATE, "--checkpoint", "c.npz", "--ratio", "0.5",
          "--seeds", "0"],
         ["spanner-compare", "--dataset", KARATE, "--checkpoint", "c.npz", "--runs", "-2"],
-    ], ids=["spsp-pairs", "seeds", "runs"])
+        ["compare", "--config", "c.yaml", "--workers", "0"],
+        ["sparsify", "--dataset", KARATE, "--method", "random_edge", "--ratio", "0.5",
+         "--eval-subgraph-len", "0", "--out", "o.txt"],
+        ["spanner-compare", "--dataset", KARATE, "--checkpoint", "c.npz",
+         "--eval-subgraph-len", "0"],
+        ["h-sweep", "--dataset", KARATE, "--checkpoint", "c.npz", "--ratio", "0.5",
+         "--subgraph-lens", "8", "0"],
+    ], ids=["spsp-pairs", "seeds", "runs", "workers", "sparsify-eval-subgraph-len",
+            "spanner-eval-subgraph-len", "subgraph-lens"])
     def test_nonpositive_count_is_usage(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
         assert "must be a positive integer" in capsys.readouterr().err

@@ -1,6 +1,6 @@
-"""The array kernels in metrics and baselines against the pure-Python
-oracles they replaced (tests/oracles.py), on randomly pruned graphs: the
-small random suites, directed graphs, and one ~2k-node graph."""
+"""The array kernels in metrics and baselines, and the list Louvain, against
+the pure-Python oracles they replaced (tests/oracles.py), on randomly pruned
+graphs: the small random suites, directed graphs, and one ~2k-node graph."""
 
 import math
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from prunerl import baselines
+from prunerl.graph import Graph
 from prunerl.metrics import batch_spsp, bfs_distances, louvain, modularity, pagerank
 
 from conftest import random_connected_graph, random_sparse_graph
@@ -18,6 +19,7 @@ from oracles import (
     jaccard_closed,
     l_spar_survivors,
     local_degree_survivors,
+    louvain_oracle,
     modularity_oracle,
     pagerank_oracle,
 )
@@ -75,6 +77,19 @@ def test_modularity_matches(undirected):
                        louvain(g, rng).labels):
             labels = dict(enumerate(labels)) if isinstance(labels, list) else labels
             assert abs(modularity(g, labels) - modularity_oracle(g, labels)) <= 1e-12
+
+
+def test_louvain_matches_oracle(undirected, karate):
+    big = undirected[-1]
+    # pruning swap-removes, so the live ids (the order Louvain meets
+    # neighbours in) are no longer the CSR's edge id order
+    assert (np.diff(big.live_edge_ids()) < 0).any()
+    for g in [karate, Graph(5, [])] + undirected:
+        for seed in range(3):
+            got = louvain(g, np.random.default_rng(seed))
+            want = louvain_oracle(g, np.random.default_rng(seed))
+            assert got.labels == want.labels
+            assert got.modularity == want.modularity
 
 
 def test_jaccard_scores_are_equal(undirected):
