@@ -5,6 +5,7 @@
 set -e
 
 OUT=$(mktemp -d)
+trap 'rm -rf "$OUT"' EXIT
 echo "working in $OUT"
 
 cat > "$OUT/config.yaml" <<EOF
@@ -44,7 +45,7 @@ echo "random:"; python3 -m prunerl.cli evaluate --dataset data/karate.txt \
 
 python3 -m prunerl.cli compare --config "$OUT/config.yaml" \
     --checkpoint "$OUT/run/checkpoint.npz" --out "$OUT/cmp"
-echo "comparison tables in $OUT/cmp"
+cat "$OUT/cmp/compare_table.csv"
 
 python3 -m prunerl.cli h-sweep --dataset data/karate.txt \
     --checkpoint "$OUT/run/checkpoint.npz" --ratio 0.5 \

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import nnet
 from .errors import ConfigError, PruneRLError
-from .nnet import Adam, Tensor
-from .qmodel import QModel, load_checkpoint, save_checkpoint
+from .nnet import Adam
+from .qmodel import QModel, SubgraphUnion, load_checkpoint, save_checkpoint
 from .replay import ReplayBuffer, Transition
 
 LOG_FIELDS = ["episode", "step", "epsilon", "loss", "mean_reward", "buffer_size"]
@@ -67,16 +67,16 @@ def select_action(qvals, epsilon, rng):
 def double_dqn_target(batch, policy, target, gamma):
     """Per-item TD target: r, or r + gamma * Q_target(s', argmax Q_policy(s')).
 
-    One policy pass and one target pass score every non-terminal next state.
+    One policy pass and one target pass, neither recording a graph, score
+    every non-terminal next state over one shared disjoint union.
     """
     out = np.array([tr.reward for tr in batch], dtype=np.float64)
     live = [i for i, tr in enumerate(batch) if not tr.done]
     if live and gamma != 0.0:
-        next_states = [batch[i].next_state for i in live]
-        q, offsets = policy.q_forward_batch(next_states)
+        union = SubgraphUnion([batch[i].next_state for i in live])
+        q, offsets = policy.q_forward_batch(union, grad=False)
         best = [lo + int(np.argmax(q.data[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])]
-        del q  # free the policy pass before the target pass
-        out[live] += gamma * target.q_forward_batch(next_states)[0].data[best]
+        out[live] += gamma * target.q_forward_batch(union, grad=False)[0].data[best]
     return out
 
 
@@ -132,14 +132,12 @@ class Agent:
         targets = double_dqn_target(batch, self.policy, self.target, cfg.gamma)
 
         q, offsets = self.policy.q_forward_batch([tr.state for tr in batch])
-        pred = nnet.gather_rows(q, offsets[:-1] + [tr.action for tr in batch])
-        diff = pred - Tensor(targets)
-        loss = nnet.mean_all(nnet.mul(Tensor(weights), nnet.mul(diff, diff)))
+        loss, td_errors = nnet.weighted_mse(q, offsets[:-1] + [tr.action for tr in batch],
+                                            targets, weights)
 
         self.optimizer.zero_grad()
         loss.backward()
-        td_errors = diff.data.copy()
-        self.optimizer.step()
+        self.optimizer.step()  # checks every gradient before moving a parameter
         self.buffer.update_priorities(idx, td_errors)
         self.target.soft_update_from(self.policy, cfg.soft_update_rate)
         self.update_steps += 1
@@ -164,7 +162,7 @@ class Agent:
         record = EpisodeRecord(t_planned=t_steps, t_preprune=t_pre)
         state = g.sample_subgraph(cfg.train_subgraph_len, rng)
         for t in range(t_steps):
-            qvals = self.policy.q_forward(state, require_live_in=g).data
+            qvals = self.policy.q_forward(state, require_live_in=g, grad=False).data
             action = select_action(qvals, self.epsilon if train else 0.0, rng)
             eid = int(state.eids[action])
             pre_ctx = reward_spec.before_prune(g, eid, rng)
@@ -203,7 +201,7 @@ class Agent:
             )
         while out.edge_count > target:
             sub = out.sample_subgraph(eval_subgraph_len, rng)
-            qvals = self.policy.q_forward(sub, require_live_in=out).data
+            qvals = self.policy.q_forward(sub, require_live_in=out, grad=False).data
             out.prune_edge(sub.eids[np.argmax(qvals)])
         return out
 

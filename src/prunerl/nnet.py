@@ -1,12 +1,21 @@
-"""Minimal reverse-mode autodiff over numpy float64 arrays, plus the layer
-primitives the Q-network needs: linear, leaky ReLU, row gathers (embedding
-lookup included), segment softmax/sum for variable-size neighborhoods, and
-an Adam optimizer with a gradient finite-difference checker.
+"""Minimal reverse-mode autodiff over numpy float64 arrays, built from fused
+layers whose backward is written by hand: Linear with its bias and leaky
+ReLU, the graph-attention block, edge-endpoint pairing, and the weighted TD
+loss are one graph node each. Adam and a finite-difference gradient checker
+complete it.
+
+Every layer takes `grad`. With grad=False it returns the bare array and
+records no parents or closures, so an inference pass runs the same forward
+code as a training pass. Finiteness is checked where bad values can enter:
+a Tensor built from caller data is checked on construction, the loss where
+it is built, and every gradient in `Adam.step` before any parameter moves.
+Op outputs in between are not checked.
 """
 
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import PruneRLError, ShapeError
 
@@ -16,9 +25,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_backward", "_parents", "name")
 
-    def __init__(self, data, parents=(), backward=None, name=None):
+    def __init__(self, data, parents=(), backward=None, name=None, check=True):
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(self.data).all():
+        if check and not np.isfinite(self.data).all():
             raise PruneRLError(f"non-finite values in tensor {name or ''}")
         self.grad = None
         self._parents = parents
@@ -54,100 +63,18 @@ class Tensor:
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
 
-    # operator sugar -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __sub__(self, other):
-        return add(self, mul(_wrap(other), _wrap(-1.0)))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, name={self.name})"
 
 
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+def value(x):
+    """The array behind a Tensor; a no-grad pass hands layers bare arrays."""
+    return x.data if isinstance(x, Tensor) else x
 
 
-def _unbroadcast(grad, shape):
-    """Sum grad down to `shape` (reverses numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad.reshape(shape)
-
-
-# ------------------------------------------------------------------- core ops
-
-
-def add(a, b):
-    out = Tensor(a.data + b.data, parents=(a, b))
-
-    def backward(g):
-        a._accum(_unbroadcast(g, a.data.shape))
-        b._accum(_unbroadcast(g, b.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def mul(a, b):
-    out = Tensor(a.data * b.data, parents=(a, b))
-
-    def backward(g):
-        a._accum(_unbroadcast(g * b.data, a.data.shape))
-        b._accum(_unbroadcast(g * a.data, b.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def matmul(a, b):
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, parents=(a, b))
-
-    def backward(g):
-        a._accum(g @ b.data.T)
-        b._accum(a.data.T @ g)
-
-    out._backward = backward
-    return out
-
-
-def reshape(a, shape):
-    out = Tensor(a.data.reshape(shape), parents=(a,))
-
-    def backward(g):
-        a._accum(g.reshape(a.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def concat(tensors, axis=1):
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-
-    def backward(g):
-        offset = 0
-        for t, s in zip(tensors, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offset, offset + s)
-            t._accum(g[tuple(sl)])
-            offset += s
-
-    out._backward = backward
-    return out
+def _node(data, parents, backward):
+    """An op output: a graph node, not checked for finiteness."""
+    return Tensor(data, parents, backward, check=False)
 
 
 def _scatter_rows(idx, values, n):
@@ -156,108 +83,186 @@ def _scatter_rows(idx, values, n):
     if values.ndim == 1:
         return np.bincount(idx, weights=values, minlength=n)
     width = values.shape[1]
-    flat = (idx[:, None] * width + np.arange(width)).ravel()
+    flat = ((idx * width)[:, None] + np.arange(width)).ravel()
     return np.bincount(flat, weights=values.ravel(), minlength=n * width).reshape(n, width)
 
 
-def gather_rows(a, idx):
-    """Select rows (entries, if 1-D) of a 1-D or 2-D tensor, e.g. embedding
-    rows by node id; backward sums the gradients of repeated rows."""
-    if a.data.ndim not in (1, 2):
-        raise ShapeError(f"gather_rows needs a 1-D or 2-D tensor, got {a.data.shape}")
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(a.data[idx], parents=(a,))
+def _leaky_relu_(y, slope):
+    """Leaky ReLU in place: y * 1 above zero, y * slope at or below it."""
+    return np.maximum(y, slope * y, out=y)
+
+
+def _leaky_grad(g, y, slope):
+    """Gradient through a leaky ReLU from its output (same sign as its input)."""
+    return g * np.where(y > 0, 1.0, slope)
+
+
+# ----------------------------------------------- generic ops (for losses)
+
+
+def mul(a, b):
+    """Elementwise product of two same-shape tensors; grad checks build their
+    scalar losses over Q-values from this and `sum_all`."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"mul needs equal shapes, got {a.data.shape} and {b.data.shape}")
 
     def backward(g):
-        a._accum(_scatter_rows(idx, g, a.data.shape[0]))
+        a._accum(g * b.data)
+        b._accum(g * a.data)
 
-    out._backward = backward
-    return out
+    return _node(a.data * b.data, (a, b), backward)
 
 
 def sum_all(a):
-    out = Tensor(a.data.sum(), parents=(a,))
+    return _node(a.data.sum(), (a,), lambda g: a._accum(np.broadcast_to(g, a.data.shape).copy()))
+
+
+# ------------------------------------------------------------ fused layers
+
+
+def reshape(a, shape, grad=True):
+    out = value(a).reshape(shape)
+    if not grad:
+        return out
+    return _node(out, (a,), lambda g: a._accum(g.reshape(a.data.shape)))
+
+
+def concat_features(a, features, grad=True):
+    """Columns of `a` followed by the constant columns of `features`."""
+    out = np.concatenate([value(a)] + list(features), axis=1)
+    if not grad:
+        return out
+    width = a.data.shape[1]
+    return _node(out, (a,), lambda g: a._accum(g[:, :width]))
+
+
+def pair_rows(a, ends, side_by_side, grad=True):
+    """Rows ends[:, 0] and ends[:, 1] of a 2-D tensor, side by side or summed."""
+    data = value(a)
+    u, v = data[ends[:, 0]], data[ends[:, 1]]
+    out = np.concatenate([u, v], axis=1) if side_by_side else u + v
+    if not grad:
+        return out
+    n, width = data.shape
 
     def backward(g):
-        a._accum(np.broadcast_to(g, a.data.shape).copy())
+        gu, gv = (g[:, :width], g[:, width:]) if side_by_side else (g, g)
+        a._accum(_scatter_rows(ends[:, 0], gu, n))
+        a._accum(_scatter_rows(ends[:, 1], gv, n))
 
-    out._backward = backward
-    return out
-
-
-def mean_all(a):
-    n = a.data.size
-    out = Tensor(a.data.mean(), parents=(a,))
-
-    def backward(g):
-        a._accum(np.broadcast_to(g / n, a.data.shape).copy())
-
-    out._backward = backward
-    return out
-
-
-def leaky_relu(a, slope=0.01):
-    mask = np.where(a.data > 0, 1.0, slope)
-    out = Tensor(a.data * mask, parents=(a,))
-
-    def backward(g):
-        a._accum(g * mask)
-
-    out._backward = backward
-    return out
-
-
-def segment_softmax(a, segments, num_segments):
-    """Softmax of a 1-D tensor within each segment id."""
-    segments = np.asarray(segments, dtype=np.int64)
-    if a.data.ndim != 1 or segments.shape != a.data.shape:
-        raise ShapeError(f"segment_softmax needs matching 1-D shapes, got {a.data.shape} and {segments.shape}")
-    seg_max = np.full(num_segments, -np.inf)
-    np.maximum.at(seg_max, segments, a.data)
-    e = np.exp(a.data - seg_max[segments])
-    seg_sum = np.bincount(segments, weights=e, minlength=num_segments)
-    p = e / seg_sum[segments]
-    out = Tensor(p, parents=(a,))
-
-    def backward(g):
-        dot = np.bincount(segments, weights=g * p, minlength=num_segments)
-        a._accum(p * (g - dot[segments]))
-
-    out._backward = backward
-    return out
-
-
-def segment_sum(a, segments, num_segments):
-    """Sum rows of a 2-D tensor into per-segment totals."""
-    segments = np.asarray(segments, dtype=np.int64)
-    out = Tensor(_scatter_rows(segments, a.data, num_segments), parents=(a,))
-
-    def backward(g):
-        a._accum(g[segments])
-
-    out._backward = backward
-    return out
-
-
-# --------------------------------------------------------------------- layers
+    return _node(out, (a,), backward)
 
 
 class Linear:
-    """y = x @ W + b with fan-in-scaled uniform init."""
+    """y = x @ W + b with fan-in-scaled uniform init; called with a `slope`,
+    the leaky ReLU of that in the same node."""
 
     def __init__(self, in_dim, out_dim, rng, bias=True, name="linear"):
         bound = 1.0 / math.sqrt(in_dim)
         self.W = Tensor(rng.uniform(-bound, bound, size=(in_dim, out_dim)), name=f"{name}.W")
         self.b = Tensor(rng.uniform(-bound, bound, size=(out_dim,)), name=f"{name}.b") if bias else None
 
-    def __call__(self, x):
-        y = matmul(x, self.W)
+    def __call__(self, x, slope=None, grad=True):
+        xd = value(x)
+        y = xd @ self.W.data
         if self.b is not None:
-            y = add(y, self.b)
-        return y
+            y += self.b.data
+        if slope is not None:
+            _leaky_relu_(y, slope)
+        if not grad:
+            return y
+        W, b = self.W, self.b
+
+        def backward(g):
+            if slope is not None:
+                g = _leaky_grad(g, y, slope)
+            if b is not None:
+                b._accum(g.sum(axis=0))
+            x._accum(g @ W.data.T)
+            W._accum(xd.T @ g)
+
+        return _node(y, (x, W) if b is None else (x, W, b), backward)
 
     def parameters(self):
         return [self.W] + ([self.b] if self.b is not None else [])
+
+
+class Neighborhoods:
+    """Closed neighborhoods in CSR form, segment i being hood[ptr[i]:ptr[i + 1]]
+    with its center first, and the gather indices attention needs over them:
+    each distinct node once (`uniq`), each entry's row in `uniq` (`rows`) and
+    its center's row (`center`)."""
+
+    def __init__(self, ptr, hood):
+        self.ptr = ptr
+        self.lens = np.diff(ptr)
+        self.count = len(ptr) - 1
+        self.segments = np.repeat(np.arange(self.count), self.lens)
+        self.uniq, self.rows = np.unique(hood, return_inverse=True)
+        self.center = np.repeat(self.rows[ptr[:-1]], self.lens)
+        # CSR (indices, indptr) of the entries' rows in uniq, as the int32
+        # that scipy would otherwise convert them to on every pass
+        self.csr = self.rows.astype(np.int32), ptr.astype(np.int32)
+
+
+def graph_attention(table, proj, score, hoods, slope, grad=True):
+    """Single-head attention over `hoods` (a Neighborhoods) as one node.
+
+    Entry j of segment i, node n, is projected as table[n] @ proj.W and
+    scored leaky_relu([center, entry] @ score.W + score.b); each segment
+    returns the softmax-weighted sum of its entries' projections.
+    """
+    W, d, k = score.W.data, proj.W.data.shape[1], len(hoods.uniq)
+    gathered = table.data[hoods.uniq]
+    p_uniq = gathered @ proj.W.data
+    # the score of a [center, entry] row is one dot product per half of
+    # score.W: take both per distinct node, then gather
+    s_center, s_nbr = p_uniq @ W[:d], p_uniq @ W[d:]
+    s = s_center[hoods.center] + s_nbr[hoods.rows]
+    s += score.b.data
+    s = _leaky_relu_(s.reshape(-1), slope)
+    e = np.exp(s - np.repeat(np.maximum.reduceat(s, hoods.ptr[:-1]), hoods.lens))
+    att = e / np.repeat(np.bincount(hoods.segments, weights=e, minlength=hoods.count),
+                        hoods.lens)
+    # the weighted sums as a sparse product: scipy adds each att * p_uniq row
+    # to a zeroed row in stored (entry) order, as a bincount over the
+    # products would, without building the (entries, d) product array
+    weights = csr_matrix((att, *hoods.csr), shape=(hoods.count, k))
+    out = weights @ p_uniq
+    if not grad:
+        return out
+
+    def backward(g):
+        d_att = (g[hoods.segments] * p_uniq[hoods.rows]).sum(axis=1)
+        dot = np.bincount(hoods.segments, weights=d_att * att, minlength=hoods.count)
+        d_s = _leaky_grad(att * (d_att - dot[hoods.segments]), s, slope).reshape(-1, 1)
+        score.b._accum(d_s.sum(axis=0))
+        d_center = _scatter_rows(hoods.center, d_s[:, 0], k)[:, None]
+        d_nbr = _scatter_rows(hoods.rows, d_s[:, 0], k)[:, None]
+        # proj's three gradient terms, added in the order the op-by-op graph
+        # (tests/oracles.py) added them, so that training stays bit-identical;
+        # the transposed product adds each entry's att * g row to its node in
+        # entry order, as that graph's bincount did
+        d_proj = weights.T @ g
+        d_proj = d_proj + d_nbr * W[d:, 0]
+        d_proj = d_proj + d_center * W[:d, 0]
+        score.W._accum(np.concatenate([p_uniq.T @ d_center, p_uniq.T @ d_nbr]))
+        proj.W._accum(gathered.T @ d_proj)
+        table._accum(_scatter_rows(hoods.uniq, d_proj @ proj.W.data.T, table.data.shape[0]))
+
+    return _node(out, (table, proj.W, score.W, score.b), backward)
+
+
+def weighted_mse(pred, rows, targets, weights):
+    """mean(weights * (pred[rows] - targets) ** 2) as one node, checked for
+    finiteness, and the errors pred[rows] - targets."""
+    diff = pred.data[rows] - targets
+
+    def backward(g):
+        g_sq = np.broadcast_to(g / diff.size, diff.shape) * weights
+        pred._accum(_scatter_rows(rows, g_sq * diff + g_sq * diff, pred.data.shape[0]))
+
+    return Tensor((weights * (diff * diff)).mean(), (pred,), backward, name="loss"), diff
 
 
 # ------------------------------------------------------------------ optimizer
@@ -277,9 +282,13 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
+        """One update; raises before moving any parameter if a gradient is
+        missing or not finite."""
         for p in self.params:
             if p.grad is None:
                 raise PruneRLError(f"missing gradient for parameter {p.name}")
+            if not np.isfinite(p.grad).all():
+                raise PruneRLError(f"non-finite gradient for parameter {p.name}")
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count

@@ -20,6 +20,33 @@ ATTENTION_SLOPE = 0.2  # leaky slope inside attention scoring
 HIDDEN_SLOPE = 0.01  # leaky slope in the encoder MLPs
 
 
+class SubgraphUnion:
+    """The disjoint union of candidate subgraphs as one graph's index arrays,
+    built once and shared by every pass over the same subgraphs."""
+
+    def __init__(self, subs):
+        if not subs or any(len(s) == 0 for s in subs):
+            raise PruneRLError("q_forward needs nonempty candidate subgraphs")
+        counts = [len(s) for s in subs]
+        self.offsets = np.cumsum([0] + counts)
+        if len(subs) == 1:
+            (s,) = subs
+            self.hoods = nnet.Neighborhoods(s.hood_ptr, s.hood)
+            self.node_degrees, self.ends = s.node_degrees, s.ends
+            self.ratio = np.full((len(s.nodes), 1), s.edge_ratio)
+            return
+        sizes = [len(s.nodes) for s in subs]
+        hood_base = np.cumsum([0] + [len(s.hood) for s in subs[:-1]])
+        hood_ends = np.concatenate([s.hood_ptr[1:] for s in subs]) + np.repeat(hood_base, sizes)
+        self.hoods = nnet.Neighborhoods(np.concatenate([[0], hood_ends]),
+                                        np.concatenate([s.hood for s in subs]))
+        self.node_degrees = np.concatenate([s.node_degrees for s in subs])
+        self.ratio = np.repeat([s.edge_ratio for s in subs], sizes)[:, None]
+        # each item's endpoint rows, shifted past the nodes of the items before it
+        node_base = np.cumsum([0] + sizes[:-1])
+        self.ends = np.concatenate([s.ends for s in subs]) + np.repeat(node_base, counts)[:, None]
+
+
 class QModel:
     """Q-value function over candidate prune edges of one fixed graph.
 
@@ -69,66 +96,43 @@ class QModel:
 
     # ------------------------------------------------------------------ layers
 
-    def gat_encode(self, hood_ptr, hood):
+    def gat_encode(self, hood_ptr, hood, grad=True):
         """Attention-weighted aggregation over closed 1-hop neighborhoods:
         node i attends over CSR segment `hood[hood_ptr[i]:hood_ptr[i + 1]]`,
         itself (listed first) included, so an isolated node attends only to
-        itself. Returns a Tensor of shape (len(hood_ptr) - 1, emb_dim)."""
-        count = len(hood_ptr) - 1
-        segments = np.repeat(np.arange(count), np.diff(hood_ptr))
-        uniq, rows = np.unique(hood, return_inverse=True)
-        proj = self.gat_proj(nnet.gather_rows(self.embeddings, uniq))
-        proj_nbrs = nnet.gather_rows(proj, rows)
-        # gat_score of a [center, neighbor] row is one dot product per half
-        # of its weights: take both per distinct node, then gather
-        w, d = self.gat_score.W, self.emb_dim
-        center_part = nnet.matmul(proj, nnet.gather_rows(w, np.arange(d)))
-        nbr_part = nnet.matmul(proj, nnet.gather_rows(w, np.arange(d, 2 * d)))
-        scores = nnet.add(nnet.gather_rows(center_part, rows[hood_ptr[:-1]][segments]),
-                          nnet.gather_rows(nbr_part, rows))
-        scores = nnet.reshape(nnet.add(scores, self.gat_score.b), (-1,))
-        scores = nnet.leaky_relu(scores, ATTENTION_SLOPE)
-        weights = nnet.segment_softmax(scores, segments, count)
-        weighted = nnet.mul(nnet.reshape(weights, (-1, 1)), proj_nbrs)
-        return nnet.segment_sum(weighted, segments, count)
+        itself. Returns shape (len(hood_ptr) - 1, emb_dim): a Tensor, or with
+        grad=False an array."""
+        return self._attend(nnet.Neighborhoods(hood_ptr, hood), grad)
 
-    def q_forward_batch(self, subs):
-        """Q-values of several candidate subgraphs in one pass over their
-        disjoint union: (Tensor of every Q-value, offsets), the values of
-        subs[i] being entries offsets[i]:offsets[i + 1]. Neighborhoods,
-        degrees, and the edge ratio come from each subgraph's snapshot, so
-        replayed states stay evaluable after further pruning.
+    def _attend(self, hoods, grad):
+        return nnet.graph_attention(self.embeddings, self.gat_proj, self.gat_score, hoods,
+                                    ATTENTION_SLOPE, grad)
+
+    def q_forward_batch(self, subs, grad=True):
+        """Q-values of several candidate subgraphs (a list, or their
+        SubgraphUnion) in one pass over their disjoint union: (Tensor of every
+        Q-value, offsets), the values of subs[i] being entries
+        offsets[i]:offsets[i + 1]. Neighborhoods, degrees, and the edge ratio
+        come from each subgraph's snapshot, so replayed states stay evaluable
+        after further pruning.
+
+        With grad=False the pass records no graph, and its Q-values, equal
+        bit for bit to a recording pass's, are checked for finiteness.
         """
-        if not subs or any(len(s) == 0 for s in subs):
-            raise PruneRLError("q_forward needs nonempty candidate subgraphs")
-        sizes = [len(s.nodes) for s in subs]
-        hood_base = np.cumsum([0] + [len(s.hood) for s in subs[:-1]])
-        hood_ends = np.concatenate([s.hood_ptr[1:] for s in subs]) + np.repeat(hood_base, sizes)
-        gat_out = self.gat_encode(np.concatenate([[0], hood_ends]),
-                                  np.concatenate([s.hood for s in subs]))
-        degs = np.concatenate([s.node_degrees for s in subs])
-        degs = degs / max(1, self.node_count - 1)  # feature scaling only
-        ratio = np.repeat([s.edge_ratio for s in subs], sizes)[:, None]
-        x = nnet.concat([gat_out, Tensor(degs), Tensor(ratio)], axis=1)
-        h = nnet.leaky_relu(self.node_fc1(x), HIDDEN_SLOPE)
-        enc = nnet.leaky_relu(self.node_fc2(h), HIDDEN_SLOPE)
+        u = subs if isinstance(subs, SubgraphUnion) else SubgraphUnion(subs)
+        gat_out = self._attend(u.hoods, grad)
+        degs = u.node_degrees / max(1, self.node_count - 1)  # feature scaling only
+        x = nnet.concat_features(gat_out, (degs, u.ratio), grad)
+        h = self.node_fc1(x, HIDDEN_SLOPE, grad)
+        enc = self.node_fc2(h, HIDDEN_SLOPE, grad)
+        # order-insensitive when undirected: Q(u,v) = Q(v,u)
+        pair = nnet.pair_rows(enc, u.ends, self.directed, grad)
+        h = self.edge_fc1(pair, HIDDEN_SLOPE, grad)
+        h = self.edge_fc2(h, HIDDEN_SLOPE, grad)
+        q = nnet.reshape(self.head(h, grad=grad), (-1,), grad)
+        return (q if grad else Tensor(q, name="q")), u.offsets
 
-        # each item's endpoint rows, shifted past the nodes of the items before it
-        counts = [len(s) for s in subs]
-        node_base = np.cumsum([0] + sizes[:-1])
-        ends = np.concatenate([s.ends for s in subs]) + np.repeat(node_base, counts)[:, None]
-        enc_u = nnet.gather_rows(enc, ends[:, 0])
-        enc_v = nnet.gather_rows(enc, ends[:, 1])
-        if self.directed:
-            pair = nnet.concat([enc_u, enc_v], axis=1)
-        else:
-            pair = nnet.add(enc_u, enc_v)  # order-insensitive: Q(u,v) = Q(v,u)
-        h = nnet.leaky_relu(self.edge_fc1(pair), HIDDEN_SLOPE)
-        h = nnet.leaky_relu(self.edge_fc2(h), HIDDEN_SLOPE)
-        q = nnet.reshape(self.head(h), (-1,))
-        return q, np.cumsum([0] + counts)
-
-    def q_forward(self, sub, require_live_in=None):
+    def q_forward(self, sub, require_live_in=None, grad=True):
         """Q-value per candidate edge; Tensor of shape (len(sub),).
 
         Pass a graph as `require_live_in` to reject stale snapshots (acting
@@ -138,7 +142,7 @@ class QModel:
             dead = sub.eids[~require_live_in.alive[sub.eids]]
             if dead.size:
                 raise DeadEdgeError(f"stale candidate edge id {dead[0]}")
-        return self.q_forward_batch([sub])[0]
+        return self.q_forward_batch([sub], grad)[0]
 
     # -------------------------------------------------------------- checkpoint
 

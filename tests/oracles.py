@@ -1,9 +1,13 @@
 """Reference implementations that tests compare the fast code against.
 
-`q_forward_oracle` scores one candidate subgraph at a time, projecting and
-scoring every (center, neighbor) row of the attention layer on its own;
-`double_dqn_target_oracle` makes two forward passes per transition. They are
-the per-item forms of `QModel.q_forward_batch` and `agent.double_dqn_target`.
+The op-by-op autodiff below (one graph node per matmul, add, gather, leaky
+ReLU, softmax, ...) is the form the fused layers of `prunerl.nnet` replaced.
+On it, `q_forward_batch_oracle` and `train_step_oracle` are the op-by-op
+forms of `QModel.q_forward_batch` and `Agent.train_step`, and must agree
+with them bit for bit; `q_forward_oracle` scores one candidate subgraph at a
+time, projecting and scoring every (center, neighbor) row of the attention
+layer on its own, and `double_dqn_target_oracle` makes two forward passes
+per transition.
 
 The graph kernels below walk a dict-of-dicts adjacency in Python, rebuilt
 from the live edges in edge id order: the forms of `metrics.pagerank`,
@@ -17,10 +21,239 @@ import math
 
 import numpy as np
 
-from prunerl import nnet
+from prunerl.errors import PruneRLError, ShapeError
 from prunerl.metrics import Partition, modularity
-from prunerl.nnet import Tensor
+from prunerl.nnet import Tensor, _scatter_rows
 from prunerl.qmodel import ATTENTION_SLOPE, HIDDEN_SLOPE
+
+
+# ------------------------------------------------------- op-by-op autodiff
+# Every output is a checked Tensor, as every op output once was.
+
+
+def _unbroadcast(grad, shape):
+    """Sum grad down to `shape` (reverses numpy broadcasting)."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and grad.shape[ax] != 1:
+            grad = grad.sum(axis=ax, keepdims=True)
+    return grad.reshape(shape)
+
+
+def add(a, b):
+    out = Tensor(a.data + b.data, parents=(a, b))
+
+    def backward(g):
+        a._accum(_unbroadcast(g, a.data.shape))
+        b._accum(_unbroadcast(g, b.data.shape))
+
+    out._backward = backward
+    return out
+
+
+def mul(a, b):
+    out = Tensor(a.data * b.data, parents=(a, b))
+
+    def backward(g):
+        a._accum(_unbroadcast(g * b.data, a.data.shape))
+        b._accum(_unbroadcast(g * a.data, b.data.shape))
+
+    out._backward = backward
+    return out
+
+
+def sub(a, b):
+    """a - b as the removed `Tensor.__sub__` built it: a + b * -1."""
+    return add(a, mul(b, Tensor(-1.0)))
+
+
+def matmul(a, b):
+    if a.data.shape[-1] != b.data.shape[0]:
+        raise ShapeError(f"matmul mismatch: {a.data.shape} @ {b.data.shape}")
+    out = Tensor(a.data @ b.data, parents=(a, b))
+
+    def backward(g):
+        a._accum(g @ b.data.T)
+        b._accum(a.data.T @ g)
+
+    out._backward = backward
+    return out
+
+
+def reshape(a, shape):
+    out = Tensor(a.data.reshape(shape), parents=(a,))
+
+    def backward(g):
+        a._accum(g.reshape(a.data.shape))
+
+    out._backward = backward
+    return out
+
+
+def concat(tensors, axis=1):
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), parents=tuple(tensors))
+    sizes = [t.data.shape[axis] for t in tensors]
+
+    def backward(g):
+        offset = 0
+        for t, s in zip(tensors, sizes):
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(offset, offset + s)
+            t._accum(g[tuple(sl)])
+            offset += s
+
+    out._backward = backward
+    return out
+
+
+def gather_rows(a, idx):
+    """Select rows (entries, if 1-D) of a 1-D or 2-D tensor, e.g. embedding
+    rows by node id; backward sums the gradients of repeated rows."""
+    if a.data.ndim not in (1, 2):
+        raise ShapeError(f"gather_rows needs a 1-D or 2-D tensor, got {a.data.shape}")
+    idx = np.asarray(idx, dtype=np.int64)
+    out = Tensor(a.data[idx], parents=(a,))
+
+    def backward(g):
+        a._accum(_scatter_rows(idx, g, a.data.shape[0]))
+
+    out._backward = backward
+    return out
+
+
+def mean_all(a):
+    n = a.data.size
+    out = Tensor(a.data.mean(), parents=(a,))
+
+    def backward(g):
+        a._accum(np.broadcast_to(g / n, a.data.shape).copy())
+
+    out._backward = backward
+    return out
+
+
+def leaky_relu(a, slope=0.01):
+    mask = np.where(a.data > 0, 1.0, slope)
+    out = Tensor(a.data * mask, parents=(a,))
+
+    def backward(g):
+        a._accum(g * mask)
+
+    out._backward = backward
+    return out
+
+
+def segment_softmax(a, segments, num_segments):
+    """Softmax of a 1-D tensor within each segment id."""
+    segments = np.asarray(segments, dtype=np.int64)
+    if a.data.ndim != 1 or segments.shape != a.data.shape:
+        raise ShapeError(f"segment_softmax needs matching 1-D shapes, got {a.data.shape} and {segments.shape}")
+    seg_max = np.full(num_segments, -np.inf)
+    np.maximum.at(seg_max, segments, a.data)
+    e = np.exp(a.data - seg_max[segments])
+    seg_sum = np.bincount(segments, weights=e, minlength=num_segments)
+    p = e / seg_sum[segments]
+    out = Tensor(p, parents=(a,))
+
+    def backward(g):
+        dot = np.bincount(segments, weights=g * p, minlength=num_segments)
+        a._accum(p * (g - dot[segments]))
+
+    out._backward = backward
+    return out
+
+
+def segment_sum(a, segments, num_segments):
+    """Sum rows of a 2-D tensor into per-segment totals."""
+    segments = np.asarray(segments, dtype=np.int64)
+    out = Tensor(_scatter_rows(segments, a.data, num_segments), parents=(a,))
+
+    def backward(g):
+        a._accum(g[segments])
+
+    out._backward = backward
+    return out
+
+
+def linear(layer, x):
+    """x @ W + b of an `nnet.Linear`, as a matmul node and an add node."""
+    y = matmul(x, layer.W)
+    return y if layer.b is None else add(y, layer.b)
+
+
+# ------------------------------------------------------------- Q-network
+
+
+def gat_encode_oracle(model, hood_ptr, hood):
+    """`QModel.gat_encode`, op by op."""
+    count = len(hood_ptr) - 1
+    segments = np.repeat(np.arange(count), np.diff(hood_ptr))
+    uniq, rows = np.unique(hood, return_inverse=True)
+    proj = linear(model.gat_proj, gather_rows(model.embeddings, uniq))
+    proj_nbrs = gather_rows(proj, rows)
+    w, d = model.gat_score.W, model.emb_dim
+    center_part = matmul(proj, gather_rows(w, np.arange(d)))
+    nbr_part = matmul(proj, gather_rows(w, np.arange(d, 2 * d)))
+    scores = add(gather_rows(center_part, rows[hood_ptr[:-1]][segments]),
+                 gather_rows(nbr_part, rows))
+    scores = reshape(add(scores, model.gat_score.b), (-1,))
+    scores = leaky_relu(scores, ATTENTION_SLOPE)
+    weights = segment_softmax(scores, segments, count)
+    weighted = mul(reshape(weights, (-1, 1)), proj_nbrs)
+    return segment_sum(weighted, segments, count)
+
+
+def q_forward_batch_oracle(model, subs):
+    """`QModel.q_forward_batch` (recording), op by op."""
+    if not subs or any(len(s) == 0 for s in subs):
+        raise PruneRLError("q_forward needs nonempty candidate subgraphs")
+    sizes = [len(s.nodes) for s in subs]
+    hood_base = np.cumsum([0] + [len(s.hood) for s in subs[:-1]])
+    hood_ends = np.concatenate([s.hood_ptr[1:] for s in subs]) + np.repeat(hood_base, sizes)
+    gat_out = gat_encode_oracle(model, np.concatenate([[0], hood_ends]),
+                                np.concatenate([s.hood for s in subs]))
+    degs = np.concatenate([s.node_degrees for s in subs])
+    degs = degs / max(1, model.node_count - 1)
+    ratio = np.repeat([s.edge_ratio for s in subs], sizes)[:, None]
+    x = concat([gat_out, Tensor(degs), Tensor(ratio)], axis=1)
+    h = leaky_relu(linear(model.node_fc1, x), HIDDEN_SLOPE)
+    enc = leaky_relu(linear(model.node_fc2, h), HIDDEN_SLOPE)
+    counts = [len(s) for s in subs]
+    node_base = np.cumsum([0] + sizes[:-1])
+    ends = np.concatenate([s.ends for s in subs]) + np.repeat(node_base, counts)[:, None]
+    enc_u = gather_rows(enc, ends[:, 0])
+    enc_v = gather_rows(enc, ends[:, 1])
+    pair = concat([enc_u, enc_v], axis=1) if model.directed else add(enc_u, enc_v)
+    h = leaky_relu(linear(model.edge_fc1, pair), HIDDEN_SLOPE)
+    h = leaky_relu(linear(model.edge_fc2, h), HIDDEN_SLOPE)
+    return reshape(linear(model.head, h), (-1,)), np.cumsum([0] + counts)
+
+
+def train_step_oracle(agent, rng):
+    """`Agent.train_step`, op by op, with its targets from two op-by-op
+    passes over the next states."""
+    cfg = agent.config
+    idx, batch, weights = agent.buffer.sample(cfg.batch_size, rng)
+    targets = np.array([tr.reward for tr in batch], dtype=np.float64)
+    live = [i for i, tr in enumerate(batch) if not tr.done]
+    if live:
+        next_states = [batch[i].next_state for i in live]
+        q, offsets = q_forward_batch_oracle(agent.policy, next_states)
+        best = [lo + int(np.argmax(q.data[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        targets[live] += cfg.gamma * q_forward_batch_oracle(agent.target, next_states)[0].data[best]
+
+    q, offsets = q_forward_batch_oracle(agent.policy, [tr.state for tr in batch])
+    pred = gather_rows(q, offsets[:-1] + [tr.action for tr in batch])
+    diff = sub(pred, Tensor(targets))
+    loss = mean_all(mul(Tensor(weights), mul(diff, diff)))
+    agent.optimizer.zero_grad()
+    loss.backward()
+    agent.optimizer.step()
+    agent.buffer.update_priorities(idx, diff.data.copy())
+    agent.target.soft_update_from(agent.policy, cfg.soft_update_rate)
+    agent.update_steps += 1
+    return float(loss.data), diff.data
 
 
 def snapshot_dicts(sub):
@@ -39,13 +272,13 @@ def gat_node_encode_oracle(model, neighborhoods, nodes):
         centers.extend([n] * len(hood))
         nbrs.extend(hood)
         segments.extend([i] * len(hood))
-    proj_centers = model.gat_proj(nnet.gather_rows(model.embeddings, centers))
-    proj_nbrs = model.gat_proj(nnet.gather_rows(model.embeddings, nbrs))
-    scores = model.gat_score(nnet.concat([proj_centers, proj_nbrs], axis=1))
-    scores = nnet.leaky_relu(nnet.reshape(scores, (-1,)), ATTENTION_SLOPE)
-    weights = nnet.segment_softmax(scores, segments, len(nodes))
-    weighted = nnet.mul(nnet.reshape(weights, (-1, 1)), proj_nbrs)
-    return nnet.segment_sum(weighted, segments, len(nodes))
+    proj_centers = linear(model.gat_proj, gather_rows(model.embeddings, centers))
+    proj_nbrs = linear(model.gat_proj, gather_rows(model.embeddings, nbrs))
+    scores = linear(model.gat_score, concat([proj_centers, proj_nbrs], axis=1))
+    scores = leaky_relu(reshape(scores, (-1,)), ATTENTION_SLOPE)
+    weights = segment_softmax(scores, segments, len(nodes))
+    weighted = mul(reshape(weights, (-1, 1)), proj_nbrs)
+    return segment_sum(weighted, segments, len(nodes))
 
 
 def q_forward_oracle(model, sub):
@@ -58,18 +291,18 @@ def q_forward_oracle(model, sub):
     degs = np.array([node_degrees[n] for n in nodes], dtype=np.float64)
     degs = degs / max(1, model.node_count - 1)
     ratio = np.full((len(nodes), 1), sub.edge_ratio)
-    x = nnet.concat([gat_out, Tensor(degs), Tensor(ratio)], axis=1)
-    h = nnet.leaky_relu(model.node_fc1(x), HIDDEN_SLOPE)
-    enc = nnet.leaky_relu(model.node_fc2(h), HIDDEN_SLOPE)
-    enc_u = nnet.gather_rows(enc, [pos[u] for u, _ in pairs])
-    enc_v = nnet.gather_rows(enc, [pos[v] for _, v in pairs])
+    x = concat([gat_out, Tensor(degs), Tensor(ratio)], axis=1)
+    h = leaky_relu(linear(model.node_fc1, x), HIDDEN_SLOPE)
+    enc = leaky_relu(linear(model.node_fc2, h), HIDDEN_SLOPE)
+    enc_u = gather_rows(enc, [pos[u] for u, _ in pairs])
+    enc_v = gather_rows(enc, [pos[v] for _, v in pairs])
     if model.directed:
-        pair = nnet.concat([enc_u, enc_v], axis=1)
+        pair = concat([enc_u, enc_v], axis=1)
     else:
-        pair = nnet.add(enc_u, enc_v)
-    h = nnet.leaky_relu(model.edge_fc1(pair), HIDDEN_SLOPE)
-    h = nnet.leaky_relu(model.edge_fc2(h), HIDDEN_SLOPE)
-    return nnet.reshape(model.head(h), (-1,))
+        pair = add(enc_u, enc_v)
+    h = leaky_relu(linear(model.edge_fc1, pair), HIDDEN_SLOPE)
+    h = leaky_relu(linear(model.edge_fc2, h), HIDDEN_SLOPE)
+    return reshape(linear(model.head, h), (-1,))
 
 
 def double_dqn_target_oracle(batch, policy, target, gamma):

@@ -12,12 +12,14 @@ from prunerl.agent import (
 )
 from prunerl.errors import PruneRLError
 from prunerl.graph import Graph, load_edge_list
-from prunerl.qmodel import QModel
+from prunerl.qmodel import QModel, SubgraphUnion
 from prunerl.replay import Transition
 from prunerl.rewards import PagerankReward, SpspReward
 
+import oracles
 from conftest import complete_graph
-from oracles import double_dqn_target_oracle, q_forward_oracle
+from oracles import (double_dqn_target_oracle, q_forward_batch_oracle, q_forward_oracle,
+                     train_step_oracle)
 
 SMALL = dict(emb_dim=8, hidden_dim=16, train_subgraph_len=8, batch_size=8)
 
@@ -159,12 +161,138 @@ class TestBatchedQNet:
             return out
 
         q, offsets = model.q_forward_batch([tr.state for tr in batch])
-        batched = grads(nnet.gather_rows(q, offsets[:-1] + actions))
-        per_item = grads(nnet.concat([
-            nnet.gather_rows(q_forward_oracle(model, tr.state), [tr.action])
+        batched = grads(oracles.gather_rows(q, offsets[:-1] + actions))
+        per_item = grads(oracles.concat([
+            oracles.gather_rows(q_forward_oracle(model, tr.state), [tr.action])
             for tr in batch], axis=0))
         for a, b in zip(batched, per_item):
             assert np.allclose(a, b, rtol=0, atol=1e-10)
+
+
+class TestNoGradPass:
+    """grad=False runs the same forward, records no graph, and returns the
+    recording pass's Q-values bit for bit."""
+
+    def test_karate_replay_batch(self, karate, rng):
+        model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
+        batch = replay_batch(karate, rng)
+        subs = [tr.state for tr in batch] + [tr.next_state for tr in batch]
+        q, offsets = model.q_forward_batch(subs)
+        q0, offsets0 = model.q_forward_batch(subs, grad=False)
+        assert np.array_equal(q0.data, q.data)
+        assert np.array_equal(offsets0, offsets)
+        assert q0._parents == () and q0._backward is None
+        assert np.array_equal(q.data, q_forward_batch_oracle(model, subs)[0].data)
+
+    def test_single_subgraph(self, karate, rng):
+        model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
+        g = karate.copy()
+        g.random_prune(20, rng)
+        for k in (1, 8, 32):
+            sub = g.sample_subgraph(k, rng)
+            q = model.q_forward(sub, require_live_in=g, grad=False).data
+            assert np.array_equal(q, model.q_forward(sub).data)
+            assert np.array_equal(q, q_forward_batch_oracle(model, [sub])[0].data)
+
+    def test_directed_graph(self, rng):
+        g = directed_graph()
+        model = QModel(6, directed=True, emb_dim=4, hidden_dim=8, rng=rng)
+        subs = [g.sample_subgraph(k, rng) for k in (1, 3, 9, 5)]
+        q0 = model.q_forward_batch(subs, grad=False)[0].data
+        assert np.array_equal(q0, model.q_forward_batch(subs)[0].data)
+        assert np.array_equal(q0, q_forward_batch_oracle(model, subs)[0].data)
+
+    def test_shared_union_equals_separate_passes(self, karate, rng):
+        model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
+        subs = [tr.next_state for tr in replay_batch(karate, rng)]
+        union = SubgraphUnion(subs)
+        assert np.array_equal(model.q_forward_batch(union, grad=False)[0].data,
+                              model.q_forward_batch(subs, grad=False)[0].data)
+
+    def test_nonfinite_q_values_raise(self, karate, rng):
+        model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
+        model.head.b.data[0] = np.nan
+        with pytest.raises(PruneRLError, match="non-finite"):
+            model.q_forward(karate.sample_subgraph(8, rng), grad=False)
+
+
+def count_tensors(monkeypatch):
+    """Count Tensor constructions from here on."""
+    counter = {"n": 0}
+    init = nnet.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        counter["n"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(nnet.Tensor, "__init__", counting)
+    return counter
+
+
+def filled_agent(karate, seed=3):
+    """An agent on karate whose buffer holds at least one batch."""
+    agent = Agent(karate, AgentConfig(emb_dim=16, hidden_dim=32), rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    while len(agent.buffer) < agent.config.batch_size:
+        agent.run_episode(PagerankReward(karate), rng)
+    return agent
+
+
+class TestGraphSize:
+    def test_no_grad_pass_builds_one_tensor(self, karate, rng, monkeypatch):
+        model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
+        sub = karate.sample_subgraph(8, rng)
+        counter = count_tensors(monkeypatch)
+        model.q_forward(sub, grad=False)
+        assert counter["n"] <= 1
+
+    def test_train_step_builds_few_tensors(self, karate, monkeypatch):
+        agent = filled_agent(karate)
+        counter = count_tensors(monkeypatch)
+        agent.train_step(np.random.default_rng(5))
+        assert counter["n"] <= 20
+
+
+class TestFusedTraining:
+    def test_50_train_steps_equal_op_by_op_path(self, karate):
+        fused, oracle = filled_agent(karate), filled_agent(karate)
+        rng_f, rng_o = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(50):
+            loss_f, td_f = fused.train_step(rng_f)
+            loss_o, td_o = train_step_oracle(oracle, rng_o)
+            assert loss_f == loss_o
+            assert np.array_equal(td_f, td_o)
+        for a, b in zip(fused.policy.parameters() + fused.target.parameters(),
+                        oracle.policy.parameters() + oracle.target.parameters()):
+            assert np.array_equal(a.data, b.data)
+        for a, b in zip(fused.optimizer.m + fused.optimizer.v,
+                        oracle.optimizer.m + oracle.optimizer.v):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("all_done", [False, True])
+    def test_nan_parameter_raises_before_any_update(self, karate, all_done):
+        agent = filled_agent(karate)
+        if all_done:  # no target pass: the loss check must catch it
+            for tr in agent.buffer.data[:len(agent.buffer)]:
+                tr.done = True
+        agent.policy.node_fc2.W.data[0, 0] = np.nan
+        params = [p.data.copy() for p in agent.policy.parameters() + agent.target.parameters()]
+        m, v = [a.copy() for a in agent.optimizer.m], [a.copy() for a in agent.optimizer.v]
+        step_count, update_steps = agent.optimizer.step_count, agent.update_steps
+        with pytest.raises(PruneRLError, match="non-finite"):
+            agent.train_step(np.random.default_rng(5))
+        for p, before in zip(agent.policy.parameters() + agent.target.parameters(), params):
+            assert np.array_equal(p.data, before, equal_nan=True)
+        for a, before in zip(agent.optimizer.m + agent.optimizer.v, m + v):
+            assert np.array_equal(a, before)
+        assert agent.optimizer.step_count == step_count
+        assert agent.update_steps == update_steps
+
+    def test_nan_parameter_stops_sparsify(self, karate, rng):
+        agent = Agent(karate, AgentConfig(**SMALL), rng=rng)
+        agent.policy.embeddings.data[:] = np.nan
+        with pytest.raises(PruneRLError, match="non-finite"):
+            agent.sparsify(karate, 0.5, 8, rng)
 
 
 class TestSoftUpdate:

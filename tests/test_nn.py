@@ -5,22 +5,12 @@ import pytest
 
 from prunerl import nnet
 from prunerl.errors import PruneRLError, ShapeError
-from prunerl.nnet import (
-    Adam,
-    Linear,
-    Tensor,
-    add,
-    grad_check,
-    leaky_relu,
-    matmul,
-    mean_all,
-    segment_softmax,
-    segment_sum,
-    sum_all,
-)
-from prunerl.qmodel import ATTENTION_SLOPE, QModel
+from prunerl.nnet import Adam, Linear, Tensor, grad_check, sum_all
+from prunerl.qmodel import ATTENTION_SLOPE, HIDDEN_SLOPE, QModel
 
+import oracles
 from conftest import path_graph
+from oracles import add, leaky_relu, matmul, mean_all, segment_softmax, segment_sum
 
 
 class TestPrimitives:
@@ -53,7 +43,7 @@ class TestPrimitives:
     def test_gather_rows_rejects_other_ranks(self):
         for shape in ((), (2, 2, 2)):
             with pytest.raises(ShapeError):
-                nnet.gather_rows(Tensor(np.zeros(shape)), [0])
+                oracles.gather_rows(Tensor(np.zeros(shape)), [0])
 
     @pytest.mark.parametrize("shape", [(5,), (5, 3)])
     def test_scatters_equal_add_at(self, rng, shape):
@@ -61,7 +51,7 @@ class TestPrimitives:
         idx = rng.integers(0, 5, size=40)
         g = rng.standard_normal((40,) + shape[1:])
         x = Tensor(rng.standard_normal(shape))
-        loss = sum_all(nnet.mul(nnet.gather_rows(x, idx), Tensor(g)))
+        loss = sum_all(nnet.mul(oracles.gather_rows(x, idx), Tensor(g)))
         loss.backward()
         expected = np.zeros(shape)
         np.add.at(expected, idx, g)
@@ -93,7 +83,7 @@ class TestBackward:
         def model():
             h = leaky_relu(matmul(x, w1))
             # row-wise softmax of the (2, 2) logits, as two segments
-            logits = nnet.reshape(matmul(h, w2), (4,))
+            logits = oracles.reshape(matmul(h, w2), (4,))
             att = segment_softmax(logits, [0, 0, 1, 1], 2)
             return mean_all(nnet.mul(att, coef))
 
@@ -105,9 +95,9 @@ class TestBackward:
         ones = Tensor(np.ones((2, 1)))
 
         def model():
-            scores = nnet.reshape(matmul(w, ones), (7,))
+            scores = oracles.reshape(matmul(w, ones), (7,))
             att = segment_softmax(scores, seg, 3)
-            pooled = segment_sum(nnet.mul(nnet.reshape(att, (7, 1)), w), seg, 3)
+            pooled = segment_sum(oracles.mul(oracles.reshape(att, (7, 1)), w), seg, 3)
             return sum_all(leaky_relu(pooled, ATTENTION_SLOPE))
 
         assert grad_check(model, [w], rng=rng) < 1e-4
@@ -139,11 +129,94 @@ class TestBackward:
             grad_check(model, [w], rng=rng)
 
 
+def grads_of(out, params, rng):
+    """Gradients of sum(out * G) for a fixed random G, then cleared."""
+    for p in params:
+        p.zero_grad()
+    sum_all(nnet.mul(out, Tensor(rng.standard_normal(out.shape)))).backward()
+    grads = [p.grad.copy() for p in params]
+    for p in params:
+        p.zero_grad()
+    return grads
+
+
+class TestFusedLayers:
+    """Each fused node against the op-by-op graph it replaced: forward bit
+    for bit, gradients to 1e-10."""
+
+    def assert_matches(self, fused, oracle, params, seed=3):
+        assert np.array_equal(fused.data, oracle.data)
+        for a, b in zip(grads_of(fused, params, np.random.default_rng(seed)),
+                        grads_of(oracle, params, np.random.default_rng(seed))):
+            assert np.allclose(a, b, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("slope", [None, HIDDEN_SLOPE, ATTENTION_SLOPE])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_linear(self, rng, slope, bias):
+        layer = Linear(5, 4, rng, bias=bias)
+        x = Tensor(rng.standard_normal((7, 5)), name="x")
+        oracle = oracles.linear(layer, x)
+        if slope is not None:
+            oracle = leaky_relu(oracle, slope)
+        self.assert_matches(layer(x, slope), oracle, [x] + layer.parameters())
+        assert np.array_equal(layer(x, slope, grad=False), oracle.data)
+
+    def test_attention(self, rng):
+        model = QModel(9, emb_dim=5, hidden_dim=8, rng=rng)
+        rows = [[n, *sorted(rng.choice(np.delete(np.arange(9), n), size=int(rng.integers(0, 5)),
+                                       replace=False).tolist())] for n in (4, 0, 7, 2, 4, 8)]
+        ptr, hood = np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows)
+        params = [model.embeddings, model.gat_proj.W, model.gat_score.W, model.gat_score.b]
+        self.assert_matches(model.gat_encode(ptr, hood),
+                            oracles.gat_encode_oracle(model, ptr, hood), params)
+        assert np.array_equal(model.gat_encode(ptr, hood, grad=False),
+                              oracles.gat_encode_oracle(model, ptr, hood).data)
+
+    @pytest.mark.parametrize("side_by_side", [True, False])
+    def test_pair_rows(self, rng, side_by_side):
+        enc = Tensor(rng.standard_normal((6, 3)), name="enc")
+        ends = rng.integers(0, 6, size=(10, 2))
+        u, v = oracles.gather_rows(enc, ends[:, 0]), oracles.gather_rows(enc, ends[:, 1])
+        oracle = oracles.concat([u, v], axis=1) if side_by_side else add(u, v)
+        self.assert_matches(nnet.pair_rows(enc, ends, side_by_side), oracle, [enc])
+
+    def test_weighted_mse(self, rng):
+        pred = Tensor(rng.standard_normal(12), name="pred")
+        rows, targets, weights = np.array([0, 3, 4, 9, 11]), rng.standard_normal(5), rng.random(5)
+        loss, diff = nnet.weighted_mse(pred, rows, targets, weights)
+        oracle_diff = oracles.sub(oracles.gather_rows(pred, rows), Tensor(targets))
+        oracle = mean_all(oracles.mul(Tensor(weights), oracles.mul(oracle_diff, oracle_diff)))
+        assert np.array_equal(diff, oracle_diff.data)
+        self.assert_matches(loss, oracle, [pred])
+
+    def test_nonfinite_loss_rejected(self):
+        pred = Tensor(np.ones(3))
+        with pytest.raises(PruneRLError, match="loss"):
+            nnet.weighted_mse(pred, np.arange(3), np.array([0.0, np.inf, 0.0]), np.ones(3))
+
+    def test_op_outputs_are_not_checked(self):
+        layer = Linear(2, 1, np.random.default_rng(0))
+        layer.W.data[0, 0] = np.nan
+        out = layer(Tensor(np.ones((1, 2))))
+        assert np.isnan(out.data).all()
+
+
 class TestOptimizers:
     def test_missing_gradient_rejected(self, rng):
         w = Tensor(rng.random(3), name="w")
         with pytest.raises(PruneRLError, match="missing gradient"):
             Adam([w], lr=0.1).step()
+
+    def test_nonfinite_gradient_moves_no_parameter(self, rng):
+        w1, w2 = Tensor(rng.random(3), name="w1"), Tensor(rng.random(2), name="w2")
+        opt = Adam([w1, w2], lr=0.1)
+        w1.grad, w2.grad = np.ones(3), np.array([1.0, np.nan])
+        before = [w1.data.copy(), w2.data.copy()]
+        with pytest.raises(PruneRLError, match="non-finite gradient for parameter w2"):
+            opt.step()
+        assert np.array_equal(w1.data, before[0]) and np.array_equal(w2.data, before[1])
+        assert opt.step_count == 0
+        assert all(not m.any() for m in opt.m + opt.v)
 
     def test_convex_monotone_descent(self, rng):
         # f(w) = ||Xw - y||^2 on a fixed batch must descend for 20 steps
