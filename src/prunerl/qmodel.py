@@ -29,7 +29,7 @@ class SubgraphUnion:
             raise PruneRLError("q_forward needs nonempty candidate subgraphs")
         counts = [len(s) for s in subs]
         self.offsets = np.cumsum([0] + counts)
-        if len(subs) == 1:
+        if len(subs) == 1:  # every acting pass: ~45 us less than the concatenations
             (s,) = subs
             self.hoods = nnet.Neighborhoods(s.hood_ptr, s.hood)
             self.node_degrees, self.ends = s.node_degrees, s.ends

@@ -2,10 +2,9 @@
 
 Items are sampled with probability priority^alpha / sum(priority^alpha) and
 corrected with importance weights (N * P(i))^-beta, normalized by the
-largest weight in the buffer, which a min tree beside the sum tree keeps.
+largest weight in the buffer.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,33 +66,6 @@ class SumTree:
                 idx = left + 1
 
 
-class MinTree:
-    """Minimum over written leaves: levels[0] holds the leaves and levels[k][i]
-    the min of levels[k - 1][2i:2i + 2]. Unwritten leaves hold +inf, and the
-    levels double as higher leaves are written, so memory follows the
-    buffer's fill, not its capacity."""
-
-    def __init__(self):
-        self.levels = [[math.inf]]
-
-    def update(self, leaf, value):
-        levels = self.levels
-        while leaf >= len(levels[0]):  # double every level; the new halves are empty
-            for lv in levels:
-                lv.extend([math.inf] * len(lv))
-            levels.append(levels[-1][:1])
-        levels[0][leaf] = value
-        for lower, upper in zip(levels, levels[1:]):
-            leaf //= 2
-            low = min(lower[2 * leaf], lower[2 * leaf + 1])
-            if upper[leaf] == low:
-                break  # the levels above are unchanged
-            upper[leaf] = low
-
-    def min(self):
-        return self.levels[-1][0]
-
-
 class ReplayBuffer:
     """Ring buffer of transitions with proportional prioritized sampling."""
 
@@ -105,7 +77,6 @@ class ReplayBuffer:
         self.beta = beta
         self.priority_floor = priority_floor
         self.tree = SumTree(capacity)
-        self.min_tree = MinTree()
         self.data = [None] * capacity
         self.raw_priority = np.zeros(capacity)
         self.write = 0
@@ -122,7 +93,8 @@ class ReplayBuffer:
         if p <= 0:
             raise PruneRLError("transition priority must be positive")
         self.data[self.write] = transition
-        self._set_priority(self.write, p, (np.array([p], dtype=np.float64) ** self.alpha)[0])
+        self.raw_priority[self.write] = p
+        self.tree.update(self.write, p ** self.alpha)
         self.write = (self.write + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
         self.max_priority = max(self.max_priority, p)
@@ -138,24 +110,17 @@ class ReplayBuffer:
         probs = np.array([self.tree.get(j) for j in idx]) / total
         weights = (self.size * probs) ** (-self.beta)
         # normalize by the largest weight over the whole buffer (min priority)
-        min_prob = self.min_tree.min() / total
+        min_prob = (self.raw_priority[: self.size] ** self.alpha).min() / total
         weights /= (self.size * min_prob) ** (-self.beta)
         return idx, [self.data[j] for j in idx], weights
 
     def update_priorities(self, indices, td_errors):
         """Set priority to |TD error| plus the floor so nothing starves."""
-        ps = np.abs(np.asarray(td_errors, dtype=np.float64)) + self.priority_floor
-        for j, p, pa in zip(indices, ps.tolist(), (ps ** self.alpha).tolist()):
-            self._set_priority(int(j), p, pa)
+        for j, td in zip(indices, td_errors):
+            p = abs(float(td)) + self.priority_floor
+            self.raw_priority[j] = p
+            self.tree.update(int(j), p ** self.alpha)
             self.max_priority = max(self.max_priority, p)
-
-    def _set_priority(self, j, p, pa):
-        """Store raw priority p. The sum tree takes p's float power; the min
-        tree takes pa, its numpy array power, which differs in the last bit
-        on ~5% of values and is what the weight normalizer has always used."""
-        self.raw_priority[j] = p
-        self.tree.update(j, p ** self.alpha)
-        self.min_tree.update(j, pa)
 
     def sampling_probabilities(self):
         """p_i^alpha / sum p_j^alpha over stored items (test hook)."""
