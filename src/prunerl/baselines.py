@@ -24,17 +24,24 @@ def _target_edges(g, r):
     return int(round(r * g.original_edge_count))
 
 
+def _prune_target(g, r):
+    """round(r*|E|), which pruning can reach only if that many are live."""
+    target = _target_edges(g, r)
+    if target > g.edge_count:
+        raise PruneRLError(f"target of {target} edges exceeds the {g.edge_count} still live")
+    return target
+
+
 def _prune_to_kept(g, keep_eids):
     out = g.copy()
     live = g.live_edge_ids()
-    for eid in live[~np.isin(live, np.fromiter(keep_eids, dtype=np.int64))].tolist():
-        out.prune_edge(eid)
+    out.prune_edges(live[~np.isin(live, np.fromiter(keep_eids, dtype=np.int64))])
     return out
 
 
 def random_edge(g, r, rng):
     """Prune exactly |E| - round(r*|E|) uniformly chosen edges."""
-    target = _target_edges(g, r)
+    target = _prune_target(g, r)
     out = g.copy()
     out.random_prune(out.edge_count - target, rng)
     out.method_params = {"method": "random_edge", "r": r}
@@ -88,7 +95,9 @@ def _degree_ranked(g, key, keep_count, r, exponent):
 
     def survivors(x):
         counts = np.array([keep_count(d, x) if d > 0 else 0 for d in degrees])
-        return np.unique(ranked[rank < counts[row_degree]])
+        kept = np.zeros(g.original_edge_count, dtype=bool)
+        kept[ranked[rank < counts[row_degree]]] = True
+        return np.flatnonzero(kept)
 
     if exponent is not None:
         return exponent, survivors(exponent)
@@ -155,7 +164,7 @@ def edge_forest_fire(g, r, p, rng, burn_budget=None):
     """
     if not (0.0 <= p < 1.0):
         raise PruneRLError(f"burn probability must be in [0, 1), got {p}")
-    target = _target_edges(g, r)
+    target = _prune_target(g, r)
     if burn_budget is None:
         burn_budget = 4 * g.node_count
     visits = np.zeros(g.original_edge_count)
@@ -187,8 +196,7 @@ def edge_forest_fire(g, r, p, rng, burn_budget=None):
     jitter = rng.random(live.size)
     order = np.lexsort((jitter, visits[live]))  # lowest visit count first
     out = g.copy()
-    for idx in order[: out.edge_count - target]:
-        out.prune_edge(int(live[idx]))
+    out.prune_edges(live[order[: out.edge_count - target]])
     out.method_params = {"method": "edge_forest_fire", "p": p, "burn_budget": burn_budget}
     return out
 

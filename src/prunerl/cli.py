@@ -57,9 +57,8 @@ def _align_sparsified(graph, path):
                                   "is not in the dataset")
             kept.add(eid)
     aligned = graph.copy()
-    for eid in aligned.live_edge_ids():
-        if eid not in kept:
-            aligned.prune_edge(eid)
+    live = aligned.live_edge_ids()
+    aligned.prune_edges(live[~np.isin(live, list(kept))])
     return aligned
 
 

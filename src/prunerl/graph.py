@@ -165,15 +165,52 @@ class Graph:
         self._live_pos[last] = pos
         self.edge_count -= 1
 
+    def prune_edges(self, eids):
+        """Remove live edges by id, leaving every array exactly as a
+        `prune_edge` loop over the same ids in the same order would. A dead
+        or repeated id raises before anything changes."""
+        eids = np.asarray(eids, dtype=np.int64)
+        alive = self.alive.copy()
+        alive[eids] = False
+        if self.edge_count - np.count_nonzero(alive) != eids.size:
+            seen = set()
+            for eid in eids.tolist():
+                if eid in seen or not self.alive[eid]:
+                    raise DeadEdgeError(f"edge id {eid} is already pruned")
+                seen.add(eid)
+        self.alive[:] = alive
+        src = np.bincount(self.src[eids], minlength=self.node_count)
+        dst = np.bincount(self.dst[eids], minlength=self.node_count)
+        if not self.directed:
+            self.degree -= src + dst
+        else:
+            self.out_degree -= src
+            self.in_degree -= dst
+        # the swap-removes of the loop, in order, on Python lists
+        ids, pos = self._live_ids.tolist(), self._live_pos.tolist()
+        n = self.edge_count
+        for eid in eids.tolist():
+            n -= 1
+            p, last = pos[eid], ids[n]
+            ids[p], pos[last] = last, p
+        self._live_ids[:], self._live_pos[:] = ids, pos
+        self.edge_count = n
+
     def random_prune(self, count, rng):
         """Prune `count` distinct live edges uniformly at random."""
         if count < 0 or count > self.edge_count:
             raise PruneRLError(
                 f"cannot prune {count} of {self.edge_count} live edges"
             )
-        for _ in range(count):
-            pos = int(rng.integers(self.edge_count))
-            self.prune_edge(int(self._live_ids[pos]))
+        # draw i is uniform over the edge_count - i edges still live then,
+        # consuming the rng as one draw per prune would
+        ids, n = self._live_ids[: self.edge_count].tolist(), self.edge_count
+        picked = []
+        for p in rng.integers(np.arange(n, n - count, -1)).tolist():
+            n -= 1
+            picked.append(ids[p])
+            ids[p] = ids[n]
+        self.prune_edges(picked)
 
     def sample_subgraph(self, size, rng):
         """Sample min(size, live) distinct live edges uniformly, with snapshots."""

@@ -267,7 +267,9 @@ def _hop_distances(g, sources):
     """Rows of hop distances from each source (inf where unreachable)."""
     indptr, nbrs, _ = g.live_csr()
     n = g.node_count
-    live = csr_matrix((np.ones(nbrs.size), nbrs, indptr), shape=(n, n))
+    # int32 index arrays, which csr_matrix would otherwise copy them into
+    live = csr_matrix((np.ones(nbrs.size), nbrs.astype(np.int32), indptr.astype(np.int32)),
+                      shape=(n, n))
     # the CSR holds both directions of an undirected edge already; dijkstra
     # is what shortest_path dispatches to here, without its ~40 us of checks
     return dijkstra(live, directed=True, unweighted=True, indices=sources)

@@ -9,6 +9,11 @@ time, projecting and scoring every (center, neighbor) row of the attention
 layer on its own, and `double_dqn_target_oracle` makes two forward passes
 per transition.
 
+`prune_edges_oracle` and `random_prune_oracle` are the per-edge loops that
+`Graph.prune_edges` and `Graph.random_prune` replaced; they must leave every
+array of the graph, stale swap-remove entries included, exactly as the bulk
+forms do.
+
 The graph kernels below walk a dict-of-dicts adjacency in Python, rebuilt
 from the live edges in edge id order: the forms of `metrics.pagerank`,
 `bfs_distances`, `batch_spsp` and `modularity`, of `baselines.jaccard_scores`,
@@ -314,6 +319,24 @@ def double_dqn_target_oracle(batch, policy, target, gamma):
             a = int(np.argmax(q_forward_oracle(policy, tr.next_state).data))
             out[i] = tr.reward + gamma * q_forward_oracle(target, tr.next_state).data[a]
     return out
+
+
+# ------------------------------------------------------------- graph pruning
+
+
+def prune_edges_oracle(g, eids):
+    """`Graph.prune_edges` as one `prune_edge` call per id."""
+    for eid in eids:
+        g.prune_edge(int(eid))
+
+
+def random_prune_oracle(g, count, rng):
+    """`Graph.random_prune` as one draw and one `prune_edge` per edge."""
+    if count < 0 or count > g.edge_count:
+        raise PruneRLError(f"cannot prune {count} of {g.edge_count} live edges")
+    for _ in range(count):
+        pos = int(rng.integers(g.edge_count))
+        g.prune_edge(int(g._live_ids[pos]))
 
 
 # ------------------------------------------------------------ graph kernels

@@ -110,6 +110,7 @@ def _brute_force_ari(a, b):
 
 
 class TestGradientFidelity:
+    @pytest.mark.slow
     def test_full_network_gradients_100_trials(self):
         worst = 0.0
         for trial in range(100):
@@ -181,6 +182,7 @@ class TestStochasticLaws:
 
 
 class TestBridgeSurvival:
+    @pytest.mark.slow
     def test_trained_policy_spares_the_bridge(self):
         """Two K5s joined by one bridge: pruning the bridge is catastrophic
         for shortest paths, so a sane learned policy prunes 8 of 21 edges
@@ -204,6 +206,7 @@ class TestBridgeSurvival:
 
 
 class TestBeatsRandom:
+    @pytest.mark.slow
     def test_learned_pruning_preserves_more_modularity(self):
         g = load_edge_list(KARATE)
         labels = load_communities(KARATE_LABELS, g)

@@ -226,3 +226,31 @@ class TestSubgraphInvariant:
         for out in outs:
             assert out.live_edge_set() <= karate.live_edge_set()
             assert out.method_params["method"]
+
+
+class TestPrunedInput:
+    """Baselines that prune toward round(r*|E|) of the original edge count,
+    run on a graph that already lost some edges."""
+
+    @pytest.fixture
+    def karate_38(self, karate):
+        karate.random_prune(40, np.random.default_rng(1))
+        return karate
+
+    @pytest.mark.parametrize("method", [
+        lambda g, r, rng: random_edge(g, r, rng),
+        lambda g, r, rng: edge_forest_fire(g, r, 0.95, rng),
+    ], ids=["random_edge", "edge_forest_fire"])
+    def test_target_above_live_rejected(self, karate_38, method):
+        with pytest.raises(PruneRLError, match="target of 58 edges exceeds the 38 still live"):
+            method(karate_38, 0.75, np.random.default_rng(0))
+        assert karate_38.edge_count == 38
+
+    @pytest.mark.parametrize("method", [
+        lambda g, r, rng: random_edge(g, r, rng),
+        lambda g, r, rng: edge_forest_fire(g, r, 0.95, rng),
+    ], ids=["random_edge", "edge_forest_fire"])
+    def test_target_below_live_reached(self, karate_38, method):
+        out = method(karate_38, 0.25, np.random.default_rng(0))
+        assert out.edge_count == 20
+        assert out.live_edge_set() <= karate_38.live_edge_set()

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo", [
     "01_load_prune_measure.py",
     "02_baseline_showdown.py",
-    "03_bridge_lesson.py",
+    pytest.param("03_bridge_lesson.py", marks=pytest.mark.slow),
     "06_subgraph_length_tradeoff.py",
 ])
 def test_demo_exits_0(demo):

@@ -8,7 +8,7 @@ from prunerl.graph import Graph, load_communities, load_edge_list
 from prunerl.metrics import shortest_path_distance
 
 from conftest import complete_graph, make_graph, path_graph, random_sparse_graph
-from oracles import adjacency
+from oracles import adjacency, prune_edges_oracle, random_prune_oracle
 
 
 class TestLoadEdgeList:
@@ -146,6 +146,74 @@ class TestRandomPrune:
             dead = set(range(6)) - set(int(e) for e in g.live_edge_ids())
             counts[dead.pop()] += 1
         assert np.all(np.abs(counts / trials - 1 / 6) < 0.02)
+
+
+def graph_state(g):
+    """Every array pruning writes, stale swap-remove entries included."""
+    degrees = (g.in_degree, g.out_degree) if g.directed else (g.degree,)
+    return [g.edge_count, g.alive, g._live_ids, g._live_pos, *degrees]
+
+
+def assert_same_state(a, b):
+    for x, y in zip(graph_state(a), graph_state(b), strict=True):
+        np.testing.assert_array_equal(x, y)
+
+
+class TestPruneEdges:
+    @pytest.fixture(params=[False, True], ids=["undirected", "directed"])
+    def graph(self, request):
+        g = random_sparse_graph(60, 300, np.random.default_rng(3), directed=request.param)
+        prune_edges_oracle(g, np.random.default_rng(4).permutation(300)[:50])
+        return g
+
+    @pytest.mark.parametrize("count", [1, 7, 120, 250])
+    def test_matches_prune_edge_loop(self, graph, count):
+        eids = np.random.default_rng(count).permutation(graph.live_edge_ids())[:count]
+        loop = graph.copy()
+        prune_edges_oracle(loop, eids)
+        graph.prune_edges(eids)
+        assert_same_state(graph, loop)
+
+    def test_last_live_id_first(self, graph):
+        live = graph.live_edge_ids()
+        eids = [live[-1], live[0], live[-2]]
+        loop = graph.copy()
+        prune_edges_oracle(loop, eids)
+        graph.prune_edges(eids)
+        assert_same_state(graph, loop)
+
+    @pytest.mark.parametrize("pick", [
+        lambda live, dead: [live[0], dead, live[1]],
+        lambda live, dead: [live[3], live[5], live[3]],
+        lambda live, dead: [dead],
+    ], ids=["dead", "repeated", "only-dead"])
+    def test_bad_id_raises_and_changes_nothing(self, graph, pick):
+        dead = int(np.flatnonzero(~graph.alive)[0])
+        before = graph.copy()
+        with pytest.raises(DeadEdgeError, match="is already pruned"):
+            graph.prune_edges(pick(graph.live_edge_ids().tolist(), dead))
+        assert_same_state(graph, before)
+
+    def test_empty_is_noop(self, graph):
+        before = graph.copy()
+        graph.prune_edges([])
+        graph.prune_edges(np.array([], dtype=np.int64))
+        assert_same_state(graph, before)
+
+
+class TestRandomPruneMatchesPerDrawLoop:
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("count", [0, 1, 37, "all"])
+    def test_state_and_rng_match(self, count, directed):
+        g = random_sparse_graph(40, 150, np.random.default_rng(5), directed=directed)
+        random_prune_oracle(g, 30, np.random.default_rng(6))
+        count = g.edge_count if count == "all" else count
+        loop, rng_loop, rng = g.copy(), np.random.default_rng(7), np.random.default_rng(7)
+        random_prune_oracle(loop, count, rng_loop)
+        g.random_prune(count, rng)
+        assert_same_state(g, loop)
+        # the vectorized draw consumed the generator exactly as the loop did
+        assert rng.integers(1 << 62) == rng_loop.integers(1 << 62)
 
 
 class TestSampleSubgraph:
