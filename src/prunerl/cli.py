@@ -9,7 +9,6 @@ import argparse
 import csv
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -209,8 +208,7 @@ def cmd_compare(args):
             return {"method": method, "ratio": ratio, "seed": seed,
                     "achieved_edges": "", "value": float("nan"), "error": str(exc)}
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(run_cell, cells))
+    results = [run_cell(cell) for cell in cells]
 
     per_seed_rows = [
         {"dataset": cfg.dataset, "method": r["method"], "edge_kept_ratio": r["ratio"],
@@ -336,7 +334,8 @@ def build_parser():
     c = sub.add_parser("compare", help="full method x ratio x seed grid")
     c.add_argument("--config", required=True)
     c.add_argument("--checkpoint", default=None)
-    c.add_argument("--workers", type=_positive_int, default=1)
+    c.add_argument("--workers", type=_positive_int, default=1,
+                   help="accepted for compatibility; cells run in one thread")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_compare)
 

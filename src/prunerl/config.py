@@ -3,7 +3,7 @@ plus the named-stream rng discipline (one master seed split per subsystem so
 changes in one subsystem do not perturb another's draws).
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -71,15 +71,6 @@ class RunConfig:
     agent: AgentConfig = field(default_factory=AgentConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     evaluation: EvalConfig = field(default_factory=EvalConfig)
-
-    def to_dict(self):
-        d = asdict(self)
-        d["schema_version"] = SCHEMA_VERSION
-        return d
-
-    def save(self, path):
-        with open(path, "w") as f:
-            yaml.safe_dump(self.to_dict(), f, sort_keys=True)
 
 
 def _build(cls, data, context):

@@ -1,8 +1,10 @@
-"""Prioritized experience replay over a sum tree.
+"""Prioritized experience replay over one array of priority weights.
 
 Items are sampled with probability priority^alpha / sum(priority^alpha) and
 corrected with importance weights (N * P(i))^-beta, normalized by the
-largest weight in the buffer.
+largest weight in the buffer. Each slot keeps priority^alpha; a sample takes
+one cumulative sum and one `searchsorted`, since the weight normalizer scans
+every slot anyway and a sum tree's O(log N) draws would save nothing.
 """
 
 from dataclasses import dataclass
@@ -30,42 +32,6 @@ class Transition:
             )
 
 
-class SumTree:
-    """Complete binary tree whose leaves hold priorities; internal nodes hold
-    subtree sums, so prefix sampling is O(log n)."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.tree = np.zeros(2 * capacity - 1)
-
-    def update(self, leaf, value):
-        idx = leaf + self.capacity - 1
-        change = value - self.tree[idx]
-        self.tree[idx] = value
-        while idx != 0:
-            idx = (idx - 1) // 2
-            self.tree[idx] += change
-
-    def get(self, leaf):
-        return self.tree[leaf + self.capacity - 1]
-
-    def total(self):
-        return self.tree[0]
-
-    def find(self, value):
-        """Leaf index whose cumulative-priority interval contains value."""
-        idx = 0
-        while True:
-            left = 2 * idx + 1
-            if left >= len(self.tree):
-                return idx - (self.capacity - 1)
-            if value <= self.tree[left]:
-                idx = left
-            else:
-                value -= self.tree[left]
-                idx = left + 1
-
-
 class ReplayBuffer:
     """Ring buffer of transitions with proportional prioritized sampling."""
 
@@ -76,9 +42,8 @@ class ReplayBuffer:
         self.alpha = alpha
         self.beta = beta
         self.priority_floor = priority_floor
-        self.tree = SumTree(capacity)
         self.data = [None] * capacity
-        self.raw_priority = np.zeros(capacity)
+        self.weight = np.zeros(capacity)  # priority ** alpha per slot
         self.write = 0
         self.size = 0
         self.max_priority = 1.0
@@ -93,8 +58,7 @@ class ReplayBuffer:
         if p <= 0:
             raise PruneRLError("transition priority must be positive")
         self.data[self.write] = transition
-        self.raw_priority[self.write] = p
-        self.tree.update(self.write, p ** self.alpha)
+        self.weight[self.write] = p ** self.alpha
         self.write = (self.write + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
         self.max_priority = max(self.max_priority, p)
@@ -103,26 +67,25 @@ class ReplayBuffer:
         """Proportional sample; returns (indices, transitions, weights)."""
         if self.size == 0:
             raise PruneRLError("cannot sample from an empty replay buffer")
-        total = self.tree.total()
-        idx = np.empty(batch_size, dtype=np.int64)
-        for i in range(batch_size):
-            idx[i] = self.tree.find(rng.random() * total)
-        probs = np.array([self.tree.get(j) for j in idx]) / total
-        weights = (self.size * probs) ** (-self.beta)
+        w = self.weight[: self.size]
+        cdf = np.cumsum(w)
+        total = cdf[-1]
+        # side="left": a draw on a boundary takes the lower slot; the last
+        # entry is the total, so no index passes size - 1
+        idx = np.searchsorted(cdf, rng.random(batch_size) * total)
+        weights = (self.size * (w[idx] / total)) ** (-self.beta)
         # normalize by the largest weight over the whole buffer (min priority)
-        min_prob = (self.raw_priority[: self.size] ** self.alpha).min() / total
-        weights /= (self.size * min_prob) ** (-self.beta)
+        weights /= (self.size * (w.min() / total)) ** (-self.beta)
         return idx, [self.data[j] for j in idx], weights
 
     def update_priorities(self, indices, td_errors):
-        """Set priority to |TD error| plus the floor so nothing starves."""
-        for j, td in zip(indices, td_errors):
-            p = abs(float(td)) + self.priority_floor
-            self.raw_priority[j] = p
-            self.tree.update(int(j), p ** self.alpha)
-            self.max_priority = max(self.max_priority, p)
+        """Set priority to |TD error| plus the floor so nothing starves. A
+        slot named twice keeps its last TD error."""
+        p = np.abs(np.asarray(td_errors, dtype=np.float64)) + self.priority_floor
+        self.weight[indices] = p ** self.alpha
+        self.max_priority = max(self.max_priority, float(p.max()))
 
     def sampling_probabilities(self):
         """p_i^alpha / sum p_j^alpha over stored items (test hook)."""
-        pa = self.raw_priority[: self.size] ** self.alpha
-        return pa / pa.sum()
+        w = self.weight[: self.size]
+        return w / w.sum()

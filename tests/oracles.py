@@ -20,6 +20,11 @@ from the live edges in edge id order: the forms of `metrics.pagerank`,
 and of the per-exponent survivor sets of `local_degree` and `l_spar`.
 `louvain_oracle` is the dict form of `metrics.louvain`; its dicts are filled
 in `live_edge_ids()` order, which pruning's swap-removes reorder.
+
+`SumTreeReplay` is the sum-tree sampler that `ReplayBuffer` replaced with one
+cumulative sum: it keeps the raw priorities beside a `SumTree` of their
+powers and walks the tree once per draw. The two sum in other orders, so
+they pick the same indices but agree on the weights only to rounding.
 """
 
 import math
@@ -542,3 +547,81 @@ def louvain_oracle(g, rng, resolution=1.0, min_gain=1e-12):
             labels[orig] = c
     q = modularity(g, labels)
     return Partition(labels=labels, modularity=q)
+
+
+class SumTree:
+    """Complete binary tree whose leaves hold priorities; internal nodes hold
+    subtree sums, so prefix sampling is O(log n)."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.tree = np.zeros(2 * capacity - 1)
+
+    def update(self, leaf, value):
+        idx = leaf + self.capacity - 1
+        change = value - self.tree[idx]
+        self.tree[idx] = value
+        while idx != 0:
+            idx = (idx - 1) // 2
+            self.tree[idx] += change
+
+    def get(self, leaf):
+        return self.tree[leaf + self.capacity - 1]
+
+    def total(self):
+        return self.tree[0]
+
+    def find(self, value):
+        """Leaf index whose cumulative-priority interval contains value."""
+        idx = 0
+        while True:
+            left = 2 * idx + 1
+            if left >= len(self.tree):
+                return idx - (self.capacity - 1)
+            if value <= self.tree[left]:
+                idx = left
+            else:
+                value -= self.tree[left]
+                idx = left + 1
+
+
+class SumTreeReplay:
+    """The priorities and sampling of `ReplayBuffer` over a `SumTree`; it
+    stores no transitions, so `sample` returns (indices, weights)."""
+
+    def __init__(self, capacity, alpha=0.6, beta=0.4, priority_floor=1e-3):
+        self.capacity = capacity
+        self.alpha = alpha
+        self.beta = beta
+        self.priority_floor = priority_floor
+        self.tree = SumTree(capacity)
+        self.raw_priority = np.zeros(capacity)
+        self.write = 0
+        self.size = 0
+        self.max_priority = 1.0
+
+    def add(self, priority=None):
+        p = self.max_priority if priority is None else priority
+        self.raw_priority[self.write] = p
+        self.tree.update(self.write, p ** self.alpha)
+        self.write = (self.write + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+        self.max_priority = max(self.max_priority, p)
+
+    def sample(self, batch_size, rng):
+        total = self.tree.total()
+        idx = np.empty(batch_size, dtype=np.int64)
+        for i in range(batch_size):
+            idx[i] = self.tree.find(rng.random() * total)
+        probs = np.array([self.tree.get(j) for j in idx]) / total
+        weights = (self.size * probs) ** (-self.beta)
+        min_prob = (self.raw_priority[: self.size] ** self.alpha).min() / total
+        weights /= (self.size * min_prob) ** (-self.beta)
+        return idx, weights
+
+    def update_priorities(self, indices, td_errors):
+        for j, td in zip(indices, td_errors):
+            p = abs(float(td)) + self.priority_floor
+            self.raw_priority[j] = p
+            self.tree.update(int(j), p ** self.alpha)
+            self.max_priority = max(self.max_priority, p)

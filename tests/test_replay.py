@@ -3,9 +3,10 @@ import pytest
 
 from prunerl.errors import PruneRLError
 from prunerl.graph import Graph
-from prunerl.replay import ReplayBuffer, SumTree, Transition
+from prunerl.replay import ReplayBuffer, Transition
 
 from conftest import complete_graph
+from oracles import SumTree, SumTreeReplay
 
 
 def make_transition(rng, reward=0.0, done=False):
@@ -13,6 +14,17 @@ def make_transition(rng, reward=0.0, done=False):
     state = g.sample_subgraph(3, rng)
     nxt = g.sample_subgraph(3, rng)
     return Transition(state=state, action=0, reward=reward, next_state=nxt, done=done)
+
+
+class FixedDraws:
+    """Stands in for a generator whose `random(n)` returns given draws."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws)
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return self.draws
 
 
 class TestTransition:
@@ -49,6 +61,67 @@ class TestSumTree:
 
 
 class TestReplayBuffer:
+    def test_sample_respects_prefix(self, rng):
+        buf = ReplayBuffer(capacity=8, alpha=1.0)
+        for p in (1.0, 2.0, 3.0, 4.0):
+            buf.add(make_transition(rng), priority=p)
+        # cumulative boundaries: [0,1], (1,3], (3,6], (6,10]; a draw on a
+        # boundary takes the lower slot, as the sum tree's walk did
+        draws = np.array([0.5, 1.5, 4.0, 9.9, 1.0, 6.0]) / 10
+        idx, batch, _ = buf.sample(len(draws), FixedDraws(draws))
+        assert idx.tolist() == [0, 1, 2, 3, 0, 2]
+        assert batch == [buf.data[j] for j in idx]
+
+    def test_update_overwrites(self, rng):
+        buf = ReplayBuffer(capacity=4, alpha=1.0, priority_floor=1e-3)
+        buf.add(make_transition(rng), priority=1.0)
+        buf.update_priorities([0], [5.0])
+        buf.update_priorities([0], [1.0])
+        assert buf.weight[0] == pytest.approx(1.001)
+        assert buf.max_priority == pytest.approx(5.001)
+
+    def test_repeated_index_keeps_last_td_error(self, rng):
+        buf = ReplayBuffer(capacity=4, alpha=0.6)
+        ref = SumTreeReplay(capacity=4, alpha=0.6)
+        for _ in range(3):
+            buf.add(make_transition(rng), priority=1.0)
+            ref.add(priority=1.0)
+        indices, td = np.array([1, 0, 1, 1]), np.array([2.0, -3.0, 7.0, -0.5])
+        buf.update_priorities(indices, td)
+        ref.update_priorities(indices, td)
+        assert buf.weight[1] == pytest.approx(0.501 ** 0.6, rel=1e-15)
+        assert np.allclose(buf.weight, ref.tree.tree[3:], rtol=1e-15, atol=0)
+        assert buf.max_priority == ref.max_priority == 7.001
+
+    def test_lockstep_with_sum_tree_oracle(self):
+        """Same generator stream, same indices as the sum tree's walk; the
+        IS weights agree to rounding over more than 100k draws, the ring
+        wrapping and repeated indices in the updates included."""
+        capacity, batch_size = 2048, 40
+        buf = ReplayBuffer(capacity)
+        ref = SumTreeReplay(capacity)
+        rng, draw_rng, ref_draw_rng = (np.random.default_rng(s) for s in (0, 1, 1))
+        transition = make_transition(rng)
+        draws = 0
+        for step in range(3000):
+            p = None if step % 3 else float(rng.uniform(0.01, 5.0))
+            buf.add(transition, priority=p)
+            ref.add(priority=p)
+            if len(buf) < batch_size:
+                continue
+            idx, _, weights = buf.sample(batch_size, draw_rng)
+            ref_idx, ref_weights = ref.sample(batch_size, ref_draw_rng)
+            assert np.array_equal(idx, ref_idx), step
+            np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=0)
+            td = rng.standard_normal(batch_size) * 10.0 ** rng.integers(-3, 2)
+            buf.update_priorities(idx, td)
+            ref.update_priorities(ref_idx, td)
+            draws += batch_size
+        assert draws >= 100_000
+        assert buf.max_priority == ref.max_priority
+        np.testing.assert_allclose(buf.weight, ref.tree.tree[capacity - 1:],
+                                   rtol=1e-15, atol=0)
+
     def test_sampling_probability_law(self, rng):
         buf = ReplayBuffer(capacity=16, alpha=0.6)
         priorities = [0.5, 1.0, 2.0, 4.0]
@@ -87,13 +160,13 @@ class TestReplayBuffer:
         buf.add(make_transition(rng), priority=1.0)
         buf.update_priorities([0], [0.0])  # zero TD error
         assert buf.sampling_probabilities()[0] == pytest.approx(1.0)
-        assert buf.tree.get(0) == pytest.approx(1e-3)
+        assert buf.weight[0] == pytest.approx(1e-3)
 
     def test_new_items_get_max_priority(self, rng):
         buf = ReplayBuffer(capacity=4, alpha=1.0)
         buf.add(make_transition(rng), priority=5.0)
         buf.add(make_transition(rng))  # no explicit priority
-        assert buf.tree.get(1) == pytest.approx(5.0)
+        assert buf.weight[1] == pytest.approx(5.0)
 
     def test_capacity_ring(self, rng):
         buf = ReplayBuffer(capacity=3, alpha=1.0)
