@@ -54,21 +54,21 @@ def epsilon_at(config, step):
     return config.eps_start + (config.eps_end - config.eps_start) * frac
 
 
-def select_action(qvals, epsilon, rng):
-    """Epsilon-greedy over Q-values; exact ties resolve to the lowest index."""
-    qvals = np.asarray(qvals)
-    if qvals.size == 0:
-        raise PruneRLError("select_action needs at least one Q-value")
+def select_action(count, qvals, epsilon, rng):
+    """Epsilon-greedy over `count` candidates whose Q-values `qvals()` gives,
+    called on greedy steps only; exact ties resolve to the lowest index."""
+    if count == 0:
+        raise PruneRLError("select_action needs at least one candidate")
     if epsilon > 0 and rng.random() < epsilon:
-        return int(rng.integers(qvals.size))
-    return int(np.argmax(qvals))
+        return int(rng.integers(count))
+    return int(np.argmax(qvals()))
 
 
 def double_dqn_target(batch, policy, target, gamma):
     """Per-item TD target: r, or r + gamma * Q_target(s', argmax Q_policy(s')).
 
-    One policy pass and one target pass, neither recording a graph, score
-    every non-terminal next state over one shared disjoint union.
+    Neither pass records a graph: the policy scores every candidate of the
+    non-terminal next states, and the target only the argmax of each.
     """
     out = np.array([tr.reward for tr in batch], dtype=np.float64)
     live = [i for i, tr in enumerate(batch) if not tr.done]
@@ -76,7 +76,7 @@ def double_dqn_target(batch, policy, target, gamma):
         union = SubgraphUnion([batch[i].next_state for i in live])
         q, offsets = policy.q_forward_batch(union, grad=False)
         best = [lo + int(np.argmax(q.data[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])]
-        out[live] += gamma * target.q_forward_batch(union, grad=False)[0].data[best]
+        out[live] += gamma * target.q_forward_batch(union.pick(best), grad=False)[0].data
     return out
 
 
@@ -131,9 +131,9 @@ class Agent:
         idx, batch, weights = self.buffer.sample(cfg.batch_size, rng)
         targets = double_dqn_target(batch, self.policy, self.target, cfg.gamma)
 
-        q, offsets = self.policy.q_forward_batch([tr.state for tr in batch])
-        loss, td_errors = nnet.weighted_mse(q, offsets[:-1] + [tr.action for tr in batch],
-                                            targets, weights)
+        states = SubgraphUnion([tr.state for tr in batch])
+        taken = states.pick(states.offsets[:-1] + [tr.action for tr in batch])
+        loss, td_errors = nnet.weighted_mse(self.policy.q_forward_batch(taken)[0], targets, weights)
 
         self.optimizer.zero_grad()
         loss.backward()
@@ -162,8 +162,9 @@ class Agent:
         record = EpisodeRecord(t_planned=t_steps, t_preprune=t_pre)
         state = g.sample_subgraph(cfg.train_subgraph_len, rng)
         for t in range(t_steps):
-            qvals = self.policy.q_forward(state, require_live_in=g, grad=False).data
-            action = select_action(qvals, self.epsilon if train else 0.0, rng)
+            state.require_live(g)
+            action = select_action(len(state), lambda: self.policy.q_forward(state, grad=False).data,
+                                   self.epsilon if train else 0.0, rng)
             eid = int(state.eids[action])
             pre_ctx = reward_spec.before_prune(g, eid, rng)
             g.prune_edge(eid)

@@ -36,6 +36,12 @@ class CandidateSubgraph:
     def __len__(self):
         return len(self.eids)
 
+    def require_live(self, g):
+        """Raise DeadEdgeError if a candidate edge is pruned in `g` (a stale snapshot)."""
+        dead = self.eids[~g.alive[self.eids]]
+        if dead.size:
+            raise DeadEdgeError(f"stale candidate edge id {dead[0]}")
+
 
 class Graph:
     """Mutable edge-set view over an immutable original edge list.

@@ -94,9 +94,10 @@ def pagerank(g, damping=0.85, tol=1e-10, max_iter=200):
     )
 
 
-def average_ranks(scores):
-    """Average ranks (ties share the mean of their rank positions)."""
-    return rankdata(np.asarray(scores, dtype=np.float64), method="average")
+def centered_ranks(scores):
+    """Average ranks (ties share the mean of their positions) less their mean."""
+    ranks = rankdata(np.asarray(scores, dtype=np.float64), method="average")
+    return ranks - ranks.mean()
 
 
 def spearman_rho(a, b):
@@ -105,10 +106,13 @@ def spearman_rho(a, b):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise PruneRLError(f"spearman_rho needs two equal-length vectors (>=2), got {a.shape} vs {b.shape}")
-    ra = average_ranks(a)
-    rb = average_ranks(b)
-    ra -= ra.mean()
-    rb -= rb.mean()
+    return spearman_rho_ranked(centered_ranks(a), b)
+
+
+def spearman_rho_ranked(ra, b):
+    """`spearman_rho(a, b)` from ra = centered_ranks(a), for a caller that
+    correlates many vectors of a's length with the same `a`."""
+    rb = centered_ranks(b)
     denom = math.sqrt((ra * ra).sum() * (rb * rb).sum())
     if denom == 0.0:
         raise PruneRLError("spearman_rho undefined: zero rank variance")

@@ -194,7 +194,7 @@ class Neighborhoods:
     its center's row (`center`)."""
 
     def __init__(self, ptr, hood):
-        self.ptr = ptr
+        self.ptr, self.hood = ptr, hood
         self.lens = np.diff(ptr)
         self.count = len(ptr) - 1
         self.segments = np.repeat(np.arange(self.count), self.lens)
@@ -253,14 +253,14 @@ def graph_attention(table, proj, score, hoods, slope, grad=True):
     return _node(out, (table, proj.W, score.W, score.b), backward)
 
 
-def weighted_mse(pred, rows, targets, weights):
-    """mean(weights * (pred[rows] - targets) ** 2) as one node, checked for
-    finiteness, and the errors pred[rows] - targets."""
-    diff = pred.data[rows] - targets
+def weighted_mse(pred, targets, weights):
+    """mean(weights * (pred - targets) ** 2) as one node, checked for
+    finiteness, and the errors pred - targets."""
+    diff = pred.data - targets
 
     def backward(g):
         g_sq = np.broadcast_to(g / diff.size, diff.shape) * weights
-        pred._accum(_scatter_rows(rows, g_sq * diff + g_sq * diff, pred.data.shape[0]))
+        pred._accum(g_sq * diff + g_sq * diff)
 
     return Tensor((weights * (diff * diff)).mean(), (pred,), backward, name="loss"), diff
 

@@ -13,7 +13,7 @@ import zipfile
 import numpy as np
 
 from . import nnet
-from .errors import ConfigError, DataError, DeadEdgeError, PruneRLError
+from .errors import ConfigError, DataError, PruneRLError
 from .nnet import Linear, Tensor
 
 ATTENTION_SLOPE = 0.2  # leaky slope inside attention scoring
@@ -45,6 +45,21 @@ class SubgraphUnion:
         # each item's endpoint rows, shifted past the nodes of the items before it
         node_base = np.cumsum([0] + sizes[:-1])
         self.ends = np.concatenate([s.ends for s in subs]) + np.repeat(node_base, counts)[:, None]
+
+    def pick(self, rows):
+        """Candidate rows `rows` alone, scored as in this union up to rounding:
+        item i is row rows[i]'s source then destination node rows, unsorted,
+        the order that keeps training bit-identical to its op-by-op oracle."""
+        nodes = self.ends[rows].reshape(-1)
+        starts, lens = self.hoods.ptr[nodes], self.hoods.lens[nodes]
+        ptr = np.concatenate([[0], np.cumsum(lens)])
+        picked = object.__new__(SubgraphUnion)
+        picked.hoods = nnet.Neighborhoods(
+            ptr, self.hoods.hood[np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], lens)])
+        picked.node_degrees, picked.ratio = self.node_degrees[nodes], self.ratio[nodes]
+        picked.ends = np.arange(len(nodes)).reshape(-1, 2)
+        picked.offsets = np.arange(len(rows) + 1)
+        return picked
 
 
 class QModel:
@@ -135,13 +150,11 @@ class QModel:
     def q_forward(self, sub, require_live_in=None, grad=True):
         """Q-value per candidate edge; Tensor of shape (len(sub),).
 
-        Pass a graph as `require_live_in` to reject stale snapshots (acting
-        and evaluation paths do; replay training does not).
+        Pass a graph as `require_live_in` to reject stale snapshots (`sparsify`
+        does; acting checks every state, scored or not; replay training does not).
         """
         if require_live_in is not None:
-            dead = sub.eids[~require_live_in.alive[sub.eids]]
-            if dead.size:
-                raise DeadEdgeError(f"stale candidate edge id {dead[0]}")
+            sub.require_live(require_live_in)
         return self.q_forward_batch([sub], grad)[0]
 
     # -------------------------------------------------------------- checkpoint

@@ -18,9 +18,10 @@ from .metrics import (
     PathQuerySet,
     adjusted_rand_index,
     batch_spsp,
+    centered_ranks,
     louvain,
     pagerank,
-    spearman_rho,
+    spearman_rho_ranked,
 )
 
 
@@ -99,10 +100,10 @@ class PagerankReward(RewardSpec):
     graph scores 0, and maps degenerate ranks to -1."""
 
     def __init__(self, g):
-        self._base_scores = pagerank(g)
+        self._base_ranks = centered_ranks(pagerank(g))
 
     def score(self, gp):
-        return spearman_rho(self._base_scores, pagerank(gp))
+        return spearman_rho_ranked(self._base_ranks, pagerank(gp))
 
     def evaluate(self, gp, rng, louvain_runs=8, spsp_pairs=8196):
         return self.score(gp)

@@ -4,7 +4,11 @@ The op-by-op autodiff below (one graph node per matmul, add, gather, leaky
 ReLU, softmax, ...) is the form the fused layers of `prunerl.nnet` replaced.
 On it, `q_forward_batch_oracle` and `train_step_oracle` are the op-by-op
 forms of `QModel.q_forward_batch` and `Agent.train_step`, and must agree
-with them bit for bit; `q_forward_oracle` scores one candidate subgraph at a
+with them bit for bit. `train_step_oracle` scores the edges a step reads
+through one-edge views (`edge_views`), as `SubgraphUnion.pick` does;
+`taken_q_all_candidates_oracle` scores every candidate of the batch, and
+agrees with the picked pass only to rounding, because its matrix products
+sum over more rows. `q_forward_oracle` scores one candidate subgraph at a
 time, projecting and scoring every (center, neighbor) row of the attention
 layer on its own, and `double_dqn_target_oracle` makes two forward passes
 per transition.
@@ -32,6 +36,7 @@ import math
 import numpy as np
 
 from prunerl.errors import PruneRLError, ShapeError
+from prunerl.graph import CandidateSubgraph
 from prunerl.metrics import Partition, modularity
 from prunerl.nnet import Tensor, _scatter_rows
 from prunerl.qmodel import ATTENTION_SLOPE, HIDDEN_SLOPE
@@ -240,9 +245,39 @@ def q_forward_batch_oracle(model, subs):
     return reshape(linear(model.head, h), (-1,)), np.cumsum([0] + counts)
 
 
+def edge_views(subs, rows):
+    """Candidate rows[i] of subs[i] as a one-edge `CandidateSubgraph` whose
+    two nodes are its source and then its destination, unsorted: the items
+    of `SubgraphUnion.pick`."""
+    views = []
+    for s, j in zip(subs, rows):
+        ends = s.ends[j]
+        hoods = [s.hood[s.hood_ptr[n]:s.hood_ptr[n + 1]] for n in ends]
+        views.append(CandidateSubgraph(
+            eids=s.eids[j:j + 1], ends=np.array([[0, 1]]), nodes=s.nodes[ends],
+            hood_ptr=np.cumsum([0] + [len(h) for h in hoods]), hood=np.concatenate(hoods),
+            node_degrees=s.node_degrees[ends], edge_ratio=s.edge_ratio))
+    return views
+
+
+def td_loss_oracle(pred, targets, weights):
+    """The weighted squared TD loss over Q(s, a) values, op by op, and the
+    TD errors."""
+    diff = sub(pred, Tensor(targets))
+    return mean_all(mul(Tensor(weights), mul(diff, diff))), diff
+
+
+def taken_q_all_candidates_oracle(model, batch):
+    """Q(s, a) of each transition, gathered from an op-by-op pass over every
+    candidate of the batch's states."""
+    q, offsets = q_forward_batch_oracle(model, [tr.state for tr in batch])
+    return gather_rows(q, offsets[:-1] + [tr.action for tr in batch])
+
+
 def train_step_oracle(agent, rng):
-    """`Agent.train_step`, op by op, with its targets from two op-by-op
-    passes over the next states."""
+    """`Agent.train_step`, op by op: an op-by-op policy pass over every
+    candidate of the next states, then op-by-op target and recording passes
+    over one-edge views of the edges they read."""
     cfg = agent.config
     idx, batch, weights = agent.buffer.sample(cfg.batch_size, rng)
     targets = np.array([tr.reward for tr in batch], dtype=np.float64)
@@ -250,13 +285,12 @@ def train_step_oracle(agent, rng):
     if live:
         next_states = [batch[i].next_state for i in live]
         q, offsets = q_forward_batch_oracle(agent.policy, next_states)
-        best = [lo + int(np.argmax(q.data[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])]
-        targets[live] += cfg.gamma * q_forward_batch_oracle(agent.target, next_states)[0].data[best]
+        best = [int(np.argmax(q.data[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        targets[live] += cfg.gamma * q_forward_batch_oracle(
+            agent.target, edge_views(next_states, best))[0].data
 
-    q, offsets = q_forward_batch_oracle(agent.policy, [tr.state for tr in batch])
-    pred = gather_rows(q, offsets[:-1] + [tr.action for tr in batch])
-    diff = sub(pred, Tensor(targets))
-    loss = mean_all(mul(Tensor(weights), mul(diff, diff)))
+    taken = edge_views([tr.state for tr in batch], [tr.action for tr in batch])
+    loss, diff = td_loss_oracle(q_forward_batch_oracle(agent.policy, taken)[0], targets, weights)
     agent.optimizer.zero_grad()
     loss.backward()
     agent.optimizer.step()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prunerl import agent as agent_module
 from prunerl import nnet
 from prunerl.agent import (
     Agent,
@@ -38,18 +39,72 @@ class TestEpsilonSchedule:
         assert epsilon_at(cfg, 5_000) == pytest.approx((0.99 + 0.05) / 2)
 
 
+def unscored():
+    raise AssertionError("an exploring step ran the Q pass")
+
+
 class TestSelectAction:
     def test_greedy(self, rng):
-        assert select_action(np.array([0.1, 0.9, 0.3]), 0.0, rng) == 1
+        assert select_action(3, lambda: np.array([0.1, 0.9, 0.3]), 0.0, rng) == 1
 
     def test_tie_takes_lowest_index(self, rng):
-        assert select_action(np.array([5.0, 5.0, 1.0]), 0.0, rng) == 0
+        assert select_action(3, lambda: np.array([5.0, 5.0, 1.0]), 0.0, rng) == 0
 
     def test_uniform_when_exploring(self, rng):
         counts = np.zeros(4)
         for _ in range(10_000):
-            counts[select_action(np.array([9.0, 0.0, 0.0, 0.0]), 1.0, rng)] += 1
+            counts[select_action(4, unscored, 1.0, rng)] += 1
         assert np.all(np.abs(counts / 10_000 - 0.25) < 0.02)
+
+
+class TestActing:
+    def test_lazy_q_pass_keeps_every_draw(self, karate, monkeypatch):
+        """Episodes that score only greedy steps prune, pay and learn exactly
+        as episodes that score every step, with fewer Q passes."""
+        calls = {"n": 0}
+        forward = QModel.q_forward
+
+        def counted(self, *args, **kwargs):
+            calls["n"] += 1
+            return forward(self, *args, **kwargs)
+
+        def eager(count, qvals, epsilon, rng):
+            q = qvals()
+            return select_action(count, lambda: q, epsilon, rng)
+
+        monkeypatch.setattr(QModel, "q_forward", counted)
+        runs = []
+        for choose in (select_action, eager):
+            monkeypatch.setattr(agent_module, "select_action", choose)
+            calls["n"] = 0
+            agent = Agent(karate, AgentConfig(**SMALL, eps_decay_steps=200),
+                          rng=np.random.default_rng(2))
+            rng = np.random.default_rng(3)
+            records = [agent.run_episode(PagerankReward(karate), rng) for _ in range(40)]
+            runs.append(([(r.prunes, r.rewards, r.losses) for r in records],
+                         [p.data for p in agent.policy.parameters()], calls["n"]))
+        (lazy, lazy_params, lazy_calls), (full, full_params, full_calls) = runs
+        assert lazy == full
+        assert all(np.array_equal(a, b) for a, b in zip(lazy_params, full_params))
+        assert full_calls == sum(len(r[0]) for r in full)
+        assert 0 < lazy_calls < full_calls
+
+    def test_stale_state_raises_on_an_exploring_step(self, karate, monkeypatch):
+        from prunerl.errors import DeadEdgeError
+
+        sample = Graph.sample_subgraph
+
+        def stale(self, k, rng):
+            sub = sample(self, k, rng)
+            self.prune_edge(int(sub.eids[0]))
+            return sub
+
+        monkeypatch.setattr(Graph, "sample_subgraph", stale)
+        monkeypatch.setattr(Agent, "epsilon", property(lambda self: 1.0))
+        monkeypatch.setattr(QModel, "q_forward", lambda *args, **kwargs: unscored())
+        agent = Agent(karate, AgentConfig(**SMALL), rng=np.random.default_rng(0))
+        with pytest.raises(DeadEdgeError, match="stale candidate"):
+            agent.run_episode(PagerankReward(karate), np.random.default_rng(1))
 
 
 class TestDoubleDQNTarget:
@@ -268,6 +323,36 @@ class TestFusedTraining:
         for a, b in zip(fused.optimizer.m + fused.optimizer.v,
                         oracle.optimizer.m + oracle.optimizer.v):
             assert np.array_equal(a, b)
+
+    def test_picked_pass_matches_all_candidates_pass(self, karate):
+        agent = filled_agent(karate)
+        _, batch, weights = agent.buffer.sample(agent.config.batch_size, np.random.default_rng(5))
+        targets = double_dqn_target(batch, agent.policy, agent.target, agent.config.gamma)
+        states = SubgraphUnion([tr.state for tr in batch])
+        q, _ = agent.policy.q_forward_batch(
+            states.pick(states.offsets[:-1] + [tr.action for tr in batch]))
+        nnet.weighted_mse(q, targets, weights)[0].backward()
+        picked_grads = [p.grad for p in agent.policy.parameters()]
+        agent.optimizer.zero_grad()
+
+        pred = oracles.taken_q_all_candidates_oracle(agent.policy, batch)
+        oracles.td_loss_oracle(pred, targets, weights)[0].backward()
+        np.testing.assert_allclose(q.data, pred.data, rtol=1e-14, atol=0)
+        for p, g in zip(agent.policy.parameters(), picked_grads):
+            assert np.abs(g - p.grad).max() <= 1e-11 * np.abs(p.grad).max(), p.name
+
+    def test_recording_pass_scores_only_the_taken_edges(self, karate, monkeypatch):
+        agent = filled_agent(karate)
+        shapes = []
+        loss = nnet.weighted_mse
+
+        def spy(pred, *args):
+            shapes.append(pred.data.shape)
+            return loss(pred, *args)
+
+        monkeypatch.setattr(nnet, "weighted_mse", spy)
+        agent.train_step(np.random.default_rng(5))
+        assert shapes == [(agent.config.batch_size,)]
 
     @pytest.mark.parametrize("all_done", [False, True])
     def test_nan_parameter_raises_before_any_update(self, karate, all_done):

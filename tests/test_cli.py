@@ -1,5 +1,4 @@
 import csv
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -330,14 +329,7 @@ class TestCompare:
             assert rc == cli.EXIT_OK
             return out_dir
 
-        # two workers share the one loaded agent; frequent thread switches
-        # give a lost update every chance to show against a serial run
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            out_dir = run(2)
-        finally:
-            sys.setswitchinterval(interval)
+        out_dir = run(2)
         table = read_csv(out_dir / "compare_table.csv")
         assert {r["method"] for r in table} == {
             "random_edge", "local_degree", "edge_forest_fire", "l_spar",

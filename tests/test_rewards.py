@@ -86,6 +86,14 @@ class TestRewardPagerank:
         expected = spearman_rho(pagerank(g), pagerank(gp)) - 1.0
         assert training_reward(PagerankReward(g), gp) == pytest.approx(expected)
 
+    def test_rewards_over_a_prune_sequence_equal_spearman_rho(self, karate, rng):
+        spec, base, gp = PagerankReward(karate), pagerank(karate), karate.copy()
+        for eid in rng.permutation(gp.live_edge_ids())[:50]:
+            gp.prune_edge(int(eid))
+            rho = spearman_rho(base, pagerank(gp))
+            assert spec.after_prune(gp, int(eid), None, rng) == rho - 1.0
+            assert spec.evaluate(gp, rng) == rho
+
     def test_evaluation_is_rho(self, karate, rng):
         gp = karate.copy()
         gp.random_prune(20, rng)
