@@ -40,7 +40,7 @@ print(f"pruned 8 edges; bridge alive: {bridge_alive}")
 
 # inspect the learned Q-values on the full graph
 sub = g.sample_subgraph(21, np.random.default_rng(2))
-q = agent.policy.q_forward(sub, require_live_in=g).data
+q = agent.policy.q_forward(sub).data
 order = np.argsort(q)  # ascending; the agent prunes the argmax each step
 ends = sub.nodes[sub.ends]  # (u, v) of each candidate edge
 print("three edges the policy most wants to prune:",

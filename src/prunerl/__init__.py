@@ -31,7 +31,6 @@ from .metrics import (
     louvain,
     modularity,
     pagerank,
-    shortest_path_distance,
     spearman_rho,
 )
 from .qmodel import QModel, load_checkpoint, save_checkpoint

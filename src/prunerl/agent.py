@@ -12,7 +12,7 @@ import numpy as np
 from . import nnet
 from .errors import ConfigError, PruneRLError
 from .nnet import Adam
-from .qmodel import QModel, SubgraphUnion, load_checkpoint, save_checkpoint
+from .qmodel import QModel, SubgraphUnion, load_checkpoint, require_fields, save_checkpoint
 from .replay import ReplayBuffer, Transition
 
 LOG_FIELDS = ["episode", "step", "epsilon", "loss", "mean_reward", "buffer_size"]
@@ -74,9 +74,9 @@ def double_dqn_target(batch, policy, target, gamma):
     live = [i for i, tr in enumerate(batch) if not tr.done]
     if live and gamma != 0.0:
         union = SubgraphUnion([batch[i].next_state for i in live])
-        q, offsets = policy.q_forward_batch(union, grad=False)
-        best = [lo + int(np.argmax(q.data[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])]
-        out[live] += gamma * target.q_forward_batch(union.pick(best), grad=False)[0].data
+        q, offsets = policy.q_forward(union, grad=False).data, union.offsets
+        best = [lo + int(np.argmax(q[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        out[live] += gamma * target.q_forward(union.pick(best), grad=False).data
     return out
 
 
@@ -133,7 +133,7 @@ class Agent:
 
         states = SubgraphUnion([tr.state for tr in batch])
         taken = states.pick(states.offsets[:-1] + [tr.action for tr in batch])
-        loss, td_errors = nnet.weighted_mse(self.policy.q_forward_batch(taken)[0], targets, weights)
+        loss, td_errors = nnet.weighted_mse(self.policy.q_forward(taken), targets, weights)
 
         self.optimizer.zero_grad()
         loss.backward()
@@ -202,7 +202,8 @@ class Agent:
             )
         while out.edge_count > target:
             sub = out.sample_subgraph(eval_subgraph_len, rng)
-            qvals = self.policy.q_forward(sub, require_live_in=out, grad=False).data
+            sub.require_live(out)
+            qvals = self.policy.q_forward(sub, grad=False).data
             out.prune_edge(sub.eids[np.argmax(qvals)])
         return out
 
@@ -226,9 +227,12 @@ class Agent:
     @classmethod
     def load(cls, path, graph):
         model, header, arrays = load_checkpoint(path)
-        if "agent_config" not in header["extra"]:
-            raise ConfigError(f"{path}: not a prunerl checkpoint (header extra lacks agent_config)")
-        config = AgentConfig(**header["extra"]["agent_config"])
+        require_fields(path, "header extra", header["extra"], ("agent_config",))
+        require_fields(path, "agent_state", header["agent_state"], ("update_steps", "episodes_done"))
+        try:
+            config = AgentConfig(**header["extra"]["agent_config"])
+        except (TypeError, PruneRLError) as exc:  # an unknown key or a bad value
+            raise ConfigError(f"{path}: not a prunerl checkpoint (agent_config: {exc})") from None
         agent = cls(graph, config=config)
         agent.policy.load_state_arrays(model.state_arrays())  # checks the shapes
         target_arrays = {
@@ -241,6 +245,8 @@ class Agent:
             agent.target.copy_from(agent.policy)
         n = len(agent.policy.parameters())
         if "opt_m_0" in arrays:
+            require_fields(path, "optimizer", header.get("optimizer"), ("step_count",))
+            require_fields(path, "checkpoint", arrays, [f"opt_{s}_{i}" for s in "mv" for i in range(n)])
             agent.optimizer.load_state_dict(
                 {
                     "step_count": header["optimizer"]["step_count"],

@@ -1,6 +1,8 @@
 """Run configuration: a schema-versioned YAML file with strict key checking,
-plus the named-stream rng discipline (one master seed split per subsystem so
-changes in one subsystem do not perturb another's draws).
+and the two rng streams training draws from one master seed: "init" for the
+network weights, and "exploration" for everything else a run samples
+(episode lengths, random pre-pruning, candidate subgraphs, epsilon-greedy
+actions, replay batches and Louvain seeds).
 """
 
 from dataclasses import dataclass, field
@@ -14,14 +16,14 @@ from .rewards import OBJECTIVES
 
 SCHEMA_VERSION = 1
 
-RNG_STREAMS = ("graph-sampling", "exploration", "replay", "louvain", "init", "evaluation")
+# fixed spawn keys: changing one changes every seeded run's draws
+RNG_STREAMS = {"exploration": 1, "init": 4}
 
 
 def rng_streams(master_seed):
     """Named child generators derived from one master seed."""
-    ss = np.random.SeedSequence(master_seed)
-    children = ss.spawn(len(RNG_STREAMS))
-    return {name: np.random.default_rng(child) for name, child in zip(RNG_STREAMS, children)}
+    return {name: np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(key,)))
+            for name, key in RNG_STREAMS.items()}
 
 
 @dataclass

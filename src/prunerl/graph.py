@@ -130,22 +130,12 @@ class Graph:
     def live_edge_ids(self):
         return self._live_ids[: self.edge_count].copy()
 
-    def neighbors(self, u):
-        """Live neighbors of u (out-neighbors when directed), in edge id order."""
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        return self.nbrs[lo:hi][self.alive[self.eids[lo:hi]]].tolist()
-
     def live_csr(self):
         """(indptr, nbrs, eids) of the live edges, rows in (node, edge id)
         order; undirected edges appear in both endpoints' rows."""
         deg = self.out_degree if self.directed else self.degree
         live = self.alive[self.eids]
         return np.concatenate(([0], np.cumsum(deg))), self.nbrs[live], self.eids[live]
-
-    def degree_of(self, u):
-        if self.directed:
-            return (int(self.in_degree[u]), int(self.out_degree[u]))
-        return int(self.degree[u])
 
     def edge_kept_ratio(self):
         return self.edge_count / self.original_edge_count

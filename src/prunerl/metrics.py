@@ -284,14 +284,6 @@ def bfs_distances(g, source):
     return _hop_distances(g, source)
 
 
-def shortest_path_distance(g, u, v):
-    """BFS hop count from u to v; UNREACHABLE (inf) when no path exists."""
-    if u == v:
-        return 0
-    d = bfs_distances(g, u)[v]
-    return UNREACHABLE if d == UNREACHABLE else int(d)
-
-
 def batch_spsp(g, pairs):
     """Distances for many pairs, from one search over their distinct sources."""
     if not pairs:

@@ -1,8 +1,7 @@
 """Minimal reverse-mode autodiff over numpy float64 arrays, built from fused
 layers whose backward is written by hand: Linear with its bias and leaky
 ReLU, the graph-attention block, edge-endpoint pairing, and the weighted TD
-loss are one graph node each. Adam and a finite-difference gradient checker
-complete it.
+loss are one graph node each. Adam completes it.
 
 Every layer takes `grad`. With grad=False it returns the bare array and
 records no parents or closures, so an inference pass runs the same forward
@@ -97,26 +96,6 @@ def _leaky_grad(g, y, slope):
     return g * np.where(y > 0, 1.0, slope)
 
 
-# ----------------------------------------------- generic ops (for losses)
-
-
-def mul(a, b):
-    """Elementwise product of two same-shape tensors; grad checks build their
-    scalar losses over Q-values from this and `sum_all`."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul needs equal shapes, got {a.data.shape} and {b.data.shape}")
-
-    def backward(g):
-        a._accum(g * b.data)
-        b._accum(g * a.data)
-
-    return _node(a.data * b.data, (a, b), backward)
-
-
-def sum_all(a):
-    return _node(a.data.sum(), (a,), lambda g: a._accum(np.broadcast_to(g, a.data.shape).copy()))
-
-
 # ------------------------------------------------------------ fused layers
 
 
@@ -187,58 +166,48 @@ class Linear:
         return [self.W] + ([self.b] if self.b is not None else [])
 
 
-class Neighborhoods:
-    """Closed neighborhoods in CSR form, segment i being hood[ptr[i]:ptr[i + 1]]
-    with its center first, and the gather indices attention needs over them:
-    each distinct node once (`uniq`), each entry's row in `uniq` (`rows`) and
-    its center's row (`center`)."""
-
-    def __init__(self, ptr, hood):
-        self.ptr, self.hood = ptr, hood
-        self.lens = np.diff(ptr)
-        self.count = len(ptr) - 1
-        self.segments = np.repeat(np.arange(self.count), self.lens)
-        self.uniq, self.rows = np.unique(hood, return_inverse=True)
-        self.center = np.repeat(self.rows[ptr[:-1]], self.lens)
-        # CSR (indices, indptr) of the entries' rows in uniq, as the int32
-        # that scipy would otherwise convert them to on every pass
-        self.csr = self.rows.astype(np.int32), ptr.astype(np.int32)
-
-
-def graph_attention(table, proj, score, hoods, slope, grad=True):
-    """Single-head attention over `hoods` (a Neighborhoods) as one node.
+def graph_attention(table, proj, score, ptr, hood, slope, grad=True):
+    """Single-head attention over closed neighborhoods as one node: segment
+    i, hood[ptr[i]:ptr[i + 1]], is node i's neighborhood with its center
+    first, so an isolated node attends only to itself.
 
     Entry j of segment i, node n, is projected as table[n] @ proj.W and
     scored leaky_relu([center, entry] @ score.W + score.b); each segment
     returns the softmax-weighted sum of its entries' projections.
     """
-    W, d, k = score.W.data, proj.W.data.shape[1], len(hoods.uniq)
-    gathered = table.data[hoods.uniq]
+    lens = np.diff(ptr)
+    count = len(lens)
+    segments = np.repeat(np.arange(count), lens)
+    # each distinct node once, each entry's row in uniq, and its center's row
+    uniq, rows = np.unique(hood, return_inverse=True)
+    center = np.repeat(rows[ptr[:-1]], lens)
+    W, d, k = score.W.data, proj.W.data.shape[1], len(uniq)
+    gathered = table.data[uniq]
     p_uniq = gathered @ proj.W.data
     # the score of a [center, entry] row is one dot product per half of
     # score.W: take both per distinct node, then gather
     s_center, s_nbr = p_uniq @ W[:d], p_uniq @ W[d:]
-    s = s_center[hoods.center] + s_nbr[hoods.rows]
+    s = s_center[center] + s_nbr[rows]
     s += score.b.data
     s = _leaky_relu_(s.reshape(-1), slope)
-    e = np.exp(s - np.repeat(np.maximum.reduceat(s, hoods.ptr[:-1]), hoods.lens))
-    att = e / np.repeat(np.bincount(hoods.segments, weights=e, minlength=hoods.count),
-                        hoods.lens)
+    e = np.exp(s - np.repeat(np.maximum.reduceat(s, ptr[:-1]), lens))
+    att = e / np.repeat(np.bincount(segments, weights=e, minlength=count), lens)
     # the weighted sums as a sparse product: scipy adds each att * p_uniq row
     # to a zeroed row in stored (entry) order, as a bincount over the
-    # products would, without building the (entries, d) product array
-    weights = csr_matrix((att, *hoods.csr), shape=(hoods.count, k))
+    # products would, without building the (entries, d) product array;
+    # int32 indices are what scipy would otherwise convert them to
+    weights = csr_matrix((att, rows.astype(np.int32), ptr.astype(np.int32)), shape=(count, k))
     out = weights @ p_uniq
     if not grad:
         return out
 
     def backward(g):
-        d_att = (g[hoods.segments] * p_uniq[hoods.rows]).sum(axis=1)
-        dot = np.bincount(hoods.segments, weights=d_att * att, minlength=hoods.count)
-        d_s = _leaky_grad(att * (d_att - dot[hoods.segments]), s, slope).reshape(-1, 1)
+        d_att = (g[segments] * p_uniq[rows]).sum(axis=1)
+        dot = np.bincount(segments, weights=d_att * att, minlength=count)
+        d_s = _leaky_grad(att * (d_att - dot[segments]), s, slope).reshape(-1, 1)
         score.b._accum(d_s.sum(axis=0))
-        d_center = _scatter_rows(hoods.center, d_s[:, 0], k)[:, None]
-        d_nbr = _scatter_rows(hoods.rows, d_s[:, 0], k)[:, None]
+        d_center = _scatter_rows(center, d_s[:, 0], k)[:, None]
+        d_nbr = _scatter_rows(rows, d_s[:, 0], k)[:, None]
         # proj's three gradient terms, added in the order the op-by-op graph
         # (tests/oracles.py) added them, so that training stays bit-identical;
         # the transposed product adds each entry's att * g row to its node in
@@ -248,7 +217,7 @@ def graph_attention(table, proj, score, hoods, slope, grad=True):
         d_proj = d_proj + d_center * W[:d, 0]
         score.W._accum(np.concatenate([p_uniq.T @ d_center, p_uniq.T @ d_nbr]))
         proj.W._accum(gathered.T @ d_proj)
-        table._accum(_scatter_rows(hoods.uniq, d_proj @ proj.W.data.T, table.data.shape[0]))
+        table._accum(_scatter_rows(uniq, d_proj @ proj.W.data.T, table.data.shape[0]))
 
     return _node(out, (table, proj.W, score.W, score.b), backward)
 
@@ -313,48 +282,3 @@ class Adam:
         self.step_count = int(state["step_count"])
         self.m = [np.array(m, dtype=np.float64) for m in state["m"]]
         self.v = [np.array(v, dtype=np.float64) for v in state["v"]]
-
-
-# ----------------------------------------------------------------- grad check
-
-
-def grad_check(model_fn, params, tolerance=1e-4, h=1e-5, max_coords=8, rng=None):
-    """Central finite differences vs the analytic gradient.
-
-    model_fn() must rebuild the scalar loss from the current parameter data.
-    Checks a random subset of coordinates per parameter and returns the max
-    relative error; raises if it exceeds the tolerance, naming the worst
-    parameter.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    for p in params:
-        p.zero_grad()
-    loss = model_fn()
-    loss.backward()
-    analytic = {id(p): (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for p in params}
-
-    worst = 0.0
-    worst_name = None
-    for p in params:
-        flat = p.data.reshape(-1)
-        n = flat.size
-        coords = rng.choice(n, size=min(max_coords, n), replace=False)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + h
-            up = float(model_fn().data)
-            flat[c] = orig - h
-            down = float(model_fn().data)
-            flat[c] = orig
-            fd = (up - down) / (2.0 * h)
-            an = analytic[id(p)].reshape(-1)[c]
-            denom = max(abs(fd), abs(an), 1e-3)
-            rel = abs(fd - an) / denom
-            if rel > worst:
-                worst = rel
-                worst_name = p.name
-    if worst > tolerance:
-        raise PruneRLError(
-            f"gradient check failed: max relative error {worst:.3e} at {worst_name}"
-        )
-    return worst

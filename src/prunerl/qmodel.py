@@ -21,42 +21,43 @@ HIDDEN_SLOPE = 0.01  # leaky slope in the encoder MLPs
 
 
 class SubgraphUnion:
-    """The disjoint union of candidate subgraphs as one graph's index arrays,
-    built once and shared by every pass over the same subgraphs."""
+    """The disjoint union of candidate subgraphs as one snapshot that
+    `QModel.q_forward` scores in one pass: `hood_ptr`, `hood`, `node_degrees`
+    and `ends` as in a `CandidateSubgraph`, `edge_ratio` as a per-node
+    column, and `offsets`, item i's candidates being rows
+    offsets[i]:offsets[i + 1]."""
 
     def __init__(self, subs):
         if not subs or any(len(s) == 0 for s in subs):
             raise PruneRLError("q_forward needs nonempty candidate subgraphs")
         counts = [len(s) for s in subs]
         self.offsets = np.cumsum([0] + counts)
-        if len(subs) == 1:  # every acting pass: ~45 us less than the concatenations
-            (s,) = subs
-            self.hoods = nnet.Neighborhoods(s.hood_ptr, s.hood)
-            self.node_degrees, self.ends = s.node_degrees, s.ends
-            self.ratio = np.full((len(s.nodes), 1), s.edge_ratio)
-            return
         sizes = [len(s.nodes) for s in subs]
         hood_base = np.cumsum([0] + [len(s.hood) for s in subs[:-1]])
         hood_ends = np.concatenate([s.hood_ptr[1:] for s in subs]) + np.repeat(hood_base, sizes)
-        self.hoods = nnet.Neighborhoods(np.concatenate([[0], hood_ends]),
-                                        np.concatenate([s.hood for s in subs]))
+        self.hood_ptr = np.concatenate([[0], hood_ends])
+        self.hood = np.concatenate([s.hood for s in subs])
         self.node_degrees = np.concatenate([s.node_degrees for s in subs])
-        self.ratio = np.repeat([s.edge_ratio for s in subs], sizes)[:, None]
+        self.edge_ratio = np.repeat([s.edge_ratio for s in subs], sizes)[:, None]
         # each item's endpoint rows, shifted past the nodes of the items before it
         node_base = np.cumsum([0] + sizes[:-1])
         self.ends = np.concatenate([s.ends for s in subs]) + np.repeat(node_base, counts)[:, None]
+
+    def __len__(self):
+        return int(self.offsets[-1])
 
     def pick(self, rows):
         """Candidate rows `rows` alone, scored as in this union up to rounding:
         item i is row rows[i]'s source then destination node rows, unsorted,
         the order that keeps training bit-identical to its op-by-op oracle."""
         nodes = self.ends[rows].reshape(-1)
-        starts, lens = self.hoods.ptr[nodes], self.hoods.lens[nodes]
-        ptr = np.concatenate([[0], np.cumsum(lens)])
+        starts = self.hood_ptr[nodes]
+        lens = self.hood_ptr[nodes + 1] - starts
         picked = object.__new__(SubgraphUnion)
-        picked.hoods = nnet.Neighborhoods(
-            ptr, self.hoods.hood[np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], lens)])
-        picked.node_degrees, picked.ratio = self.node_degrees[nodes], self.ratio[nodes]
+        picked.hood_ptr = np.concatenate([[0], np.cumsum(lens)])
+        picked.hood = self.hood[np.arange(picked.hood_ptr[-1])
+                                + np.repeat(starts - picked.hood_ptr[:-1], lens)]
+        picked.node_degrees, picked.edge_ratio = self.node_degrees[nodes], self.edge_ratio[nodes]
         picked.ends = np.arange(len(nodes)).reshape(-1, 2)
         picked.offsets = np.arange(len(rows) + 1)
         return picked
@@ -109,53 +110,31 @@ class QModel:
         for dst, src in zip(self.parameters(), policy.parameters()):
             dst.data = (1.0 - rate) * dst.data + rate * src.data
 
-    # ------------------------------------------------------------------ layers
+    # ----------------------------------------------------------------- scoring
 
-    def gat_encode(self, hood_ptr, hood, grad=True):
-        """Attention-weighted aggregation over closed 1-hop neighborhoods:
-        node i attends over CSR segment `hood[hood_ptr[i]:hood_ptr[i + 1]]`,
-        itself (listed first) included, so an isolated node attends only to
-        itself. Returns shape (len(hood_ptr) - 1, emb_dim): a Tensor, or with
-        grad=False an array."""
-        return self._attend(nnet.Neighborhoods(hood_ptr, hood), grad)
-
-    def _attend(self, hoods, grad):
-        return nnet.graph_attention(self.embeddings, self.gat_proj, self.gat_score, hoods,
-                                    ATTENTION_SLOPE, grad)
-
-    def q_forward_batch(self, subs, grad=True):
-        """Q-values of several candidate subgraphs (a list, or their
-        SubgraphUnion) in one pass over their disjoint union: (Tensor of every
-        Q-value, offsets), the values of subs[i] being entries
-        offsets[i]:offsets[i + 1]. Neighborhoods, degrees, and the edge ratio
-        come from each subgraph's snapshot, so replayed states stay evaluable
-        after further pruning.
+    def q_forward(self, sub, grad=True):
+        """Q-value per candidate edge of `sub`, a sampled CandidateSubgraph or
+        a SubgraphUnion of several (item i's values being entries
+        sub.offsets[i]:sub.offsets[i + 1]): a Tensor of shape (len(sub),).
+        Neighborhoods, degrees, and the edge ratio come from the snapshot, so
+        replayed states stay evaluable after further pruning; callers acting
+        on a live graph check `require_live` themselves.
 
         With grad=False the pass records no graph, and its Q-values, equal
         bit for bit to a recording pass's, are checked for finiteness.
         """
-        u = subs if isinstance(subs, SubgraphUnion) else SubgraphUnion(subs)
-        gat_out = self._attend(u.hoods, grad)
-        degs = u.node_degrees / max(1, self.node_count - 1)  # feature scaling only
-        x = nnet.concat_features(gat_out, (degs, u.ratio), grad)
+        gat_out = nnet.graph_attention(self.embeddings, self.gat_proj, self.gat_score,
+                                       sub.hood_ptr, sub.hood, ATTENTION_SLOPE, grad)
+        degs = sub.node_degrees / max(1, self.node_count - 1)  # feature scaling only
+        x = nnet.concat_features(gat_out, (degs, np.full((len(degs), 1), sub.edge_ratio)), grad)
         h = self.node_fc1(x, HIDDEN_SLOPE, grad)
         enc = self.node_fc2(h, HIDDEN_SLOPE, grad)
         # order-insensitive when undirected: Q(u,v) = Q(v,u)
-        pair = nnet.pair_rows(enc, u.ends, self.directed, grad)
+        pair = nnet.pair_rows(enc, sub.ends, self.directed, grad)
         h = self.edge_fc1(pair, HIDDEN_SLOPE, grad)
         h = self.edge_fc2(h, HIDDEN_SLOPE, grad)
         q = nnet.reshape(self.head(h, grad=grad), (-1,), grad)
-        return (q if grad else Tensor(q, name="q")), u.offsets
-
-    def q_forward(self, sub, require_live_in=None, grad=True):
-        """Q-value per candidate edge; Tensor of shape (len(sub),).
-
-        Pass a graph as `require_live_in` to reject stale snapshots (`sparsify`
-        does; acting checks every state, scored or not; replay training does not).
-        """
-        if require_live_in is not None:
-            sub.require_live(require_live_in)
-        return self.q_forward_batch([sub], grad)[0]
+        return q if grad else Tensor(q, name="q")
 
     # -------------------------------------------------------------- checkpoint
 
@@ -239,9 +218,16 @@ def load_checkpoint(path, rng=None):
         raise ConfigError(f"{path}: not a prunerl checkpoint (header is not a JSON object)")
     if header.get("format_version") != 1:
         raise DataError(f"unsupported checkpoint version {header.get('format_version')}")
-    missing = sorted({"model", "extra", "agent_state"} - header.keys())
-    if missing:
-        raise ConfigError(f"{path}: not a prunerl checkpoint (header lacks {', '.join(missing)})")
+    require_fields(path, "header", header, ("agent_state", "extra", "model"))
+    require_fields(path, "model", header["model"], ("node_count", "directed", "emb_dim", "hidden_dim"))
     model = QModel.from_config(header["model"], rng=rng)
     model.load_state_arrays(arrays)
     return model, header, arrays
+
+
+def require_fields(path, where, section, names):
+    """Raise ConfigError naming the `names` that part `where` of a checkpoint
+    (a dict, or anything else if malformed) lacks."""
+    missing = [n for n in names if not isinstance(section, dict) or n not in section]
+    if missing:
+        raise ConfigError(f"{path}: not a prunerl checkpoint ({where} lacks {', '.join(missing)})")

@@ -84,8 +84,3 @@ class ReplayBuffer:
         p = np.abs(np.asarray(td_errors, dtype=np.float64)) + self.priority_floor
         self.weight[indices] = p ** self.alpha
         self.max_priority = max(self.max_priority, float(p.max()))
-
-    def sampling_probabilities(self):
-        """p_i^alpha / sum p_j^alpha over stored items (test hook)."""
-        w = self.weight[: self.size]
-        return w / w.sum()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from prunerl.graph import Graph, load_edge_list
+from prunerl.metrics import UNREACHABLE, bfs_distances
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -66,6 +67,32 @@ def random_sparse_graph(n, m, rng, directed=False):
         if u != v:
             edges.setdefault((u, v) if directed else (min(u, v), max(u, v)), (u, v))
     return Graph(n, list(edges.values()), directed=directed)
+
+
+def neighbors(g, u):
+    """Live neighbors of u (out-neighbors when directed), in edge id order."""
+    lo, hi = g.indptr[u], g.indptr[u + 1]
+    return g.nbrs[lo:hi][g.alive[g.eids[lo:hi]]].tolist()
+
+
+def degree_of(g, u):
+    if g.directed:
+        return (int(g.in_degree[u]), int(g.out_degree[u]))
+    return int(g.degree[u])
+
+
+def shortest_path_distance(g, u, v):
+    """BFS hop count from u to v; UNREACHABLE (inf) when no path exists."""
+    if u == v:
+        return 0
+    d = bfs_distances(g, u)[v]
+    return UNREACHABLE if d == UNREACHABLE else int(d)
+
+
+def sampling_probabilities(buf):
+    """p_i^alpha / sum p_j^alpha over the items a ReplayBuffer stores."""
+    w = buf.weight[: buf.size]
+    return w / w.sum()
 
 
 def floyd_warshall(g):

@@ -2,10 +2,13 @@
 
 The op-by-op autodiff below (one graph node per matmul, add, gather, leaky
 ReLU, softmax, ...) is the form the fused layers of `prunerl.nnet` replaced.
-On it, `q_forward_batch_oracle` and `train_step_oracle` are the op-by-op
-forms of `QModel.q_forward_batch` and `Agent.train_step`, and must agree
-with them bit for bit. `train_step_oracle` scores the edges a step reads
-through one-edge views (`edge_views`), as `SubgraphUnion.pick` does;
+On it, `gat_encode_oracle` is the op-by-op form of `nnet.graph_attention`,
+and `q_forward_batch_oracle` and `train_step_oracle` those of
+`QModel.q_forward` over the `SubgraphUnion` of a list of candidate
+subgraphs and of `Agent.train_step`; they must agree with them bit for bit.
+`train_step_oracle` scores the edges a step reads through one-edge views
+(`edge_views`), built here as `CandidateSubgraph`s, which `SubgraphUnion.pick`
+gathers as index arrays;
 `taken_q_all_candidates_oracle` scores every candidate of the batch, and
 agrees with the picked pass only to rounding, because its matrix products
 sum over more rows. `q_forward_oracle` scores one candidate subgraph at a
@@ -201,7 +204,7 @@ def linear(layer, x):
 
 
 def gat_encode_oracle(model, hood_ptr, hood):
-    """`QModel.gat_encode`, op by op."""
+    """`nnet.graph_attention` with the model's attention layer, op by op."""
     count = len(hood_ptr) - 1
     segments = np.repeat(np.arange(count), np.diff(hood_ptr))
     uniq, rows = np.unique(hood, return_inverse=True)
@@ -220,7 +223,8 @@ def gat_encode_oracle(model, hood_ptr, hood):
 
 
 def q_forward_batch_oracle(model, subs):
-    """`QModel.q_forward_batch` (recording), op by op."""
+    """`QModel.q_forward(SubgraphUnion(subs))` (recording), op by op, and
+    the union's offsets."""
     if not subs or any(len(s) == 0 for s in subs):
         raise PruneRLError("q_forward needs nonempty candidate subgraphs")
     sizes = [len(s.nodes) for s in subs]
@@ -247,8 +251,9 @@ def q_forward_batch_oracle(model, subs):
 
 def edge_views(subs, rows):
     """Candidate rows[i] of subs[i] as a one-edge `CandidateSubgraph` whose
-    two nodes are its source and then its destination, unsorted: the items
-    of `SubgraphUnion.pick`."""
+    two nodes are its source and then its destination, unsorted. Their
+    union holds the arrays `SubgraphUnion(subs).pick` gathers: the same
+    neighborhoods, degrees and edge ratios, node rows in the same order."""
     views = []
     for s, j in zip(subs, rows):
         ends = s.ends[j]

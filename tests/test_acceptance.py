@@ -36,10 +36,14 @@ from conftest import (
     DATA_DIR,
     barbell_graph,
     complete_graph,
+    degree_of,
     floyd_warshall,
+    neighbors,
     random_connected_graph,
+    sampling_probabilities,
     two_triangles,
 )
+from gradcheck import grad_check, mul, sum_all
 
 KARATE = DATA_DIR / "karate.txt"
 KARATE_LABELS = DATA_DIR / "karate_communities.txt"
@@ -121,17 +125,17 @@ class TestGradientFidelity:
             w = nnet.Tensor(rng.normal(size=len(sub)))
 
             def loss_fn():
-                return nnet.sum_all(nnet.mul(model.q_forward(sub), w))
+                return sum_all(mul(model.q_forward(sub), w))
 
             try:
-                err = nnet.grad_check(loss_fn, model.parameters(),
-                                      tolerance=1e-4, rng=np.random.default_rng(trial))
+                err = grad_check(loss_fn, model.parameters(),
+                                 tolerance=1e-4, rng=np.random.default_rng(trial))
             except PruneRLError:
                 # piecewise-linear activations: a coordinate can straddle a
                 # kink at the default step; re-check with a tighter one
-                err = nnet.grad_check(loss_fn, model.parameters(),
-                                      tolerance=1e-4, h=1e-6,
-                                      rng=np.random.default_rng(trial))
+                err = grad_check(loss_fn, model.parameters(),
+                                 tolerance=1e-4, h=1e-6,
+                                 rng=np.random.default_rng(trial))
             worst = max(worst, err)
         assert worst < 1e-4
 
@@ -152,7 +156,7 @@ class TestStochasticLaws:
         for _ in range(200):
             idx, _, _ = buf.sample(500, rng)
             counts += np.bincount(idx, minlength=10)
-        expected = buf.sampling_probabilities() * draws
+        expected = sampling_probabilities(buf) * draws
         stat, pvalue = scipy.stats.chisquare(counts, expected)
         assert pvalue > 0.01
 
@@ -298,7 +302,7 @@ class TestBaselineExactness:
         g = Graph(13, edges)
         for alpha in (0.5, 0.7, 1.0):
             sp = baselines.local_degree(g, alpha=alpha)
-            assert sp.degree_of(0) == math.floor(9 ** alpha)
+            assert degree_of(sp, 0) == math.floor(9 ** alpha)
 
     def test_l_spar_scores_match_set_arithmetic(self):
         rng = np.random.default_rng(9)
@@ -307,8 +311,8 @@ class TestBaselineExactness:
             scores = baselines.jaccard_scores(g)
             for eid in g.live_edge_ids():
                 u, v = int(g.src[eid]), int(g.dst[eid])
-                nu = set(g.neighbors(u)) | {u}
-                nv = set(g.neighbors(v)) | {v}
+                nu = set(neighbors(g, u)) | {u}
+                nv = set(neighbors(g, v)) | {v}
                 expect = len(nu & nv) / len(nu | nv)
                 assert scores[eid] == pytest.approx(expect)
 
@@ -403,13 +407,17 @@ class TestVariableEvalSubgraphLen:
             sp = agent.sparsify(g, 0.5, h, np.random.default_rng(h))
             assert sp.edge_count == 39
 
-    def test_h_sweep_emits_series_with_monotone_wall_time(self, checkpoint,
-                                                          tmp_path):
+    def test_h_sweep_emits_series_with_monotone_wall_time(self, tmp_path):
+        # an untrained agent of the default size: with the small trained one a
+        # karate prune costs about the same at |H|=8 and 64, so timing noise
+        # decided the order
+        checkpoint = tmp_path / "agent.npz"
+        Agent(load_edge_list(KARATE), AgentConfig(), rng=np.random.default_rng(0)).save(checkpoint)
         out = tmp_path / "sweep.csv"
         rc = cli.main(["h-sweep", "--dataset", str(KARATE), "--checkpoint",
                        str(checkpoint), "--ratio", "0.5", "--metric",
                        "pagerank", "--subgraph-lens", "8", "64",
-                       "--seeds", "3", "--out", str(out)])
+                       "--seeds", "9", "--out", str(out)])
         assert rc == cli.EXIT_OK
         import csv
 
@@ -420,5 +428,6 @@ class TestVariableEvalSubgraphLen:
             series.setdefault(int(r["subgraph_len"]), []).append(
                 float(r["wall_time_s"]))
         assert set(series) == {8, 64}
-        assert all(len(v) == 3 for v in series.values())
-        assert np.mean(series[64]) > np.mean(series[8])
+        assert all(len(v) == 9 for v in series.values())
+        # medians, so that one stalled run cannot flip the order
+        assert np.median(series[64]) > np.median(series[8])

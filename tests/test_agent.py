@@ -19,6 +19,7 @@ from prunerl.rewards import PagerankReward, SpspReward
 
 import oracles
 from conftest import complete_graph
+from gradcheck import grad_check, mul, sum_all
 from oracles import (double_dqn_target_oracle, q_forward_batch_oracle, q_forward_oracle,
                      train_step_oracle)
 
@@ -64,9 +65,9 @@ class TestActing:
         calls = {"n": 0}
         forward = QModel.q_forward
 
-        def counted(self, *args, **kwargs):
-            calls["n"] += 1
-            return forward(self, *args, **kwargs)
+        def counted(self, sub, *args, **kwargs):
+            calls["n"] += not isinstance(sub, SubgraphUnion)  # acting passes only
+            return forward(self, sub, *args, **kwargs)
 
         def eager(count, qvals, epsilon, rng):
             q = qvals()
@@ -160,7 +161,8 @@ class TestBatchedQNet:
         model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
         batch = replay_batch(karate, rng)
         subs = [tr.state for tr in batch] + [tr.next_state for tr in batch]
-        q, offsets = model.q_forward_batch(subs)
+        union = SubgraphUnion(subs)
+        q, offsets = model.q_forward(union), union.offsets
         assert len({len(s) for s in subs}) > 5
         assert q.shape == (sum(len(s) for s in subs),)
         for sub, lo, hi in zip(subs, offsets[:-1], offsets[1:]):
@@ -171,7 +173,8 @@ class TestBatchedQNet:
         g = directed_graph()
         model = QModel(6, directed=True, emb_dim=4, hidden_dim=8, rng=rng)
         subs = [g.sample_subgraph(k, rng) for k in (1, 3, 9, 5)]
-        q, offsets = model.q_forward_batch(subs)
+        union = SubgraphUnion(subs)
+        q, offsets = model.q_forward(union), union.offsets
         for sub, lo, hi in zip(subs, offsets[:-1], offsets[1:]):
             assert np.allclose(q.data[lo:hi], q_forward_oracle(model, sub).data,
                                rtol=0, atol=1e-10)
@@ -183,10 +186,10 @@ class TestBatchedQNet:
         w = nnet.Tensor(rng.normal(size=sum(len(s) for s in subs)))
 
         def loss_fn():
-            return nnet.sum_all(nnet.mul(model.q_forward_batch(subs)[0], w))
+            return sum_all(mul(model.q_forward(SubgraphUnion(subs)), w))
 
-        assert nnet.grad_check(loss_fn, model.parameters(), tolerance=1e-4, h=1e-6,
-                               rng=np.random.default_rng(1)) < 1e-4
+        assert grad_check(loss_fn, model.parameters(), tolerance=1e-4, h=1e-6,
+                          rng=np.random.default_rng(1)) < 1e-4
 
     @pytest.mark.parametrize("gamma", [0.95, 0.0])
     def test_targets_match_oracle(self, karate, rng, gamma):
@@ -208,14 +211,15 @@ class TestBatchedQNet:
         actions = [tr.action for tr in batch]
 
         def grads(pred):
-            loss = nnet.sum_all(nnet.mul(pred, pred))
+            loss = sum_all(mul(pred, pred))
             loss.backward()
             out = [p.grad.copy() for p in model.parameters()]
             for p in model.parameters():
                 p.zero_grad()
             return out
 
-        q, offsets = model.q_forward_batch([tr.state for tr in batch])
+        union = SubgraphUnion([tr.state for tr in batch])
+        q, offsets = model.q_forward(union), union.offsets
         batched = grads(oracles.gather_rows(q, offsets[:-1] + actions))
         per_item = grads(oracles.concat([
             oracles.gather_rows(q_forward_oracle(model, tr.state), [tr.action])
@@ -232,10 +236,9 @@ class TestNoGradPass:
         model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
         batch = replay_batch(karate, rng)
         subs = [tr.state for tr in batch] + [tr.next_state for tr in batch]
-        q, offsets = model.q_forward_batch(subs)
-        q0, offsets0 = model.q_forward_batch(subs, grad=False)
+        union = SubgraphUnion(subs)
+        q, q0 = model.q_forward(union), model.q_forward(union, grad=False)
         assert np.array_equal(q0.data, q.data)
-        assert np.array_equal(offsets0, offsets)
         assert q0._parents == () and q0._backward is None
         assert np.array_equal(q.data, q_forward_batch_oracle(model, subs)[0].data)
 
@@ -245,7 +248,7 @@ class TestNoGradPass:
         g.random_prune(20, rng)
         for k in (1, 8, 32):
             sub = g.sample_subgraph(k, rng)
-            q = model.q_forward(sub, require_live_in=g, grad=False).data
+            q = model.q_forward(sub, grad=False).data
             assert np.array_equal(q, model.q_forward(sub).data)
             assert np.array_equal(q, q_forward_batch_oracle(model, [sub])[0].data)
 
@@ -253,16 +256,20 @@ class TestNoGradPass:
         g = directed_graph()
         model = QModel(6, directed=True, emb_dim=4, hidden_dim=8, rng=rng)
         subs = [g.sample_subgraph(k, rng) for k in (1, 3, 9, 5)]
-        q0 = model.q_forward_batch(subs, grad=False)[0].data
-        assert np.array_equal(q0, model.q_forward_batch(subs)[0].data)
+        union = SubgraphUnion(subs)
+        q0 = model.q_forward(union, grad=False).data
+        assert np.array_equal(q0, model.q_forward(union).data)
         assert np.array_equal(q0, q_forward_batch_oracle(model, subs)[0].data)
 
-    def test_shared_union_equals_separate_passes(self, karate, rng):
+    @pytest.mark.parametrize("grad", [True, False], ids=["recording", "no-grad"])
+    def test_snapshot_equals_its_one_item_union(self, karate, rng, grad):
         model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
-        subs = [tr.next_state for tr in replay_batch(karate, rng)]
-        union = SubgraphUnion(subs)
-        assert np.array_equal(model.q_forward_batch(union, grad=False)[0].data,
-                              model.q_forward_batch(subs, grad=False)[0].data)
+        g = karate.copy()
+        g.random_prune(20, rng)
+        for k in (1, 8, 32):
+            sub = g.sample_subgraph(k, rng)
+            assert np.array_equal(model.q_forward(sub, grad=grad).data,
+                                  model.q_forward(SubgraphUnion([sub]), grad=grad).data)
 
     def test_nonfinite_q_values_raise(self, karate, rng):
         model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
@@ -329,8 +336,7 @@ class TestFusedTraining:
         _, batch, weights = agent.buffer.sample(agent.config.batch_size, np.random.default_rng(5))
         targets = double_dqn_target(batch, agent.policy, agent.target, agent.config.gamma)
         states = SubgraphUnion([tr.state for tr in batch])
-        q, _ = agent.policy.q_forward_batch(
-            states.pick(states.offsets[:-1] + [tr.action for tr in batch]))
+        q = agent.policy.q_forward(states.pick(states.offsets[:-1] + [tr.action for tr in batch]))
         nnet.weighted_mse(q, targets, weights)[0].backward()
         picked_grads = [p.grad for p in agent.policy.parameters()]
         agent.optimizer.zero_grad()
@@ -440,7 +446,7 @@ class TestQModelLaws:
         model = QModel(4, emb_dim=4, hidden_dim=8, rng=rng)
         model.q_forward(sub)  # replay path: snapshot stays evaluable
         with pytest.raises(DeadEdgeError):
-            model.q_forward(sub, require_live_in=g)
+            sub.require_live(g)
 
 
 class TestTrainStep:

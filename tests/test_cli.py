@@ -1,4 +1,5 @@
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -216,10 +217,32 @@ def eval_config(**evaluation):
     return yaml.safe_dump({"schema_version": 1, "dataset": KARATE, "evaluation": evaluation})
 
 
-def bad_input(tmp_path, name, text):
+def bad_input(tmp_path, name, content, checkpoint):
+    """Write `content` to tmp_path / name: text, or a writer that is given the
+    path and a trained checkpoint."""
     path = tmp_path / name
-    path.write_text(text)
+    if callable(content):
+        content(path, checkpoint)
+    else:
+        path.write_text(content)
     return str(path)
+
+
+def edited_checkpoint(edit):
+    """A writer of a copy of the checkpoint, `edit` applied to its header and
+    its dict of arrays."""
+    def write(path, checkpoint):
+        with np.load(checkpoint) as z:
+            arrays = {k: z[k] for k in z.files}
+        header = json.loads(bytes(arrays["__header__"]).decode())
+        edit(header, arrays)
+        arrays["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+    return write
+
+
+SPARSIFY_BROKEN = ["sparsify", "--dataset", KARATE, "--method", "agent", "--checkpoint",
+                   "{broken}", "--ratio", "0.5", "--out", "{out}"]
 
 
 # each case: (files to write, argv, text the one-line message must contain)
@@ -249,6 +272,30 @@ DATA_ERRORS = {
         ["sparsify", "--dataset", "{small}", "--method", "agent", "--checkpoint",
          "{checkpoint}", "--ratio", "0.5", "--out", "{out}"],
         "checkpoint shape (34, 8) != model shape (3, 8)"),
+    "checkpoint model without emb_dim": (
+        {"broken.npz": edited_checkpoint(lambda h, a: h["model"].pop("emb_dim"))},
+        SPARSIFY_BROKEN,
+        "broken.npz: not a prunerl checkpoint (model lacks emb_dim)"),
+    "checkpoint agent_config with an unknown key": (
+        {"broken.npz": edited_checkpoint(lambda h, a: h["extra"]["agent_config"].update(bogus=1))},
+        SPARSIFY_BROKEN,
+        "__init__() got an unexpected keyword argument 'bogus')"),
+    "checkpoint agent_config with a value out of range": (
+        {"broken.npz": edited_checkpoint(lambda h, a: h["extra"]["agent_config"].update(gamma=2.0))},
+        SPARSIFY_BROKEN,
+        "broken.npz: not a prunerl checkpoint (agent_config: gamma must be in (0, 1), got 2.0)"),
+    "checkpoint optimizer state without its header": (
+        {"broken.npz": edited_checkpoint(lambda h, a: h.pop("optimizer"))},
+        SPARSIFY_BROKEN,
+        "broken.npz: not a prunerl checkpoint (optimizer lacks step_count)"),
+    "checkpoint without one optimizer moment": (
+        {"broken.npz": edited_checkpoint(lambda h, a: a.pop("opt_m_3"))},
+        SPARSIFY_BROKEN,
+        "broken.npz: not a prunerl checkpoint (checkpoint lacks opt_m_3)"),
+    "checkpoint agent_state without update_steps": (
+        {"broken.npz": edited_checkpoint(lambda h, a: h["agent_state"].pop("update_steps"))},
+        SPARSIFY_BROKEN,
+        "broken.npz: not a prunerl checkpoint (agent_state lacks update_steps)"),
     "malformed YAML config": (
         {"config.yaml": "schema_version: 1\ndataset: [unclosed\n"},
         ["compare", "--config", "{config}", "--out", "{out}"],
@@ -279,7 +326,8 @@ DATA_ERRORS = {
 @pytest.mark.parametrize("case", sorted(DATA_ERRORS))
 def test_data_errors_exit_2_with_one_line(case, trained, tmp_path, capsys):
     files, argv, message = DATA_ERRORS[case]
-    paths = {Path(name).stem: bad_input(tmp_path, name, text) for name, text in files.items()}
+    paths = {Path(name).stem: bad_input(tmp_path, name, content, trained["checkpoint"])
+             for name, content in files.items()}
     paths.update(out=str(tmp_path / "out"), checkpoint=str(trained["checkpoint"]))
     rc = cli.main([arg.format(**paths) for arg in argv])
     err = capsys.readouterr().err

@@ -5,9 +5,9 @@ import pytest
 
 from prunerl.errors import CommunityFileError, DeadEdgeError, EdgeListParseError, PruneRLError
 from prunerl.graph import Graph, load_communities, load_edge_list
-from prunerl.metrics import shortest_path_distance
 
-from conftest import complete_graph, make_graph, path_graph, random_sparse_graph
+from conftest import (complete_graph, degree_of, make_graph, neighbors, path_graph,
+                      random_sparse_graph, shortest_path_distance)
 from oracles import adjacency, prune_edges_oracle, random_prune_oracle
 
 
@@ -85,12 +85,12 @@ class TestPruning:
     def test_triangle_degrees(self):
         g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
         g.prune_edge(g.edge_id(0, 1))
-        assert [g.degree_of(i) for i in range(3)] == [1, 1, 2]
+        assert [degree_of(g, i) for i in range(3)] == [1, 1, 2]
 
     def test_path_becomes_unreachable(self):
         g = path_graph(3)
         g.prune_edge(g.edge_id(0, 1))
-        assert g.degree_of(0) == 0
+        assert degree_of(g, 0) == 0
         assert shortest_path_distance(g, 0, 2) == math.inf
 
     def test_double_prune_is_error(self):
@@ -101,15 +101,15 @@ class TestPruning:
 
     def test_directed_degrees(self):
         g = make_graph(3, [(0, 1), (1, 2)], directed=True)
-        assert g.degree_of(1) == (1, 1)
+        assert degree_of(g, 1) == (1, 1)
         g.prune_edge(g.edge_id(0, 1))
-        assert g.degree_of(1) == (0, 1)
+        assert degree_of(g, 1) == (0, 1)
 
     def test_degrees_match_adjacency_after_prune_sequence(self, karate, rng):
         for _ in range(40):
             karate.random_prune(1, rng)
             for n in range(karate.node_count):
-                assert karate.degree_of(n) == len(karate.neighbors(n))
+                assert degree_of(karate, n) == len(neighbors(karate, n))
 
     def test_copy_is_independent(self, karate):
         clone = karate.copy()
@@ -271,10 +271,10 @@ class TestSampleSubgraph:
         assert len(sub.hood_ptr) == len(ends) + 1
         for i, n in enumerate(ends):
             hood = sub.hood[sub.hood_ptr[i]:sub.hood_ptr[i + 1]].tolist()
-            assert hood == [n] + sorted(g.neighbors(n))
-            deg = g.degree_of(n)
+            assert hood == [n] + sorted(neighbors(g, n))
+            deg = degree_of(g, n)
             assert tuple(sub.node_degrees[i]) == (deg if directed else (deg,))
-        expected = [[*np.atleast_1d(g.degree_of(u)), *np.atleast_1d(g.degree_of(v))]
+        expected = [[*np.atleast_1d(degree_of(g, u)), *np.atleast_1d(degree_of(g, v))]
                     for u, v in pairs.tolist()]
         assert np.array_equal(sub.node_degrees[sub.ends].reshape(len(sub), -1), expected)
 
@@ -305,7 +305,7 @@ class TestArrayAdjacency:
     def test_neighbors_match_dict_oracle(self, pruned_graph):
         adj = adjacency(pruned_graph)
         for u in range(pruned_graph.node_count):
-            assert pruned_graph.neighbors(u) == list(adj[u])
+            assert neighbors(pruned_graph, u) == list(adj[u])
 
     def test_edge_id_resolves_live_and_dead_edges(self, pruned_graph):
         g = pruned_graph
@@ -319,12 +319,12 @@ class TestArrayAdjacency:
 
     def test_pruning_a_copy_leaves_the_original(self, pruned_graph, rng):
         g = pruned_graph
-        before = (g.alive.copy(), g.live_edge_ids(), [g.neighbors(u) for u in range(g.node_count)],
-                  [g.degree_of(u) for u in range(g.node_count)])
+        before = (g.alive.copy(), g.live_edge_ids(), [neighbors(g, u) for u in range(g.node_count)],
+                  [degree_of(g, u) for u in range(g.node_count)])
         clone = g.copy()
         clone.random_prune(clone.edge_count // 2, rng)
-        after = (g.alive, g.live_edge_ids(), [g.neighbors(u) for u in range(g.node_count)],
-                 [g.degree_of(u) for u in range(g.node_count)])
+        after = (g.alive, g.live_edge_ids(), [neighbors(g, u) for u in range(g.node_count)],
+                 [degree_of(g, u) for u in range(g.node_count)])
         assert np.array_equal(before[0], after[0])
         assert np.array_equal(before[1], after[1])
         assert before[2:] == after[2:]

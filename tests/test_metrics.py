@@ -12,7 +12,6 @@ from prunerl.metrics import (
     louvain,
     modularity,
     pagerank,
-    shortest_path_distance,
     spearman_rho,
 )
 
@@ -21,6 +20,7 @@ from conftest import (
     make_graph,
     path_graph,
     random_connected_graph,
+    shortest_path_distance,
     star_graph,
     two_triangles,
 )

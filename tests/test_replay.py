@@ -5,7 +5,7 @@ from prunerl.errors import PruneRLError
 from prunerl.graph import Graph
 from prunerl.replay import ReplayBuffer, Transition
 
-from conftest import complete_graph
+from conftest import complete_graph, sampling_probabilities
 from oracles import SumTree, SumTreeReplay
 
 
@@ -127,7 +127,7 @@ class TestReplayBuffer:
         priorities = [0.5, 1.0, 2.0, 4.0]
         for p in priorities:
             buf.add(make_transition(rng), priority=p)
-        probs = buf.sampling_probabilities()
+        probs = sampling_probabilities(buf)
         expected = np.array(priorities) ** 0.6
         expected /= expected.sum()
         assert np.allclose(probs, expected)
@@ -143,13 +143,13 @@ class TestReplayBuffer:
             for i in idx:
                 counts[i] += 1
         freqs = counts / draws
-        assert np.allclose(freqs, buf.sampling_probabilities(), atol=0.02)
+        assert np.allclose(freqs, sampling_probabilities(buf), atol=0.02)
 
     def test_importance_weights(self, rng):
         buf = ReplayBuffer(capacity=8, alpha=0.6, beta=0.4)
         for p in (1.0, 2.0, 4.0):
             buf.add(make_transition(rng), priority=p)
-        probs = buf.sampling_probabilities()
+        probs = sampling_probabilities(buf)
         raw = (len(buf) * probs) ** -0.4
         expected = raw / raw.max()
         idx, _, weights = buf.sample(3, rng)
@@ -159,7 +159,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=4, alpha=1.0, priority_floor=1e-3)
         buf.add(make_transition(rng), priority=1.0)
         buf.update_priorities([0], [0.0])  # zero TD error
-        assert buf.sampling_probabilities()[0] == pytest.approx(1.0)
+        assert sampling_probabilities(buf)[0] == pytest.approx(1.0)
         assert buf.weight[0] == pytest.approx(1e-3)
 
     def test_new_items_get_max_priority(self, rng):
