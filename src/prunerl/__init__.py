@@ -33,7 +33,7 @@ from .metrics import (
     pagerank,
     spearman_rho,
 )
-from .qmodel import QModel, load_checkpoint, save_checkpoint
+from .qmodel import QModel
 from .replay import ReplayBuffer, Transition
 from .rewards import (
     OBJECTIVES,

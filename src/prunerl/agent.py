@@ -4,18 +4,21 @@ random-start pruning, and greedy evaluation-time sparsification.
 """
 
 import csv
+import json
 import os
+import zipfile
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import nnet
-from .errors import ConfigError, PruneRLError
+from .errors import ConfigError, DataError, PruneRLError
 from .nnet import Adam
-from .qmodel import QModel, SubgraphUnion, load_checkpoint, require_fields, save_checkpoint
+from .qmodel import QModel, SubgraphUnion
 from .replay import ReplayBuffer, Transition
 
 LOG_FIELDS = ["episode", "step", "epsilon", "loss", "mean_reward", "buffer_size"]
+MODEL_FIELDS = ("node_count", "directed", "emb_dim", "hidden_dim")  # a checkpoint's "model" header
 
 
 @dataclass
@@ -209,54 +212,95 @@ class Agent:
 
     # ------------------------------------------------------------- persistence
 
+    def _arrays(self):
+        """Every array a checkpoint holds, by name, in the order `save` writes
+        them: the policy's parameters, the target's, then Adam's moments."""
+        policy = {f"param_{i}_{p.name}": p.data for i, p in enumerate(self.policy.parameters())}
+        target = {f"target_{k}": p.data for k, p in zip(policy, self.target.parameters())}
+        moments = {f"opt_{s}_{i}": a for s in "mv" for i, a in enumerate(getattr(self.optimizer, s))}
+        return {**policy, **target, **moments}
+
     def save(self, path):
-        save_checkpoint(
-            path,
-            self.policy,
-            optimizer=self.optimizer,
-            extra={"agent_config": asdict(self.config)},
-            agent_state={
-                "update_steps": self.update_steps,
-                "episodes_done": self.episodes_done,
-            },
-            extra_arrays={
-                f"target_{k}": v for k, v in self.target.state_arrays().items()
-            },
-        )
+        """Versioned npz checkpoint: every array of `_arrays`, plus a JSON
+        header with the model's shape, the agent config and the counters."""
+        header = {
+            "format_version": 1,
+            "model": {k: getattr(self.policy, k) for k in MODEL_FIELDS},
+            "extra": {"agent_config": asdict(self.config)},
+            "agent_state": {"update_steps": self.update_steps, "episodes_done": self.episodes_done},
+            "optimizer": {"step_count": self.optimizer.step_count},
+        }
+        np.savez(path, **self._arrays(), __header__=np.frombuffer(
+            json.dumps(header, sort_keys=True).encode(), dtype=np.uint8))
 
     @classmethod
     def load(cls, path, graph):
-        model, header, arrays = load_checkpoint(path)
+        """The agent `save` wrote, rebuilt on `graph`. Raises ConfigError for a
+        file that is not a checkpoint and DataError for an array or counter
+        that does not fit the agent its config builds."""
+        try:
+            z = np.load(path)
+        except (ValueError, EOFError, zipfile.BadZipFile):  # ValueError: would need pickle
+            z = None
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise ConfigError(f"{path}: not a prunerl checkpoint (not an npz archive)")
+        with z:
+            try:
+                arrays = {k: z[k] for k in z.files}
+            except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # a damaged member
+                raise ConfigError(f"{path}: not a prunerl checkpoint ({exc})") from None
+        try:
+            header = json.loads(bytes(arrays.pop("__header__")).decode())
+        except KeyError:
+            raise ConfigError(f"{path}: not a prunerl checkpoint (no __header__ array)") from None
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise ConfigError(f"{path}: not a prunerl checkpoint (header is not JSON: {exc})") from None
+        if not isinstance(header, dict):
+            raise ConfigError(f"{path}: not a prunerl checkpoint (header is not a JSON object)")
+        if header.get("format_version") != 1:
+            raise DataError(f"unsupported checkpoint version {header.get('format_version')}")
+        require_fields(path, "header", header, ("agent_state", "extra", "model"))
+        require_fields(path, "model", header["model"], MODEL_FIELDS)
         require_fields(path, "header extra", header["extra"], ("agent_config",))
         require_fields(path, "agent_state", header["agent_state"], ("update_steps", "episodes_done"))
+        require_fields(path, "optimizer", header.get("optimizer"), ("step_count",))
         try:
             config = AgentConfig(**header["extra"]["agent_config"])
         except (TypeError, PruneRLError) as exc:  # an unknown key or a bad value
             raise ConfigError(f"{path}: not a prunerl checkpoint (agent_config: {exc})") from None
         agent = cls(graph, config=config)
-        agent.policy.load_state_arrays(model.state_arrays())  # checks the shapes
-        target_arrays = {
-            k[len("target_"):]: v for k, v in arrays.items()
-            if k.startswith("target_param_")
-        }
-        if target_arrays:
-            agent.target.load_state_arrays(target_arrays)
-        else:
-            agent.target.copy_from(agent.policy)
-        n = len(agent.policy.parameters())
-        if "opt_m_0" in arrays:
-            require_fields(path, "optimizer", header.get("optimizer"), ("step_count",))
-            require_fields(path, "checkpoint", arrays, [f"opt_{s}_{i}" for s in "mv" for i in range(n)])
-            agent.optimizer.load_state_dict(
-                {
-                    "step_count": header["optimizer"]["step_count"],
-                    "m": [arrays[f"opt_m_{i}"] for i in range(n)],
-                    "v": [arrays[f"opt_v_{i}"] for i in range(n)],
-                }
-            )
-        agent.update_steps = int(header["agent_state"]["update_steps"])
-        agent.episodes_done = int(header["agent_state"]["episodes_done"])
+        for name, own in agent._arrays().items():
+            require_fields(path, "checkpoint", arrays, (name,))
+            data = arrays[name]
+            if data.shape != own.shape:
+                raise DataError(f"{path}: checkpoint shape {data.shape} != model shape "
+                                f"{own.shape} for {name}")
+            if data.dtype != np.float64 or not np.isfinite(data).all():
+                raise DataError(f"{path}: checkpoint array {name} is not finite float64")
+            if name.startswith("opt_v_") and (data < 0).any():  # a mean of squared gradients
+                raise DataError(f"{path}: checkpoint array {name} has a negative entry")
+            own[...] = data
+        agent.optimizer.step_count = require_count(path, header, "optimizer", "step_count")
+        agent.update_steps = require_count(path, header, "agent_state", "update_steps")
+        agent.episodes_done = require_count(path, header, "agent_state", "episodes_done")
         return agent
+
+
+def require_fields(path, where, section, names):
+    """Raise ConfigError naming the `names` that part `where` of a checkpoint
+    (a dict, or anything else if malformed) lacks."""
+    missing = [n for n in names if not isinstance(section, dict) or n not in section]
+    if missing:
+        raise ConfigError(f"{path}: not a prunerl checkpoint ({where} lacks {', '.join(missing)})")
+
+
+def require_count(path, header, section, name):
+    """Header field section.name, which must be a non-negative JSON integer."""
+    value = header[section][name]
+    if type(value) is not int or value < 0:
+        raise DataError(f"{path}: checkpoint {section}.{name} must be a non-negative "
+                        f"integer, got {value!r}")
+    return value
 
 
 def train_loop(agent, reward_spec, episodes, rng, log_path=None,

@@ -115,11 +115,11 @@ def cmd_train(args):
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     streams = rng_streams(args.seed if args.seed is not None else cfg.seed)
-    agent_cfg = cfg.agent
-    agent = Agent(graph, agent_cfg, rng=streams["init"])
     ckpt = out_dir / "checkpoint.npz"
     if args.resume and ckpt.exists():
-        agent = Agent.load(ckpt, graph)
+        agent = _load_agent_if(ckpt, graph)
+    else:
+        agent = Agent(graph, cfg.agent, rng=streams["init"])
     train_loop(
         agent,
         reward,

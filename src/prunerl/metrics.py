@@ -46,23 +46,28 @@ class PathQuerySet:
 
     @classmethod
     def sample(cls, g, max_pairs, rng):
-        """Fixed random distinct pairs, capped at n*(n-1)/2 for undirected graphs."""
-        n = g.node_count
-        cap = n * (n - 1) // 2 if not g.directed else n * (n - 1)
-        k = min(max_pairs, cap)
-        seen = set()
-        pairs = []
-        while len(pairs) < k:
-            u = int(rng.integers(n))
-            v = int(rng.integers(n))
-            if u == v:
-                continue
-            key = (u, v) if g.directed else (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            pairs.append((u, v))
-        return cls.from_graph(g, pairs)
+        """The query set of `sample_pairs`' draw."""
+        return cls.from_graph(g, sample_pairs(g, max_pairs, rng))
+
+
+def sample_pairs(g, max_pairs, rng):
+    """Fixed random distinct pairs, capped at n*(n-1)/2 for undirected graphs."""
+    n = g.node_count
+    cap = n * (n - 1) // 2 if not g.directed else n * (n - 1)
+    k = min(max_pairs, cap)
+    seen = set()
+    pairs = []
+    while len(pairs) < k:
+        u = int(rng.integers(n))
+        v = int(rng.integers(n))
+        if u == v:
+            continue
+        key = (u, v) if g.directed else (min(u, v), max(u, v))
+        if key in seen:
+            continue
+        seen.add(key)
+        pairs.append((u, v))
+    return pairs
 
 
 # ------------------------------------------------------------------- pagerank

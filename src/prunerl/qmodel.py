@@ -7,13 +7,10 @@ Every edge in a candidate subgraph runs through the same network, so the
 subgraph length is not fixed: any number of candidate edges can be scored.
 """
 
-import json
-import zipfile
-
 import numpy as np
 
 from . import nnet
-from .errors import ConfigError, DataError, PruneRLError
+from .errors import PruneRLError
 from .nnet import Linear, Tensor
 
 ATTENTION_SLOPE = 0.2  # leaky slope inside attention scoring
@@ -135,99 +132,3 @@ class QModel:
         h = self.edge_fc2(h, HIDDEN_SLOPE, grad)
         q = nnet.reshape(self.head(h, grad=grad), (-1,), grad)
         return q if grad else Tensor(q, name="q")
-
-    # -------------------------------------------------------------- checkpoint
-
-    def config(self):
-        return {
-            "node_count": self.node_count,
-            "directed": self.directed,
-            "emb_dim": self.emb_dim,
-            "hidden_dim": self.hidden_dim,
-        }
-
-    def state_arrays(self):
-        return {f"param_{i}_{p.name}": p.data for i, p in enumerate(self.parameters())}
-
-    def load_state_arrays(self, arrays):
-        for i, p in enumerate(self.parameters()):
-            key = f"param_{i}_{p.name}"
-            if key not in arrays:
-                raise DataError(f"checkpoint missing parameter {key}")
-            data = np.asarray(arrays[key], dtype=np.float64)
-            if data.shape != p.data.shape:
-                raise DataError(
-                    f"checkpoint shape {data.shape} != model shape {p.data.shape} for {p.name}"
-                )
-            p.data = data.copy()
-
-    @classmethod
-    def from_config(cls, cfg, rng=None):
-        return cls(
-            node_count=int(cfg["node_count"]),
-            directed=bool(cfg["directed"]),
-            emb_dim=int(cfg["emb_dim"]),
-            hidden_dim=int(cfg["hidden_dim"]),
-            rng=rng,
-        )
-
-
-def save_checkpoint(path, model, extra=None, optimizer=None, agent_state=None,
-                    extra_arrays=None):
-    """Versioned binary checkpoint: parameter tensors with shape headers plus
-    a JSON header describing the model and optional training state."""
-    header = {
-        "format_version": 1,
-        "model": model.config(),
-        "extra": extra or {},
-        "agent_state": agent_state or {},
-    }
-    arrays = dict(model.state_arrays())
-    if extra_arrays:
-        arrays.update(extra_arrays)
-    if optimizer is not None:
-        header["optimizer"] = {"step_count": optimizer.step_count}
-        for i, m in enumerate(optimizer.m):
-            arrays[f"opt_m_{i}"] = m
-        for i, v in enumerate(optimizer.v):
-            arrays[f"opt_v_{i}"] = v
-    arrays["__header__"] = np.frombuffer(
-        json.dumps(header, sort_keys=True).encode(), dtype=np.uint8
-    )
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path, rng=None):
-    """Load a checkpoint. Returns (model, header, raw arrays); raises
-    ConfigError for a file that is not an npz archive with a JSON header."""
-    try:
-        z = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile):  # ValueError: would need pickle
-        z = None
-    if not isinstance(z, np.lib.npyio.NpzFile):
-        raise ConfigError(f"{path}: not a prunerl checkpoint (not an npz archive)")
-    with z:
-        arrays = {k: z[k] for k in z.files}
-    try:
-        header = json.loads(bytes(arrays.pop("__header__")).decode())
-    except KeyError:
-        raise ConfigError(f"{path}: not a prunerl checkpoint (no __header__ array)") from None
-    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-        raise ConfigError(f"{path}: not a prunerl checkpoint (header is not JSON: {exc})") from None
-    if not isinstance(header, dict):
-        raise ConfigError(f"{path}: not a prunerl checkpoint (header is not a JSON object)")
-    if header.get("format_version") != 1:
-        raise DataError(f"unsupported checkpoint version {header.get('format_version')}")
-    require_fields(path, "header", header, ("agent_state", "extra", "model"))
-    require_fields(path, "model", header["model"], ("node_count", "directed", "emb_dim", "hidden_dim"))
-    model = QModel.from_config(header["model"], rng=rng)
-    model.load_state_arrays(arrays)
-    return model, header, arrays
-
-
-def require_fields(path, where, section, names):
-    """Raise ConfigError naming the `names` that part `where` of a checkpoint
-    (a dict, or anything else if malformed) lacks."""
-    missing = [n for n in names if not isinstance(section, dict) or n not in section]
-    if missing:
-        raise ConfigError(f"{path}: not a prunerl checkpoint ({where} lacks {', '.join(missing)})")

@@ -21,6 +21,7 @@ from .metrics import (
     centered_ranks,
     louvain,
     pagerank,
+    sample_pairs,
     spearman_rho_ranked,
 )
 
@@ -157,10 +158,13 @@ class SpspReward(RewardSpec):
     def __init__(self, g, pairs_per_endpoint=16):
         self.graph = g
         self.pairs_per_endpoint = pairs_per_endpoint
-        self.last_raw_penalty = None
+        self.queries = {}  # drawn pairs -> their PathQuerySet, searched once
 
     def evaluate(self, gp, rng, louvain_runs=8, spsp_pairs=8196):
-        return spsp_penalty(gp, PathQuerySet.sample(self.graph, spsp_pairs, rng))
+        pairs = tuple(sample_pairs(self.graph, spsp_pairs, rng))
+        if pairs not in self.queries:
+            self.queries[pairs] = PathQuerySet.from_graph(self.graph, pairs)
+        return spsp_penalty(gp, self.queries[pairs])
 
     def on_episode_start(self, g_original, g_working, rng):
         pass  # no Louvain seed to draw
@@ -169,8 +173,7 @@ class SpspReward(RewardSpec):
         return sample_training_pairs(g, eid, self.pairs_per_endpoint, rng)
 
     def after_prune(self, g, eid, queries, rng):
-        self.last_raw_penalty = spsp_penalty(g, queries)
-        return -self.last_raw_penalty
+        return -spsp_penalty(g, queries)
 
 
 class ModularityReward(RewardSpec):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from prunerl.agent import (
     select_action,
     train_loop,
 )
-from prunerl.errors import PruneRLError
+from prunerl.errors import DataError, PruneRLError
 from prunerl.graph import Graph, load_edge_list
 from prunerl.qmodel import QModel, SubgraphUnion
 from prunerl.replay import Transition
@@ -24,6 +27,16 @@ from oracles import (double_dqn_target_oracle, q_forward_batch_oracle, q_forward
                      train_step_oracle)
 
 SMALL = dict(emb_dim=8, hidden_dim=16, train_subgraph_len=8, batch_size=8)
+# Agent.save of a karate agent (emb 4, hidden 8, seed 3) after 6 PageRank
+# episodes and 9 learning steps, written before the format moved into agent.py
+CHECKPOINT_V1 = Path(__file__).resolve().parent / "data" / "checkpoint_v1.npz"
+
+
+def read_checkpoint(path):
+    """A checkpoint's header dict and its other arrays by name, in file order."""
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    return json.loads(bytes(arrays.pop("__header__")).decode()), arrays
 
 
 class TestEpsilonSchedule:
@@ -565,6 +578,43 @@ class TestPersistence:
             assert np.array_equal(a.data, b.data)
         for a, b in zip(agent.target.parameters(), again.target.parameters()):
             assert np.array_equal(a.data, b.data)
+        assert again.optimizer.step_count == agent.optimizer.step_count > 0
+        for a, b in zip(agent.optimizer.m + agent.optimizer.v, again.optimizer.m + again.optimizer.v):
+            assert np.array_equal(a, b)
+
+    def test_version_1_fixture_loads_every_array(self, karate):
+        header, arrays = read_checkpoint(CHECKPOINT_V1)
+        agent = Agent.load(CHECKPOINT_V1, karate)
+        own = [(f"param_{i}_{p.name}", p.data) for i, p in enumerate(agent.policy.parameters())]
+        own += [(f"target_{k}", p.data) for (k, _), p in zip(own, agent.target.parameters())]
+        own += [(f"opt_{s}_{i}", a) for s in "mv" for i, a in enumerate(getattr(agent.optimizer, s))]
+        assert [k for k, _ in own] == list(arrays)
+        for k, a in own:
+            assert np.array_equal(a, arrays[k]), k
+        assert agent.optimizer.step_count == header["optimizer"]["step_count"] == 9
+        assert (agent.update_steps, agent.episodes_done) == (9, 6)
+        assert (agent.config.emb_dim, agent.config.hidden_dim, agent.config.seed) == (4, 8, 3)
+
+    def test_saving_the_fixture_again_writes_it_unchanged(self, karate, tmp_path):
+        Agent.load(CHECKPOINT_V1, karate).save(tmp_path / "again.npz")
+        with np.load(CHECKPOINT_V1) as old, np.load(tmp_path / "again.npz") as new:
+            assert new.files == old.files
+            assert bytes(new["__header__"]) == bytes(old["__header__"])
+            for k in old.files:
+                assert np.array_equal(new[k], old[k]), k
+
+    @pytest.mark.parametrize("section, name", [
+        ("optimizer", "step_count"), ("agent_state", "update_steps"),
+        ("agent_state", "episodes_done")])
+    @pytest.mark.parametrize("value", [-1, 2.0, True, "3"])
+    def test_counter_must_be_a_non_negative_integer(self, section, name, value, karate,
+                                                    tmp_path):
+        header, arrays = read_checkpoint(CHECKPOINT_V1)
+        header[section][name] = value
+        path = tmp_path / "edited.npz"
+        np.savez(path, **arrays, __header__=np.frombuffer(json.dumps(header).encode(), np.uint8))
+        with pytest.raises(DataError, match=f"checkpoint {section}.{name} must be a non-negative"):
+            Agent.load(path, karate)
 
     def test_resume_continues_counters(self, karate, rng, tmp_path):
         agent = Agent(karate, AgentConfig(**SMALL), rng=rng)

@@ -8,7 +8,6 @@ import yaml
 
 from prunerl import cli
 from prunerl.graph import load_edge_list
-from prunerl.qmodel import QModel, save_checkpoint
 
 from conftest import DATA_DIR
 
@@ -241,6 +240,13 @@ def edited_checkpoint(edit):
     return write
 
 
+def corrupted_checkpoint(path, checkpoint):
+    """A copy of the checkpoint with one byte of an array's data flipped."""
+    data = bytearray(Path(checkpoint).read_bytes())
+    data[data.find(b"param_0_embeddings.npy") + 400] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
 SPARSIFY_BROKEN = ["sparsify", "--dataset", KARATE, "--method", "agent", "--checkpoint",
                    "{broken}", "--ratio", "0.5", "--out", "{out}"]
 
@@ -296,6 +302,36 @@ DATA_ERRORS = {
         {"broken.npz": edited_checkpoint(lambda h, a: h["agent_state"].pop("update_steps"))},
         SPARSIFY_BROKEN,
         "broken.npz: not a prunerl checkpoint (agent_state lacks update_steps)"),
+    "checkpoint Adam moment of the wrong shape": (
+        {"broken.npz": edited_checkpoint(lambda h, a: a.update(opt_m_3=np.zeros(2)))},
+        SPARSIFY_BROKEN,
+        "broken.npz: checkpoint shape (2,) != model shape (1,) for opt_m_3"),
+    "checkpoint parameter with an inf": (
+        {"broken.npz": edited_checkpoint(lambda h, a: np.put(a["param_1_gat_proj.W"], 0, np.inf))},
+        SPARSIFY_BROKEN,
+        "broken.npz: checkpoint array param_1_gat_proj.W is not finite float64"),
+    "checkpoint target parameter with a NaN": (
+        {"broken.npz": edited_checkpoint(
+            lambda h, a: np.put(a["target_param_0_embeddings"], 5, np.nan))},
+        SPARSIFY_BROKEN,
+        "broken.npz: checkpoint array target_param_0_embeddings is not finite float64"),
+    "checkpoint Adam second moment with a negative entry": (
+        {"broken.npz": edited_checkpoint(lambda h, a: np.put(a["opt_v_0"], 3, -1e-9))},
+        SPARSIFY_BROKEN,
+        "broken.npz: checkpoint array opt_v_0 has a negative entry"),
+    "checkpoint with a negative Adam step count": (
+        {"broken.npz": edited_checkpoint(lambda h, a: h["optimizer"].update(step_count=-5))},
+        SPARSIFY_BROKEN,
+        "broken.npz: checkpoint optimizer.step_count must be a non-negative integer, got -5"),
+    "checkpoint with a damaged array": (
+        {"broken.npz": corrupted_checkpoint},
+        SPARSIFY_BROKEN,
+        "broken.npz: not a prunerl checkpoint (Bad CRC-32 for file 'param_0_embeddings.npy')"),
+    "checkpoint without target arrays": (
+        {"broken.npz": edited_checkpoint(
+            lambda h, a: [a.pop(k) for k in list(a) if k.startswith("target_")])},
+        SPARSIFY_BROKEN,
+        "broken.npz: not a prunerl checkpoint (checkpoint lacks target_param_0_embeddings)"),
     "malformed YAML config": (
         {"config.yaml": "schema_version: 1\ndataset: [unclosed\n"},
         ["compare", "--config", "{config}", "--out", "{out}"],
@@ -395,16 +431,16 @@ class TestCompare:
                      id="header not an object"),
         pytest.param({"__header__": np.frombuffer(b'{"format_version": 1}', dtype=np.uint8)},
                      id="header without model"),
-        pytest.param(lambda path: save_checkpoint(path, QModel(34, emb_dim=4, hidden_dim=8)),
-                     id="model without agent config"),
+        pytest.param({"param_0_embeddings": np.zeros((34, 4)), "__header__": np.frombuffer(
+            json.dumps({"format_version": 1, "extra": {}, "agent_state": {}, "model": {
+                "node_count": 34, "directed": False, "emb_dim": 4, "hidden_dim": 8}}).encode(),
+            dtype=np.uint8)}, id="model without agent config"),
     ])
     def test_missing_checkpoint_is_data_error(self, content, tmp_path, capsys):
         config = write_config(tmp_path / "config.yaml")
         checkpoint = tmp_path / "checkpoint.npz"
         if isinstance(content, str):
             checkpoint.write_text(content)
-        elif callable(content):
-            content(checkpoint)
         elif content is not None:
             np.savez(checkpoint, **content)
         out_dir = tmp_path / "cmp"

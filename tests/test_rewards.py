@@ -307,5 +307,5 @@ class TestRewardSpecs:
         ctx = spec.before_prune(g, edge, rng)
         g.prune_edge(edge)
         r = spec.after_prune(g, edge, ctx, rng)
-        assert r == pytest.approx(-spec.last_raw_penalty)
+        assert r == -spsp_penalty(g, ctx)
         assert r <= 0.0
