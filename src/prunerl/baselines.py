@@ -7,6 +7,7 @@ pruned copy; no output edge is ever absent from the input.
 
 import logging
 import math
+from collections import deque
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -173,10 +174,10 @@ def edge_forest_fire(g, r, p, rng, burn_budget=None):
     while total_burnt < burn_budget:
         start = int(rng.integers(g.node_count))
         burnt = {start}
-        queue = [start]
+        queue = deque([start])
         total_burnt += 1
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             fresh = [i for i in range(indptr[u], indptr[u + 1]) if nbrs[i] not in burnt]
             if not fresh:
                 continue

@@ -3,17 +3,16 @@ communities, modularity, ARI, and BFS shortest paths.
 
 All functions are pure given an immutable graph snapshot. Unreachability is
 represented by ``math.inf``, never an integer; turning it into a penalty is
-the reward module's business. The kernels are array code over the live
-edges, except Louvain, whose sequential local moves run on Python lists.
+the reward module's business. Kernels are array code over the live edges
+(PageRank on a small graph is one dense solve), except Louvain's list sweeps.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import dijkstra
-from scipy.stats import rankdata
 
 from .errors import ConvergenceError, PruneRLError
 
@@ -73,42 +72,54 @@ def sample_pairs(g, max_pairs, rng):
 # ------------------------------------------------------------------- pagerank
 
 
-def pagerank(g, damping=0.85, tol=1e-10, max_iter=200):
-    """Power-iteration PageRank; dangling mass is spread uniformly.
+# Up to this many nodes `pagerank` solves directly. At |E| = 5n on 2 cores the
+# solve took 0.24/0.53/1.53 ms at n = 128/192/256, the iteration 0.47/0.56/0.57.
+DENSE_PAGERANK_MAX_NODES = 128
+# Sorted scores this close share a rank: over the iteration's error d/(1-d)*tol ~ 5.7e-10.
+TIE_EPS = 1e-9
 
-    Returns a score vector summing to 1. Raises ConvergenceError (carrying
-    the last iterate) if the L1 change never drops below tol.
-    """
+
+def pagerank(g, damping=0.85, tol=1e-10, max_iter=200):
+    """PageRank, dangling mass spread uniformly. Small graphs solve (I - d*P - (d/n)
+    1 dangling^T) x = (1 - d)/n, P[v, u] = 1/outdeg(u) per live edge u->v; larger ones
+    iterate, and only they use tol and max_iter or raise ConvergenceError (last iterate)."""
     n = g.node_count
-    x = np.full(n, 1.0 / n)
     indptr, nbrs, _ = g.live_csr()
     out_deg = np.diff(indptr)  # live out-neighbors (undirected: live degree)
     dangling = out_deg == 0
-    sources = np.repeat(np.arange(n), out_deg)
+    if n <= DENSE_PAGERANK_MAX_NODES:
+        sources = np.repeat(np.arange(n), out_deg)
+        a = np.tile(np.where(dangling, -damping / n, 0.0), (n, 1))  # one n x n allocation
+        a[nbrs, sources] = -damping / out_deg[sources]  # no duplicate edges to add up
+        a.flat[:: n + 1] += 1.0
+        return np.linalg.solve(a, np.full(n, (1.0 - damping) / n))
+    # column u is u's live out-neighbours by edge id: a loop's summation order
+    push = csc_matrix((np.ones(nbrs.size), nbrs, indptr), shape=(n, n))
+    x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        # push each node's mass along its live edges; bincount adds in
-        # (source, edge id) order, the order of a loop over the adjacency
-        share = x / np.maximum(out_deg, 1)
-        nxt = np.bincount(nbrs, weights=share[sources], minlength=n)
+        nxt = push @ (x / np.maximum(out_deg, 1))
         nxt = (1.0 - damping) / n + damping * (nxt + x[dangling].sum() / n)
         if np.abs(nxt - x).sum() < tol:
             return nxt
         x = nxt
-    raise ConvergenceError(
-        f"pagerank did not converge in {max_iter} iterations", last_iterate=x
-    )
+    raise ConvergenceError(f"pagerank did not converge in {max_iter} iterations", last_iterate=x)
 
 
 def centered_ranks(scores):
-    """Average ranks (ties share the mean of their positions) less their mean."""
-    ranks = rankdata(np.asarray(scores, dtype=np.float64), method="average")
-    return ranks - ranks.mean()
+    """Average ranks less their mean; a gap > TIE_EPS starts a new tie group."""
+    x = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise PruneRLError("cannot rank non-finite scores")
+    order = np.argsort(x)
+    starts = np.flatnonzero(np.diff(x[order], prepend=-np.inf) > TIE_EPS)
+    sizes = np.diff(starts, append=x.size)
+    # each group's mean rank, start + (size + 1)/2, less the mean rank (n + 1)/2
+    return np.repeat(starts + (sizes - x.size) / 2.0, sizes)[np.argsort(order)]
 
 
 def spearman_rho(a, b):
     """Spearman rank correlation: Pearson correlation of average ranks."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise PruneRLError(f"spearman_rho needs two equal-length vectors (>=2), got {a.shape} vs {b.shape}")
     return spearman_rho_ranked(centered_ranks(a), b)

@@ -270,15 +270,3 @@ class Adam:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
-
-    def state_dict(self):
-        return {
-            "step_count": self.step_count,
-            "m": [m.copy() for m in self.m],
-            "v": [v.copy() for v in self.v],
-        }
-
-    def load_state_dict(self, state):
-        self.step_count = int(state["step_count"])
-        self.m = [np.array(m, dtype=np.float64) for m in state["m"]]
-        self.v = [np.array(v, dtype=np.float64) for v in state["v"]]

@@ -1,6 +1,7 @@
 """The array kernels in metrics and baselines, and the list Louvain, against
 the pure-Python oracles they replaced (tests/oracles.py), on randomly pruned
-graphs: the small random suites, directed graphs, and one ~2k-node graph."""
+graphs: the small random suites, directed graphs, a ~2k-node undirected graph
+and a 300-node directed one."""
 
 import math
 
@@ -9,7 +10,17 @@ import pytest
 
 from prunerl import baselines
 from prunerl.graph import Graph
-from prunerl.metrics import batch_spsp, bfs_distances, louvain, modularity, pagerank
+from prunerl.metrics import (
+    DENSE_PAGERANK_MAX_NODES,
+    batch_spsp,
+    bfs_distances,
+    centered_ranks,
+    louvain,
+    modularity,
+    pagerank,
+    spearman_rho,
+)
+from prunerl.rewards import PagerankReward
 
 from conftest import random_connected_graph, random_sparse_graph
 from oracles import (
@@ -39,8 +50,9 @@ def undirected_graphs():
 
 def directed_graphs():
     rng = np.random.default_rng(42)
-    return [pruned(random_sparse_graph(15, 45, rng, directed=True), rng, rng.random() / 2)
-            for _ in range(20)]
+    small = [pruned(random_sparse_graph(15, 45, rng, directed=True), rng, rng.random() / 2)
+             for _ in range(20)]
+    return small + [pruned(random_sparse_graph(300, 1200, rng, directed=True), rng, 0.5)]
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +66,39 @@ def undirected(graphs):
 
 
 def test_pagerank_is_bit_equal(graphs):
+    # above the dense threshold the power iteration adds in the oracle's
+    # order; at or below it one linear solve agrees with the oracle to rounding
+    large = [g for g in graphs if g.node_count > DENSE_PAGERANK_MAX_NODES]
+    assert {g.directed for g in large} == {False, True}
     for g in graphs:
-        assert np.array_equal(pagerank(g), pagerank_oracle(g))
+        if g.node_count > DENSE_PAGERANK_MAX_NODES:
+            assert np.array_equal(pagerank(g), pagerank_oracle(g))
+        else:
+            assert np.allclose(pagerank(g), pagerank_oracle(g), rtol=0, atol=1e-9)
+
+
+def test_dense_pagerank_spreads_dangling_mass():
+    g = Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (1, 5), (5, 2)], directed=True)
+    g.prune_edge(6)  # 5 joins 4 as a dangling node
+    assert g.node_count <= DENSE_PAGERANK_MAX_NODES
+    assert (g.out_degree == 0).sum() == 2
+    got = pagerank(g)
+    assert abs(got.sum() - 1.0) <= 1e-12
+    assert np.allclose(got, pagerank_oracle(g), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pagerank_reward_does_not_depend_on_the_kernel(karate, seed):
+    # the dense solve and the oracle's power iteration differ by ~1e-12;
+    # grouping ties by gap makes their ranks, and so every reward, equal
+    rng = np.random.default_rng(seed)
+    base = pagerank_oracle(karate)
+    spec, gp = PagerankReward(karate), karate.copy()
+    for _ in range(50):
+        gp.prune_edge(int(rng.choice(gp.live_edge_ids())))
+        want = pagerank_oracle(gp)
+        assert np.array_equal(centered_ranks(pagerank(gp)), centered_ranks(want))
+        assert spec.after_prune(gp, None, None, rng) == spearman_rho(base, want) - 1.0
 
 
 def test_distances_are_equal(graphs):

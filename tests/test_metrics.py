@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from prunerl.errors import ConvergenceError, PruneRLError
 from prunerl.graph import Graph
 from prunerl.metrics import (
+    DENSE_PAGERANK_MAX_NODES,
+    TIE_EPS,
     UNREACHABLE,
     adjusted_rand_index,
     batch_spsp,
+    centered_ranks,
     louvain,
     modularity,
     pagerank,
@@ -20,6 +24,7 @@ from conftest import (
     make_graph,
     path_graph,
     random_connected_graph,
+    random_sparse_graph,
     shortest_path_distance,
     star_graph,
     two_triangles,
@@ -72,11 +77,30 @@ class TestPagerank:
             assert np.all(s >= 0)
             assert abs(s.sum() - 1.0) < 1e-9
 
-    def test_nonconvergence_carries_last_iterate(self, karate):
+    def test_nonconvergence_carries_last_iterate(self):
+        # tol and max_iter govern the power iteration, which runs above the
+        # dense-solve threshold
+        g = random_sparse_graph(300, 1500, np.random.default_rng(0))
+        assert g.node_count > DENSE_PAGERANK_MAX_NODES
         with pytest.raises(ConvergenceError) as exc:
-            pagerank(karate, tol=0.0, max_iter=3)
+            pagerank(g, tol=0.0, max_iter=3)
         assert exc.value.last_iterate is not None
-        assert len(exc.value.last_iterate) == 34
+        assert len(exc.value.last_iterate) == 300
+
+
+class TestCenteredRanks:
+    def test_exact_ties_share_their_mean_rank(self):
+        assert centered_ranks([3.0, 1.0, 3.0, 2.0]).tolist() == [1.0, -1.5, 1.0, -0.5]
+
+    def test_ties_are_grouped_by_gap(self):
+        assert TIE_EPS == 1e-9
+        assert centered_ranks([1.0 + 5e-10, 1.0, 2.0]).tolist() == [-0.5, -0.5, 1.0]
+        assert centered_ranks([1.0 + 2e-9, 1.0, 2.0]).tolist() == [0.0, -1.0, 1.0]
+
+    def test_separated_scores_match_scipy(self, rng):
+        for x in (rng.random(50), rng.integers(0, 10, size=50).astype(np.float64)):
+            want = rankdata(x)
+            assert np.array_equal(centered_ranks(x), want - want.mean())
 
 
 class TestSpearman:
@@ -99,6 +123,13 @@ class TestSpearman:
         b = rng.random(20)
         assert spearman_rho(a, b) == pytest.approx(spearman_rho(b, a))
         assert spearman_rho(np.exp(3 * a), b) == pytest.approx(spearman_rho(a, b))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(PruneRLError):
+            spearman_rho([bad, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(PruneRLError):
+            spearman_rho([1.0, 2.0, 3.0], [1.0, bad, 2.0])
 
     def test_ties_use_average_ranks(self):
         # scipy.stats.spearmanr([1,1,2], [1,2,3]) = 0.866025...

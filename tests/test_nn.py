@@ -261,7 +261,10 @@ class TestOptimizers:
             opt.step()
         w2 = Tensor(w.data.copy(), name="w")
         opt2 = Adam([w2], lr=0.01)
-        opt2.load_state_dict(opt.state_dict())
+        # the optimizer's whole state: what `Agent.save` writes and `Agent.load` restores
+        opt2.step_count = opt.step_count
+        opt2.m = [m.copy() for m in opt.m]
+        opt2.v = [v.copy() for v in opt.v]
         for tensor, o in ((w, opt), (w2, opt2)):
             loss = sum_all(mul(tensor, tensor))
             o.zero_grad()
