@@ -77,8 +77,10 @@ def double_dqn_target(batch, policy, target, gamma):
     live = [i for i, tr in enumerate(batch) if not tr.done]
     if live and gamma != 0.0:
         union = SubgraphUnion([batch[i].next_state for i in live])
-        q, offsets = policy.q_forward(union, grad=False).data, union.offsets
-        best = [lo + int(np.argmax(q[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        q, starts = policy.q_forward(union, grad=False).data, union.offsets[:-1]
+        # each item's first index holding its max, the candidate np.argmax picks
+        top = np.repeat(np.maximum.reduceat(q, starts), np.diff(union.offsets))
+        best = np.minimum.reduceat(np.where(q == top, np.arange(len(q)), len(q)), starts)
         out[live] += gamma * target.q_forward(union.pick(best), grad=False).data
     return out
 
@@ -106,7 +108,7 @@ class Agent:
                    hidden_dim=self.config.hidden_dim, rng=rng)
             for _ in range(2)
         )
-        self.target.copy_from(self.policy)
+        self.target.flat[...] = self.policy.flat
         self.optimizer = Adam(self.policy.parameters(), lr=self.config.lr)
         self.buffer = ReplayBuffer(
             self.config.buffer_capacity,

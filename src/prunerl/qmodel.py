@@ -88,6 +88,11 @@ class QModel:
         self.edge_fc1 = Linear(in_edge, hidden_dim, rng, name="edge_fc1")
         self.edge_fc2 = Linear(hidden_dim, hidden_dim, rng, name="edge_fc2")
         self.head = Linear(hidden_dim, 1, rng, name="head")
+        # every parameter views one vector, so a blend of models is one array op
+        params = self.parameters()
+        self.flat, views = nnet.flat_views([p.data for p in params])
+        for p, view in zip(params, views):
+            p.data = view
 
     # -------------------------------------------------------------- parameters
 
@@ -98,14 +103,9 @@ class QModel:
             out.extend(layer.parameters())
         return out
 
-    def copy_from(self, other):
-        for dst, src in zip(self.parameters(), other.parameters()):
-            dst.data = src.data.copy()
-
     def soft_update_from(self, policy, rate):
         """Blend this model's parameters toward the policy's by `rate`."""
-        for dst, src in zip(self.parameters(), policy.parameters()):
-            dst.data = (1.0 - rate) * dst.data + rate * src.data
+        np.add((1.0 - rate) * self.flat, rate * policy.flat, out=self.flat)
 
     # ----------------------------------------------------------------- scoring
 

@@ -8,7 +8,9 @@ and `q_forward_batch_oracle` and `train_step_oracle` those of
 subgraphs and of `Agent.train_step`; they must agree with them bit for bit.
 `train_step_oracle` scores the edges a step reads through one-edge views
 (`edge_views`), built here as `CandidateSubgraph`s, which `SubgraphUnion.pick`
-gathers as index arrays;
+gathers as index arrays, and updates the parameters with `adam_step_oracle`
+and `soft_update_oracle`, the per-parameter forms of `Adam.step` and
+`QModel.soft_update_from`, which update one flat vector each;
 `taken_q_all_candidates_oracle` scores every candidate of the batch, and
 agrees with the picked pass only to rounding, because its matrix products
 sum over more rows. `q_forward_oracle` scores one candidate subgraph at a
@@ -298,11 +300,35 @@ def train_step_oracle(agent, rng):
     loss, diff = td_loss_oracle(q_forward_batch_oracle(agent.policy, taken)[0], targets, weights)
     agent.optimizer.zero_grad()
     loss.backward()
-    agent.optimizer.step()
+    adam_step_oracle(agent.optimizer)
     agent.buffer.update_priorities(idx, diff.data.copy())
-    agent.target.soft_update_from(agent.policy, cfg.soft_update_rate)
+    soft_update_oracle(agent.target, agent.policy, cfg.soft_update_rate)
     agent.update_steps += 1
     return float(loss.data), diff.data
+
+
+def adam_step_oracle(opt):
+    """`nnet.Adam.step`, parameter by parameter, writing the parameters and
+    the moments in place."""
+    for p in opt.params:
+        if p.grad is None:
+            raise PruneRLError(f"missing gradient for parameter {p.name}")
+        if not np.isfinite(p.grad).all():
+            raise PruneRLError(f"non-finite gradient for parameter {p.name}")
+    opt.step_count += 1
+    b1c = 1.0 - opt.beta1 ** opt.step_count
+    b2c = 1.0 - opt.beta2 ** opt.step_count
+    for p, m, v in zip(opt.params, opt.m, opt.v):
+        m[...] = opt.beta1 * m + (1.0 - opt.beta1) * p.grad
+        v[...] = opt.beta2 * v + (1.0 - opt.beta2) * p.grad ** 2
+        p.data -= opt.lr * (m / b1c) / (np.sqrt(v / b2c) + opt.eps)
+    opt.zero_grad()
+
+
+def soft_update_oracle(target, policy, rate):
+    """`QModel.soft_update_from`, parameter by parameter, in place."""
+    for dst, src in zip(target.parameters(), policy.parameters()):
+        dst.data[...] = (1.0 - rate) * dst.data + rate * src.data
 
 
 def snapshot_dicts(sub):

@@ -16,6 +16,7 @@ from prunerl.agent import (
 )
 from prunerl.errors import DataError, PruneRLError
 from prunerl.graph import Graph, load_edge_list
+from prunerl.nnet import Tensor
 from prunerl.qmodel import QModel, SubgraphUnion
 from prunerl.replay import Transition
 from prunerl.rewards import PagerankReward, SpspReward
@@ -148,6 +149,33 @@ class TestDoubleDQNTarget:
         a_star = int(np.argmax(policy.q_forward(nxt).data))
         expected = 1.0 + 0.9 * float(target.q_forward(nxt).data[a_star])
         assert double_dqn_target(batch, policy, target, 0.9)[0] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_argmax_is_each_items_first_max(self, karate, monkeypatch, seed):
+        # exact ties (+-0.0 too), one-candidate items, the max first and last
+        items = [[1.0, 3.0, 3.0], [0.0, -0.0], [-0.0, 0.0], [5.0], [4.0, 1.0, 4.0],
+                 [1.0, 1.0, 7.0], [7.0, 1.0, 1.0], [-2.0, -2.0, -2.0]]
+        rng = np.random.default_rng(seed)
+        items += [rng.choice([-0.0, 0.0, 1.0, 2.0], size=int(rng.integers(1, 7))).tolist()
+                  for _ in range(40)]
+        states = [karate.sample_subgraph(len(q), rng) for q in items]
+        batch = [Transition(s, 0, 0.0, s, False) for s in states]
+        picked, pick = [], SubgraphUnion.pick
+        monkeypatch.setattr(SubgraphUnion, "pick",
+                            lambda union, rows: picked.append(rows) or pick(union, rows))
+        double_dqn_target(batch, FixedQ(np.concatenate(items)), FixedQ(None), 0.9)
+        starts = np.cumsum([0] + [len(q) for q in items[:-1]])
+        assert picked[0].tolist() == [lo + int(np.argmax(q)) for lo, q in zip(starts, items)]
+
+
+class FixedQ:
+    """A stand-in Q-network whose no-grad pass returns `q`, or zeros."""
+
+    def __init__(self, q):
+        self.q = q
+
+    def q_forward(self, sub, grad=True):
+        return Tensor(np.zeros(len(sub)) if self.q is None else self.q)
 
 
 def replay_batch(g, rng, size=12):
@@ -397,6 +425,61 @@ class TestFusedTraining:
         agent.policy.embeddings.data[:] = np.nan
         with pytest.raises(PruneRLError, match="non-finite"):
             agent.sparsify(karate, 0.5, 8, rng)
+
+
+def assert_flat_layout(agent):
+    """Each parameter of both models is a view of its model's `flat`, at its
+    own offset, and Adam's `m` and `v` views of flat_m and flat_v likewise:
+    a parameter rebound to a new array would stop training unnoticed."""
+    opt = agent.optimizer
+    layouts = [(model.flat, [p.data for p in model.parameters()])
+               for model in (agent.policy, agent.target)]
+    for flat, views in layouts + [(opt.flat_m, opt.m), (opt.flat_v, opt.v)]:
+        assert all(np.shares_memory(view, flat) for view in views)
+        assert np.array_equal(flat, np.concatenate([view.ravel() for view in views]))
+        saved = flat.copy()
+        flat[...] = np.arange(flat.size)
+        assert np.array_equal(np.concatenate([view.ravel() for view in views]), np.arange(flat.size))
+        flat[...] = saved
+
+
+class TestFlatParameters:
+    def test_new_agent(self, karate):
+        agent = Agent(karate, AgentConfig(**SMALL), rng=np.random.default_rng(0))
+        assert np.array_equal(agent.target.flat, agent.policy.flat)
+        assert_flat_layout(agent)
+
+    def test_loaded_fixture(self, karate):
+        assert_flat_layout(Agent.load(CHECKPOINT_V1, karate))
+
+    def test_after_train_steps_and_a_round_trip(self, karate, tmp_path):
+        agent = filled_agent(karate)
+        before = agent.policy.flat.copy(), agent.target.flat.copy()
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            agent.train_step(rng)
+        assert not np.array_equal(agent.policy.flat, before[0])
+        assert not np.array_equal(agent.target.flat, before[1])
+        assert_flat_layout(agent)
+        agent.save(tmp_path / "ckpt.npz")
+        again = Agent.load(tmp_path / "ckpt.npz", karate)
+        assert_flat_layout(again)
+        for a, b in ((agent.policy.flat, again.policy.flat), (agent.target.flat, again.target.flat),
+                     (agent.optimizer.flat_m, again.optimizer.flat_m),
+                     (agent.optimizer.flat_v, again.optimizer.flat_v)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rebind", ["policy", "target", "m", "v"])
+    def test_a_rebound_array_is_caught(self, karate, rebind):
+        agent = Agent(karate, AgentConfig(**SMALL), rng=np.random.default_rng(0))
+        if rebind in ("m", "v"):
+            views = getattr(agent.optimizer, rebind)
+            views[3] = views[3].copy()
+        else:
+            p = getattr(agent, rebind).head.b
+            p.data = p.data.copy()
+        with pytest.raises(AssertionError):
+            assert_flat_layout(agent)
 
 
 class TestSoftUpdate:

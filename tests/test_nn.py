@@ -5,11 +5,12 @@ import pytest
 
 from prunerl import nnet
 from prunerl.errors import PruneRLError, ShapeError
+from prunerl.graph import load_edge_list
 from prunerl.nnet import Adam, Linear, Tensor
-from prunerl.qmodel import ATTENTION_SLOPE, HIDDEN_SLOPE, QModel
+from prunerl.qmodel import ATTENTION_SLOPE, HIDDEN_SLOPE, QModel, SubgraphUnion
 
 import oracles
-from conftest import neighbors, path_graph
+from conftest import DATA_DIR, neighbors, path_graph
 from gradcheck import grad_check, mul, sum_all
 from oracles import add, leaky_relu, matmul, mean_all, segment_softmax, segment_sum
 
@@ -263,8 +264,10 @@ class TestOptimizers:
         opt2 = Adam([w2], lr=0.01)
         # the optimizer's whole state: what `Agent.save` writes and `Agent.load` restores
         opt2.step_count = opt.step_count
-        opt2.m = [m.copy() for m in opt.m]
-        opt2.v = [v.copy() for v in opt.v]
+        # into the existing views: rebinding the lists would detach them from
+        # the flat moments that step() updates
+        for own, saved in zip(opt2.m + opt2.v, opt.m + opt.v):
+            own[...] = saved
         for tensor, o in ((w, opt), (w2, opt2)):
             loss = sum_all(mul(tensor, tensor))
             o.zero_grad()
@@ -283,6 +286,57 @@ def gat_encode(model, hoods):
     """Encode each node of {node: neighbors}, attending over itself first."""
     rows = [[n, *sorted(nbrs)] for n, nbrs in hoods.items()]
     return attend(model, np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows))
+
+
+def karate_union(rng):
+    """A model and the hoods of a union like the one the TD targets score in
+    training: 32 states of 32 candidates on half-pruned karate, ~3,300
+    entries over a 34-row table."""
+    karate = load_edge_list(DATA_DIR / "karate.txt")
+    karate.random_prune(karate.edge_count // 2, rng)
+    union = SubgraphUnion([karate.sample_subgraph(32, rng) for _ in range(32)])
+    return QModel(34, emb_dim=16, hidden_dim=32, rng=rng), union.hood_ptr, union.hood
+
+
+def wide_table(rng):
+    """A model and 20 hood entries over a 2,000-row table: four closed
+    neighbourhoods of five that share nodes."""
+    nodes = rng.choice(2000, size=10, replace=False)
+    rows = [[c, *np.sort(rng.choice(nodes[4:], size=4, replace=False))] for c in nodes[:4]]
+    return QModel(2000, emb_dim=5, hidden_dim=8, rng=rng), np.arange(0, 21, 5), np.concatenate(rows)
+
+
+class TestDistinctRows:
+    """The mask remap and the sort of `nnet.distinct_rows`, each forced by
+    REMAP_MAX_RATIO, and the attention over them, on both sides of its rule."""
+
+    @pytest.mark.parametrize("case, masked", [(karate_union, True), (wide_table, False)])
+    def test_rule_side(self, case, masked):
+        model, _, hood = case(np.random.default_rng(0))
+        assert (model.node_count <= nnet.REMAP_MAX_RATIO * len(hood)) == masked
+
+    @pytest.mark.parametrize("case", [karate_union, wide_table])
+    @pytest.mark.parametrize("ratio", [0, np.inf])
+    def test_rows_equal_np_unique(self, case, ratio, monkeypatch):
+        model, _, hood = case(np.random.default_rng(1))
+        monkeypatch.setattr(nnet, "REMAP_MAX_RATIO", ratio)
+        uniq, rows = nnet.distinct_rows(hood, model.node_count)
+        expected = np.unique(hood, return_inverse=True)
+        assert np.array_equal(uniq, expected[0]) and np.array_equal(rows, expected[1])
+
+    @pytest.mark.parametrize("case", [karate_union, wide_table])
+    def test_attention_equal_on_both_sides(self, case, monkeypatch):
+        model, ptr, hood = case(np.random.default_rng(2))
+        params = [model.embeddings, model.gat_proj.W, model.gat_score.W, model.gat_score.b]
+        oracle = oracles.gat_encode_oracle(model, ptr, hood)
+        expected = grads_of(oracle, params, np.random.default_rng(3))
+        for ratio in (0, np.inf):
+            monkeypatch.setattr(nnet, "REMAP_MAX_RATIO", ratio)
+            assert np.array_equal(attend(model, ptr, hood, grad=False), oracle.data)
+            out = attend(model, ptr, hood)
+            assert np.array_equal(out.data, oracle.data)
+            for got, want in zip(grads_of(out, params, np.random.default_rng(3)), expected):
+                assert np.array_equal(got, want)
 
 
 class TestGATEncode:
