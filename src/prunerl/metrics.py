@@ -93,8 +93,7 @@ def pagerank(g, damping=0.85, tol=1e-10, max_iter=200):
         a[nbrs, sources] = -damping / out_deg[sources]  # no duplicate edges to add up
         a.flat[:: n + 1] += 1.0
         return np.linalg.solve(a, np.full(n, (1.0 - damping) / n))
-    # column u is u's live out-neighbours by edge id: a loop's summation order;
-    # int32 indices, which scipy would otherwise convert int64 ones to per call
+    # column u is u's live out-neighbours by edge id (a loop's summation order), int32 as scipy keeps it
     push = csc_matrix((np.ones(nbrs.size), nbrs.astype(np.int32), indptr.astype(np.int32)), shape=(n, n))
     x = np.full(n, 1.0 / n)
     for _ in range(max_iter):

@@ -18,8 +18,6 @@ from scipy.sparse import csr_matrix
 
 from .errors import PruneRLError, ShapeError
 
-REMAP_MAX_RATIO = 64  # table rows per hood entry up to which distinct_rows masks
-
 
 class Tensor:
     """A numpy array with an optional gradient and a backward closure."""
@@ -168,20 +166,6 @@ class Linear:
         return [self.W] + ([self.b] if self.b is not None else [])
 
 
-def distinct_rows(hood, n):
-    """np.unique(hood, return_inverse=True) for entries of an n-row table. A mask
-    over the table costs O(n); timed on 2k- to 200k-row tables, it beat the sort
-    up to REMAP_MAX_RATIO rows per entry and lost at twice that."""
-    if n > REMAP_MAX_RATIO * len(hood):
-        return np.unique(hood, return_inverse=True)
-    seen = np.zeros(n, dtype=bool)
-    seen[hood] = True
-    uniq = np.flatnonzero(seen)
-    remap = np.empty(n, dtype=np.intp)
-    remap[uniq] = np.arange(len(uniq))
-    return uniq, remap[hood]
-
-
 def graph_attention(table, proj, score, ptr, hood, slope, grad=True):
     """Single-head attention over closed neighborhoods as one node: segment
     i, hood[ptr[i]:ptr[i + 1]], is node i's neighborhood with its center
@@ -194,8 +178,14 @@ def graph_attention(table, proj, score, ptr, hood, slope, grad=True):
     lens = np.diff(ptr)
     count = len(lens)
     segments = np.repeat(np.arange(count), lens)
-    # each distinct node once, each entry's row in uniq, and its center's row
-    uniq, rows = distinct_rows(hood, table.data.shape[0])
+    # each distinct node once, each entry's row in uniq, and its center's row:
+    # np.unique(hood, return_inverse=True), through a mask over the table
+    seen = np.zeros(table.data.shape[0], dtype=bool)
+    seen[hood] = True
+    uniq = np.flatnonzero(seen)
+    remap = np.empty(len(seen), dtype=np.intp)
+    remap[uniq] = np.arange(len(uniq))
+    rows = remap[hood]
     center = np.repeat(rows[ptr[:-1]], lens)
     W, d, k = score.W.data, proj.W.data.shape[1], len(uniq)
     gathered = table.data[uniq]
@@ -254,8 +244,7 @@ def weighted_mse(pred, targets, weights):
 
 
 class Adam:
-    """Adaptive-moment optimizer; clears gradients after each step. Its
-    per-parameter moments `m` and `v` are views of the vectors flat_m, flat_v."""
+    """Adaptive-moment optimizer; clears gradients after each step; m, v view flat_m, flat_v."""
 
     def __init__(self, params, lr=0.0002, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)

@@ -306,37 +306,39 @@ def wide_table(rng):
     return QModel(2000, emb_dim=5, hidden_dim=8, rng=rng), np.arange(0, 21, 5), np.concatenate(rows)
 
 
-class TestDistinctRows:
-    """The mask remap and the sort of `nnet.distinct_rows`, each forced by
-    REMAP_MAX_RATIO, and the attention over them, on both sides of its rule."""
-
-    @pytest.mark.parametrize("case, masked", [(karate_union, True), (wide_table, False)])
-    def test_rule_side(self, case, masked):
-        model, _, hood = case(np.random.default_rng(0))
-        assert (model.node_count <= nnet.REMAP_MAX_RATIO * len(hood)) == masked
+class TestAttentionRemap:
+    """`nnet.graph_attention` maps hood entries to rows through a mask over the
+    table; held to np.unique(hood, return_inverse=True) on a table smaller than
+    its hood and on one a hundred times its hood."""
 
     @pytest.mark.parametrize("case", [karate_union, wide_table])
-    @pytest.mark.parametrize("ratio", [0, np.inf])
-    def test_rows_equal_np_unique(self, case, ratio, monkeypatch):
-        model, _, hood = case(np.random.default_rng(1))
-        monkeypatch.setattr(nnet, "REMAP_MAX_RATIO", ratio)
-        uniq, rows = nnet.distinct_rows(hood, model.node_count)
+    def test_rows_equal_np_unique(self, case, monkeypatch):
+        model, ptr, hood = case(np.random.default_rng(1))
+        seen, real = [], nnet.csr_matrix
+
+        def spy(arg, shape):
+            seen.append((arg[1], shape[1]))
+            return real(arg, shape=shape)
+
+        monkeypatch.setattr(nnet, "csr_matrix", spy)
+        attend(model, ptr, hood, grad=False)
+        (rows, k), = seen
+        uniq = np.empty(k, dtype=hood.dtype)
+        uniq[rows] = hood
         expected = np.unique(hood, return_inverse=True)
         assert np.array_equal(uniq, expected[0]) and np.array_equal(rows, expected[1])
 
     @pytest.mark.parametrize("case", [karate_union, wide_table])
-    def test_attention_equal_on_both_sides(self, case, monkeypatch):
+    def test_attention_equals_oracle(self, case):
         model, ptr, hood = case(np.random.default_rng(2))
         params = [model.embeddings, model.gat_proj.W, model.gat_score.W, model.gat_score.b]
         oracle = oracles.gat_encode_oracle(model, ptr, hood)
         expected = grads_of(oracle, params, np.random.default_rng(3))
-        for ratio in (0, np.inf):
-            monkeypatch.setattr(nnet, "REMAP_MAX_RATIO", ratio)
-            assert np.array_equal(attend(model, ptr, hood, grad=False), oracle.data)
-            out = attend(model, ptr, hood)
-            assert np.array_equal(out.data, oracle.data)
-            for got, want in zip(grads_of(out, params, np.random.default_rng(3)), expected):
-                assert np.array_equal(got, want)
+        assert np.array_equal(attend(model, ptr, hood, grad=False), oracle.data)
+        out = attend(model, ptr, hood)
+        assert np.array_equal(out.data, oracle.data)
+        for got, want in zip(grads_of(out, params, np.random.default_rng(3)), expected):
+            assert np.array_equal(got, want)
 
 
 class TestGATEncode:
