@@ -90,9 +90,6 @@ class EpisodeRecord:
     prunes: list = field(default_factory=list)  # edge ids in prune order
     rewards: list = field(default_factory=list)
     losses: list = field(default_factory=list)
-    t_planned: int = 0
-    t_preprune: int = 0
-    terminated_early: bool = False
 
 
 class Agent:
@@ -148,7 +145,7 @@ class Agent:
         self.update_steps += 1
         return float(loss.data), td_errors
 
-    def run_episode(self, reward_spec, rng, train=True):
+    def run_episode(self, reward_spec, rng):
         """One training episode over a fresh clone of the original graph.
 
         Draws the episode length T ~ U(1, T_max) and a random-start prune
@@ -164,12 +161,12 @@ class Agent:
         g.random_prune(t_pre, rng)
         reward_spec.on_episode_start(self.graph, g, rng)
 
-        record = EpisodeRecord(t_planned=t_steps, t_preprune=t_pre)
+        record = EpisodeRecord()
         state = g.sample_subgraph(cfg.train_subgraph_len, rng)
         for t in range(t_steps):
             state.require_live(g)
             action = select_action(len(state), lambda: self.policy.q_forward(state, grad=False).data,
-                                   self.epsilon if train else 0.0, rng)
+                                   self.epsilon, rng)
             eid = int(state.eids[action])
             pre_ctx = reward_spec.before_prune(g, eid, rng)
             g.prune_edge(eid)
@@ -180,13 +177,11 @@ class Agent:
             exhausted = g.edge_count == 0
             done = exhausted  # time-limit truncation still bootstraps
             next_state = state if exhausted else g.sample_subgraph(cfg.train_subgraph_len, rng)
-            if train:
-                self.buffer.add(Transition(state, action, reward, next_state, done))
-                if len(self.buffer) >= cfg.batch_size:
-                    loss, _ = self.train_step(rng)
-                    record.losses.append(loss)
+            self.buffer.add(Transition(state, action, reward, next_state, done))
+            if len(self.buffer) >= cfg.batch_size:
+                loss, _ = self.train_step(rng)
+                record.losses.append(loss)
             if exhausted:
-                record.terminated_early = True
                 break
             state = next_state
         self.episodes_done += 1
@@ -197,14 +192,8 @@ class Agent:
     def sparsify(self, g, target_ratio, eval_subgraph_len, rng):
         """Greedy pruning with the learned policy until round(target_ratio *
         |E_original|) live edges remain. Returns a pruned copy."""
-        if not (0.0 < target_ratio <= 1.0):
-            raise PruneRLError(f"target ratio must be in (0, 1], got {target_ratio}")
-        target = int(round(target_ratio * g.original_edge_count))
+        target = g.edge_budget(target_ratio)
         out = g.copy()
-        if target > out.edge_count:
-            raise PruneRLError(
-                f"target of {target} edges exceeds the {out.edge_count} still live"
-            )
         while out.edge_count > target:
             sub = out.sample_subgraph(eval_subgraph_len, rng)
             sub.require_live(out)

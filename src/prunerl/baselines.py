@@ -19,30 +19,9 @@ from .rewards import spsp_penalty
 log = logging.getLogger(__name__)
 
 
-def _target_edges(g, r):
-    if not (0.0 < r <= 1.0):
-        raise PruneRLError(f"edge-kept ratio must be in (0, 1], got {r}")
-    return int(round(r * g.original_edge_count))
-
-
-def _prune_target(g, r):
-    """round(r*|E|), which pruning can reach only if that many are live."""
-    target = _target_edges(g, r)
-    if target > g.edge_count:
-        raise PruneRLError(f"target of {target} edges exceeds the {g.edge_count} still live")
-    return target
-
-
-def _prune_to_kept(g, keep_eids):
-    out = g.copy()
-    live = g.live_edge_ids()
-    out.prune_edges(live[~np.isin(live, np.fromiter(keep_eids, dtype=np.int64))])
-    return out
-
-
 def random_edge(g, r, rng):
     """Prune exactly |E| - round(r*|E|) uniformly chosen edges."""
-    target = _prune_target(g, r)
+    target = g.edge_budget(r)
     out = g.copy()
     out.random_prune(out.edge_count - target, rng)
     out.method_params = {"method": "random_edge", "r": r}
@@ -51,8 +30,8 @@ def random_edge(g, r, rng):
 
 def _exponent_search(g, r, survivors_at):
     """Binary-search an exponent in [0, 1] so the surviving edge count best
-    matches round(r*|E|). Warns when no exponent lands within one edge."""
-    target = _target_edges(g, r)
+    matches `g.edge_budget(r)`. Warns when no exponent lands within one edge."""
+    target = g.edge_budget(r)
     lo, hi = 0.0, 1.0
     best = None
     for _ in range(50):
@@ -117,7 +96,7 @@ def local_degree(g, r=None, alpha=None):
         raise PruneRLError("local_degree needs either r or alpha")
     alpha, kept = _degree_ranked(g, lambda nbrs, eids: -g.degree[nbrs],
                                  lambda d, a: int(math.floor(d ** a)), r, alpha)
-    out = _prune_to_kept(g, kept)
+    out = g.copy_keeping(kept)
     out.method_params = {"method": "local_degree", "alpha": alpha}
     return out
 
@@ -150,24 +129,23 @@ def l_spar(g, r=None, e=None):
     sim = jaccard_scores(g)
     e, kept = _degree_ranked(g, lambda nbrs, eids: -sim[eids],
                              lambda d, x: int(math.ceil(d ** x)), r, e)
-    out = _prune_to_kept(g, kept)
+    out = g.copy_keeping(kept)
     out.method_params = {"method": "l_spar", "e": e}
     return out
 
 
-def edge_forest_fire(g, r, p, rng, burn_budget=None):
+def edge_forest_fire(g, r, p, rng):
     """Prune the edges least visited by repeated forest fires.
 
     Fires start at random nodes; each burning node ignites a geometric
     number (mean p/(1-p)) of its not-yet-burnt neighbors, bumping the visit
-    count of every traversed edge. After the burn budget is spent, the
+    count of every traversed edge. After 4|V| nodes have burnt, the
     |E| - round(r*|E|) lowest-visit edges are pruned, ties broken by rng.
     """
     if not (0.0 <= p < 1.0):
         raise PruneRLError(f"burn probability must be in [0, 1), got {p}")
-    target = _prune_target(g, r)
-    if burn_budget is None:
-        burn_budget = 4 * g.node_count
+    target = g.edge_budget(r)
+    burn_budget = 4 * g.node_count
     visits = np.zeros(g.original_edge_count)
     indptr, nbrs, eids = (a.tolist() for a in g.live_csr())
     total_burnt = 0
@@ -294,7 +272,7 @@ def baswana_sen_spanner(g, t_stretch, rng):
         for c, (u, eid) in lightest_per_cluster(v).items():
             spanner.add(eid)
 
-    out = _prune_to_kept(g, spanner)
+    out = g.copy_keeping(spanner)
     out.method_params = {"method": "baswana_sen_spanner", "t": t_stretch, "k": k}
     return out
 

@@ -55,10 +55,7 @@ def _align_sparsified(graph, path):
                 raise ConfigError(f"{path}:{line_no}: edge ({tokens[0]}, {tokens[1]}) "
                                   "is not in the dataset")
             kept.add(eid)
-    aligned = graph.copy()
-    live = aligned.live_edge_ids()
-    aligned.prune_edges(live[~np.isin(live, list(kept))])
-    return aligned
+    return graph.copy_keeping(kept)
 
 
 def _positive_int(text):
@@ -164,7 +161,7 @@ def cmd_evaluate(args):
     row = {
         "dataset": args.dataset,
         "method": "file",
-        "edge_kept_ratio": sparsified.edge_count / graph.original_edge_count,
+        "edge_kept_ratio": sparsified.edge_kept_ratio(),
         "metric": args.metric,
         "seed": args.seed,
         "value": value,

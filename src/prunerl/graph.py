@@ -43,6 +43,17 @@ class CandidateSubgraph:
             raise DeadEdgeError(f"stale candidate edge id {dead[0]}")
 
 
+def _simple_edges(pairs, node_count, directed):
+    """Mask of the rows of `pairs` ((m, 2) compact ids) that are neither a
+    self-loop nor a repeat of an earlier row; undirected rows compare as
+    (min, max)."""
+    ends = pairs if directed else np.sort(pairs, axis=1)
+    _, first = np.unique(ends[:, 0] * node_count + ends[:, 1], return_index=True)
+    simple = np.zeros(len(pairs), dtype=bool)
+    simple[first] = True
+    return simple & (pairs[:, 0] != pairs[:, 1])
+
+
 class Graph:
     """Mutable edge-set view over an immutable original edge list.
 
@@ -65,12 +76,9 @@ class Graph:
         self.src, self.dst = pairs[:, 0].copy(), pairs[:, 1].copy()
         if m and (pairs.min() < 0 or pairs.max() >= node_count):
             raise PruneRLError(f"edge endpoint out of range for {node_count} nodes")
-        # the first offending edge in id order names the error
-        ends = pairs if directed else np.sort(pairs, axis=1)
-        _, first = np.unique(ends[:, 0] * node_count + ends[:, 1], return_index=True)
-        bad = np.flatnonzero((np.bincount(first, minlength=m) == 0) | (self.src == self.dst))
-        if bad.size:
-            u, v = int(self.src[bad[0]]), int(self.dst[bad[0]])
+        simple = _simple_edges(pairs, node_count, directed)
+        if not simple.all():  # the first offending edge in id order names the error
+            u, v = (int(x) for x in pairs[np.argmin(simple)])
             raise PruneRLError(f"self-loop ({u},{u}) not allowed" if u == v
                                else f"duplicate edge ({u},{v})")
         # CSR of every original edge (both directions when undirected), rows
@@ -140,6 +148,16 @@ class Graph:
     def edge_kept_ratio(self):
         return self.edge_count / self.original_edge_count
 
+    def edge_budget(self, r):
+        """round(r * |E_original|), the live edge count edge-kept ratio r asks
+        for. Raises unless r is in (0, 1] and that many edges are still live."""
+        if not (0.0 < r <= 1.0):
+            raise PruneRLError(f"edge-kept ratio must be in (0, 1], got {r}")
+        target = int(round(r * self.original_edge_count))
+        if target > self.edge_count:
+            raise PruneRLError(f"target of {target} edges exceeds the {self.edge_count} still live")
+        return target
+
     # ----------------------------------------------------------------- pruning
 
     def prune_edge(self, eid):
@@ -208,6 +226,13 @@ class Graph:
             ids[p] = ids[n]
         self.prune_edges(picked)
 
+    def copy_keeping(self, eids):
+        """A copy in which only the edges of `eids` that are live here stay live."""
+        out = self.copy()
+        live = self.live_edge_ids()
+        out.prune_edges(live[~np.isin(live, np.fromiter(eids, dtype=np.int64))])
+        return out
+
     def sample_subgraph(self, size, rng):
         """Sample min(size, live) distinct live edges uniformly, with snapshots."""
         if size < 1:
@@ -269,7 +294,8 @@ def load_edge_list(path, directed=False):
     ``Graph.id_map``. Self-loops and duplicate edges are dropped and counted
     in ``Graph.dropped_self_loops`` / ``Graph.dropped_duplicates``.
     """
-    pairs = []
+    id_map = {}  # original id -> compact id, in order of first appearance
+    ids = []
     with open(path) as f:
         for line_no, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -282,37 +308,19 @@ def load_edge_list(path, directed=False):
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise EdgeListParseError(path, line_no, raw.rstrip("\n")) from None
-            pairs.append((u, v))
-    if not pairs:
+            ids.append(id_map.setdefault(u, len(id_map)))
+            ids.append(id_map.setdefault(v, len(id_map)))
+    if not ids:
         raise DataError(f"{path}: empty edge set")
 
-    id_map = {}
-    for u, v in pairs:
-        for x in (u, v):
-            if x not in id_map:
-                id_map[x] = len(id_map)
-
-    seen = set()
-    edges = []
-    self_loops = 0
-    duplicates = 0
-    for u, v in pairs:
-        cu, cv = id_map[u], id_map[v]
-        if cu == cv:
-            self_loops += 1
-            continue
-        key = (cu, cv) if directed else (min(cu, cv), max(cu, cv))
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        edges.append((cu, cv))
-    if not edges:
+    pairs = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    simple = _simple_edges(pairs, len(id_map), directed)
+    if not simple.any():
         raise DataError(f"{path}: no usable edges after dropping loops/duplicates")
 
-    g = Graph(len(id_map), edges, directed=directed, id_map=id_map)
-    g.dropped_self_loops = self_loops
-    g.dropped_duplicates = duplicates
+    g = Graph(len(id_map), pairs[simple], directed=directed, id_map=id_map)
+    g.dropped_self_loops = int(np.count_nonzero(pairs[:, 0] == pairs[:, 1]))
+    g.dropped_duplicates = len(pairs) - len(g.src) - g.dropped_self_loops
     return g
 
 

@@ -158,7 +158,10 @@ def modularity(g, partition_labels):
     return q
 
 
-def louvain(g, rng, resolution=1.0, min_gain=1e-12):
+LOUVAIN_MIN_GAIN = 1e-12  # a move must beat staying put by more than this
+
+
+def louvain(g, rng):
     """Greedy modularity optimization (local moves + aggregation).
 
     Node visit order within each local-move sweep is shuffled with the
@@ -213,12 +216,12 @@ def louvain(g, rng, resolution=1.0, min_gain=1e-12):
                     else:
                         w2c[c] = w
                 comm_tot[ci] -= ki
-                base = w2c.pop(ci, 0.0) - resolution * comm_tot[ci] * ki / m2
-                best_c, bar = ci, min_gain  # a tie keeps the first community seen
+                base = w2c.pop(ci, 0.0) - comm_tot[ci] * ki / m2
+                best_c, bar = ci, LOUVAIN_MIN_GAIN  # a tie keeps the first community seen
                 for c, w in w2c.items():
-                    gain = (w - resolution * comm_tot[c] * ki / m2) - base
+                    gain = (w - comm_tot[c] * ki / m2) - base
                     if gain > bar:
-                        best_c, bar = c, gain + min_gain
+                        best_c, bar = c, gain + LOUVAIN_MIN_GAIN
                 comm_tot[best_c] += ki
                 if best_c == ci:
                     seen[i], deps[i] = clock, (ci, *w2c)

@@ -15,6 +15,7 @@ from .nnet import Linear, Tensor
 
 ATTENTION_SLOPE = 0.2  # leaky slope inside attention scoring
 HIDDEN_SLOPE = 0.01  # leaky slope in the encoder MLPs
+EMB_SCALE = 0.1  # node embeddings start uniform in [-EMB_SCALE, EMB_SCALE]
 
 
 class SubgraphUnion:
@@ -67,9 +68,7 @@ class QModel:
     it was trained on (transductive).
     """
 
-    def __init__(self, node_count, directed=False, emb_dim=64, hidden_dim=128,
-                 rng=None, emb_scale=0.1):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, node_count, rng, directed=False, emb_dim=64, hidden_dim=128):
         self.node_count = node_count
         self.directed = directed
         self.emb_dim = emb_dim
@@ -77,7 +76,7 @@ class QModel:
         deg_dims = 2 if directed else 1
 
         self.embeddings = Tensor(
-            rng.uniform(-emb_scale, emb_scale, size=(node_count, emb_dim)),
+            rng.uniform(-EMB_SCALE, EMB_SCALE, size=(node_count, emb_dim)),
             name="embeddings",
         )
         self.gat_proj = Linear(emb_dim, emb_dim, rng, bias=False, name="gat_proj")

@@ -64,14 +64,14 @@ class RewardSpec:
     graph, and the before_prune/after_prune pair pays the agent inside
     episodes. The defaults fit a Louvain-based ``score(gp, rng)``: evaluation
     averages it over ``louvain_runs`` runs on the caller's rng, and training
-    fixes one Louvain seed per episode."""
+    fixes one Louvain seed per episode. The original graph's score is taken
+    on seed 0, which is also the episode seed until an episode draws one."""
 
     higher_is_better = True
 
-    def __init__(self, g, louvain_seed=0):
+    def __init__(self, g):
         self.graph = g
-        self._louvain_seed = louvain_seed
-        self._episode_seed = louvain_seed
+        self._episode_seed = 0
         self._base = None
 
     def evaluate(self, gp, rng, louvain_runs=8, spsp_pairs=8196):
@@ -81,7 +81,7 @@ class RewardSpec:
         """Score on this episode's Louvain seed, minus the same score on the
         original graph (computed once, on the first training step)."""
         if self._base is None:
-            self._base = self.score(self.graph, np.random.default_rng(self._louvain_seed))
+            self._base = self.score(self.graph, np.random.default_rng(0))
         return self.score(gp, np.random.default_rng(self._episode_seed)) - self._base
 
     def on_episode_start(self, g_original, g_working, rng):
@@ -127,14 +127,14 @@ class CommunityReward(RewardSpec):
     reward is ARI(G') - ARI(G) plus the label term: +label_sign when the
     pruned edge joins two same-label nodes, -label_sign otherwise."""
 
-    def __init__(self, g, labels=None, label_sign=1.0, louvain_seed=0):
+    def __init__(self, g, labels=None, label_sign=1.0):
         if not labels:
             raise ConfigError("community objective requires ground-truth labels "
                               "(labels_path / --labels)")
         missing = [n for n in range(g.node_count) if n not in labels]
         if missing:
             raise ConfigError(f"labels missing for {len(missing)} nodes (e.g. {missing[0]})")
-        super().__init__(g, louvain_seed)
+        super().__init__(g)
         self.labels = labels
         self.label_sign = label_sign
 

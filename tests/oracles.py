@@ -21,7 +21,8 @@ per transition.
 `prune_edges_oracle` and `random_prune_oracle` are the per-edge loops that
 `Graph.prune_edges` and `Graph.random_prune` replaced; they must leave every
 array of the graph, stale swap-remove entries included, exactly as the bulk
-forms do.
+forms do. `load_edge_list_oracle` is the dict/set loop that compacted ids and
+dropped self-loops and repeats before `load_edge_list` did both with arrays.
 
 The graph kernels below walk a dict-of-dicts adjacency in Python, rebuilt
 from the live edges in edge id order: the forms of `metrics.pagerank`,
@@ -407,6 +408,40 @@ def random_prune_oracle(g, count, rng):
     for _ in range(count):
         pos = int(rng.integers(g.edge_count))
         g.prune_edge(int(g._live_ids[pos]))
+
+
+def load_edge_list_oracle(path, directed=False):
+    """What `load_edge_list` reads from a well-formed file: (id_map, edges,
+    self_loops, duplicates), ids compacted in order of first appearance and
+    edges in file order."""
+    pairs = []
+    with open(path) as f:
+        for raw in f:
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                u, v = line.split()
+                pairs.append((int(u), int(v)))
+    id_map = {}
+    for u, v in pairs:
+        for x in (u, v):
+            if x not in id_map:
+                id_map[x] = len(id_map)
+    seen = set()
+    edges = []
+    self_loops = 0
+    duplicates = 0
+    for u, v in pairs:
+        cu, cv = id_map[u], id_map[v]
+        if cu == cv:
+            self_loops += 1
+            continue
+        key = (cu, cv) if directed else (min(cu, cv), max(cu, cv))
+        if key in seen:
+            duplicates += 1
+            continue
+        seen.add(key)
+        edges.append((cu, cv))
+    return id_map, edges, self_loops, duplicates
 
 
 # ------------------------------------------------------------ graph kernels

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from prunerl import agent as agent_module
+from prunerl import baselines
 from prunerl import nnet
 from prunerl.agent import (
     Agent,
@@ -644,8 +645,21 @@ class TestSparsify:
         agent = Agent(karate, AgentConfig(**SMALL), rng=rng)
         sparser = karate.copy()
         sparser.random_prune(40, rng)
-        with pytest.raises(PruneRLError):
+        with pytest.raises(PruneRLError, match="^target of 70 edges exceeds the 38 still live$"):
             agent.sparsify(sparser, 0.9, 8, rng)
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.25, 1.5])
+    def test_bad_ratio_message_is_the_baselines(self, karate, rng, ratio):
+        agent = Agent(karate, AgentConfig(**SMALL), rng=rng)
+        runs = [lambda: agent.sparsify(karate, ratio, 8, rng),
+                lambda: baselines.random_edge(karate, ratio, rng),
+                lambda: baselines.edge_forest_fire(karate, ratio, 0.95, rng),
+                lambda: baselines.local_degree(karate, r=ratio),
+                lambda: baselines.l_spar(karate, r=ratio)]
+        for run in runs:
+            with pytest.raises(PruneRLError) as exc:
+                run()
+            assert str(exc.value) == f"edge-kept ratio must be in (0, 1], got {ratio}"
 
 
 class TestPersistence:

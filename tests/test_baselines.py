@@ -240,7 +240,9 @@ class TestPrunedInput:
     @pytest.mark.parametrize("method", [
         lambda g, r, rng: random_edge(g, r, rng),
         lambda g, r, rng: edge_forest_fire(g, r, 0.95, rng),
-    ], ids=["random_edge", "edge_forest_fire"])
+        lambda g, r, rng: local_degree(g, r=r),
+        lambda g, r, rng: l_spar(g, r=r),
+    ], ids=["random_edge", "edge_forest_fire", "local_degree", "l_spar"])
     def test_target_above_live_rejected(self, karate_38, method):
         with pytest.raises(PruneRLError, match="target of 58 edges exceeds the 38 still live"):
             method(karate_38, 0.75, np.random.default_rng(0))

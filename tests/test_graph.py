@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from prunerl.errors import CommunityFileError, DeadEdgeError, EdgeListParseError, PruneRLError
+from prunerl.errors import (CommunityFileError, DataError, DeadEdgeError, EdgeListParseError,
+                            PruneRLError)
 from prunerl.graph import Graph, load_communities, load_edge_list
 
 from conftest import (complete_graph, degree_of, make_graph, neighbors, path_graph,
                       random_sparse_graph, shortest_path_distance)
-from oracles import adjacency, prune_edges_oracle, random_prune_oracle
+from oracles import adjacency, load_edge_list_oracle, prune_edges_oracle, random_prune_oracle
 
 
 class TestLoadEdgeList:
@@ -43,6 +44,12 @@ class TestLoadEdgeList:
         with pytest.raises(PruneRLError, match="empty edge set"):
             load_edge_list(p)
 
+    def test_loops_only_rejected(self, tmp_path):
+        p = tmp_path / "loops.txt"
+        p.write_text("3 3\n4 4\n3 3\n")
+        with pytest.raises(DataError, match="no usable edges after dropping loops/duplicates"):
+            load_edge_list(p)
+
     def test_sparse_ids_compacted_with_map(self, tmp_path):
         p = tmp_path / "sparse.txt"
         p.write_text("100 205\n205 999\n")
@@ -57,6 +64,52 @@ class TestLoadEdgeList:
         karate.save_edge_list(out, header_lines=["provenance test"])
         again = load_edge_list(out)
         assert again.live_edge_set() == karate.live_edge_set()
+
+    def test_ids_beyond_int64_round_trip(self, tmp_path):
+        big = 2 ** 64
+        p = tmp_path / "big.txt"
+        p.write_text(f"{big} {big + 1}\n{big + 1} {-big}\n{-big} 5\n5 {big}\n")
+        g = load_edge_list(p)
+        g.prune_edge(g.edge_id(g.id_map[5], g.id_map[big]))
+        out = tmp_path / "again.txt"
+        g.save_edge_list(out)
+        again = load_edge_list(out)
+        assert again.live_edge_set() == g.live_edge_set() == {
+            (big, big + 1), (-big, big + 1), (-big, 5)}
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_dict_loader_oracle(self, tmp_path, directed):
+        p = tmp_path / "edges.txt"
+        for seed in range(300):
+            p.write_text(random_edge_file(np.random.default_rng(seed)))
+            id_map, edges, self_loops, duplicates = load_edge_list_oracle(p, directed)
+            g = load_edge_list(p, directed=directed)
+            assert list(g.id_map.items()) == list(id_map.items())
+            assert all(type(x) is int for x in g.id_map)
+            assert g.node_count == len(id_map)
+            assert g.src.tolist() == [u for u, _ in edges]
+            assert g.dst.tolist() == [v for _, v in edges]
+            assert (g.dropped_self_loops, g.dropped_duplicates) == (self_loops, duplicates)
+
+
+def random_edge_file(rng):
+    """An edge list over small, negative and beyond-int64 ids, with comments,
+    blank lines, repeats, a reversed repeat, a self-loop written twice and a
+    node that appears only in a self-loop."""
+    pool = [int(x) for x in rng.choice(60, size=int(rng.integers(3, 12)), replace=False) - 10]
+    pool += [2 ** 63 + int(x) for x in rng.choice(50, size=3, replace=False)] + [-(2 ** 70)]
+    rng.shuffle(pool)
+    lines = [f"{pool[0]} {pool[1]}"]
+    for _ in range(int(rng.integers(4, 40))):
+        u, v = rng.integers(len(pool), size=2)
+        lines.append(f"{pool[u]}\t{pool[v]}")
+    u, v = rng.choice([line.split() for line in lines if len(set(line.split())) == 2])
+    loop = pool[int(rng.integers(len(pool)))]
+    lonely = 2 ** 65 + int(rng.integers(1000))
+    for line in (f"{v} {u}", f"{loop} {loop}", f"{loop} {loop}", f"{lonely}  {lonely}",
+                 "# a comment", ""):
+        lines.insert(int(rng.integers(len(lines) + 1)), line)
+    return "\n".join(lines) + "\n"
 
 
 class TestLoadCommunities:

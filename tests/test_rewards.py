@@ -102,8 +102,8 @@ class TestRewardPagerank:
 
 
 class TestRewardCommunity:
-    # without on_episode_start the episode Louvain seed is louvain_seed = 0,
-    # the seed of the baseline run on the original graph
+    # without on_episode_start the episode Louvain seed is 0, the seed of the
+    # baseline run on the original graph
 
     def test_label_term_values(self):
         g, labels = bridged_triangles()
