@@ -295,19 +295,14 @@ def require_count(path, header, section, name):
 
 
 def train_loop(agent, reward_spec, episodes, rng, log_path=None,
-               checkpoint_path=None, checkpoint_every=0, patience=0,
-               patience_window=50):
-    """Run episodes until the budget or until the smoothed mean episode
-    reward stops improving for `patience` episodes (0 disables patience).
+               checkpoint_path=None, checkpoint_every=0):
+    """Run `episodes` episodes.
 
     Writes one CSV log row per episode, flushed as the episode ends, so a
     crash keeps the rows of the episodes before it:
     (episode, step, epsilon, loss, mean_reward, buffer_size).
     """
     rows = []
-    best = -np.inf
-    since_best = 0
-    history = []
     with open(log_path or os.devnull, "w", newline="") as log:
         writer = csv.DictWriter(log, fieldnames=LOG_FIELDS)
         writer.writeheader()
@@ -316,7 +311,6 @@ def train_loop(agent, reward_spec, episodes, rng, log_path=None,
             rec = agent.run_episode(reward_spec, rng)
             mean_reward = float(np.mean(rec.rewards)) if rec.rewards else 0.0
             loss = float(np.mean(rec.losses)) if rec.losses else float("nan")
-            history.append(mean_reward)
             row = {
                 "episode": agent.episodes_done,
                 "step": agent.update_steps,
@@ -330,15 +324,6 @@ def train_loop(agent, reward_spec, episodes, rng, log_path=None,
             log.flush()
             if checkpoint_path and checkpoint_every and agent.episodes_done % checkpoint_every == 0:
                 agent.save(checkpoint_path)
-            if patience:
-                smoothed = float(np.mean(history[-patience_window:]))
-                if smoothed > best + 1e-12:
-                    best = smoothed
-                    since_best = 0
-                else:
-                    since_best += 1
-                    if since_best >= patience:
-                        break
     if checkpoint_path:
         agent.save(checkpoint_path)
     return rows

@@ -33,31 +33,6 @@ def _load_labels_if(path, graph):
     return load_communities(path, graph) if path else None
 
 
-def _align_sparsified(graph, path):
-    """Rebuild a sparsified edge list on the original graph's node universe,
-    so metric vectors stay index-aligned even when the file omits nodes that
-    became isolated. Every line must name an edge of the dataset."""
-    kept = set()
-    with open(path) as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise ConfigError(f"{path}:{line_no}: expected two node ids, got {line!r}")
-            try:
-                u, v = (graph.id_map[int(t)] for t in tokens)
-            except (KeyError, ValueError):
-                u = None
-            eid = None if u is None else graph.edge_id(u, v)
-            if eid is None:
-                raise ConfigError(f"{path}:{line_no}: edge ({tokens[0]}, {tokens[1]}) "
-                                  "is not in the dataset")
-            kept.add(eid)
-    return graph.copy_keeping(kept)
-
-
 def _positive_int(text):
     value = int(text)
     if value < 1:
@@ -125,8 +100,6 @@ def cmd_train(args):
         log_path=out_dir / "training_log.csv",
         checkpoint_path=ckpt,
         checkpoint_every=cfg.train.checkpoint_every,
-        patience=cfg.train.patience,
-        patience_window=cfg.train.patience_window,
     )
     print(f"trained {agent.episodes_done} episodes, {agent.update_steps} update steps")
     print(f"checkpoint: {ckpt}")
@@ -153,7 +126,7 @@ def cmd_sparsify(args):
 
 def cmd_evaluate(args):
     graph = load_edge_list(args.dataset, directed=args.directed)
-    sparsified = _align_sparsified(graph, args.sparsified)
+    sparsified = graph.copy_listed(args.sparsified)
     objective = make_reward_spec(args.metric, graph,
                                  labels=_load_labels_if(args.labels, graph))
     value = objective.evaluate(sparsified, np.random.default_rng(args.seed),

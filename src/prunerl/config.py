@@ -41,8 +41,6 @@ class ObjectiveConfig:
 @dataclass
 class TrainConfig:
     episodes: int = 500
-    patience: int = 0  # 0 disables early stopping
-    patience_window: int = 50
     checkpoint_every: int = 100
 
 

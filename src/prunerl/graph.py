@@ -67,9 +67,10 @@ class Graph:
             raise PruneRLError("graph must have at least one node")
         self.node_count = node_count
         self.directed = directed
-        # original ids of compacted nodes; identity when not loaded from file
+        # original id -> compact id, compact ids in insertion order; identity
+        # when not loaded from file
         self.id_map = id_map if id_map is not None else {i: i for i in range(node_count)}
-        self.inverse_id_map = {c: o for o, c in self.id_map.items()}
+        self.original_ids = list(self.id_map)  # compact id -> original id
 
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         m = len(pairs)
@@ -93,7 +94,8 @@ class Graph:
         self.alive = np.ones(m, dtype=bool)
         self.original_edge_count = m
         self.edge_count = m
-        # swap-remove list of live edge ids for O(1) uniform sampling
+        # swap-remove list of live edge ids for O(1) uniform sampling; private
+        # to sampling and pruning, so its order never leaves the graph
         self._live_ids = np.arange(m, dtype=np.int64)
         self._live_pos = np.arange(m, dtype=np.int64)
 
@@ -110,7 +112,7 @@ class Graph:
         g.node_count = self.node_count
         g.directed = self.directed
         g.id_map = self.id_map
-        g.inverse_id_map = self.inverse_id_map
+        g.original_ids = self.original_ids
         g.src = self.src
         g.dst = self.dst
         g.indptr, g.nbrs, g.eids = self.indptr, self.nbrs, self.eids
@@ -136,7 +138,8 @@ class Graph:
         return bool(self.alive[eid])
 
     def live_edge_ids(self):
-        return self._live_ids[: self.edge_count].copy()
+        """Ids of the live edges in edge-id order, whatever order they were pruned in."""
+        return np.flatnonzero(self.alive)
 
     def live_csr(self):
         """(indptr, nbrs, eids) of the live edges, rows in (node, edge id)
@@ -267,24 +270,52 @@ class Graph:
 
     # --------------------------------------------------------------------- io
 
+    def _live_original_edges(self):
+        """The live edges as (u, v) pairs of original node ids, in edge-id order."""
+        ids, eids = self.original_ids, self.live_edge_ids()
+        return [(ids[u], ids[v]) for u, v in zip(self.src[eids].tolist(), self.dst[eids].tolist())]
+
     def save_edge_list(self, path, header_lines=()):
-        """Write live edges in stable edge-id order using original node ids."""
+        """Write the live edges in edge-id order using original node ids."""
         with open(path, "w") as f:
-            for line in header_lines:
-                f.write(f"# {line}\n")
-            for eid in sorted(self.live_edge_ids()):
-                u = self.inverse_id_map[int(self.src[eid])]
-                v = self.inverse_id_map[int(self.dst[eid])]
-                f.write(f"{u} {v}\n")
+            f.writelines(f"# {line}\n" for line in header_lines)
+            f.writelines(f"{u} {v}\n" for u, v in self._live_original_edges())
 
     def live_edge_set(self):
         """Frozenset of live edges in original ids (canonical order if undirected)."""
-        out = set()
-        for eid in self.live_edge_ids():
-            u = self.inverse_id_map[int(self.src[eid])]
-            v = self.inverse_id_map[int(self.dst[eid])]
-            out.add((u, v) if self.directed else (min(u, v), max(u, v)))
-        return frozenset(out)
+        edges = self._live_original_edges()
+        return frozenset(edges if self.directed else
+                         [(u, v) if u <= v else (v, u) for u, v in edges])
+
+    def copy_listed(self, path):
+        """A copy in which only the edges an edge-list file names (in original
+        node ids) stay live. Being a copy, it keeps every node, so
+        metric vectors stay index-aligned even when the file omits nodes that
+        became isolated. A line naming no edge of this graph raises DataError."""
+        kept = []
+        for line_no, a, b in _edge_lines(path):
+            u, v = self.id_map.get(a), self.id_map.get(b)
+            eid = None if u is None or v is None else self.edge_id(u, v)
+            if eid is None:
+                raise DataError(f"{path}:{line_no}: edge ({a}, {b}) is not in the dataset")
+            kept.append(eid)
+        return self.copy_keeping(kept)
+
+
+def _edge_lines(path):
+    """(line number, u, v) for each "u v" line of an edge-list file. Blank and
+    '#' lines are skipped; any other line raises EdgeListParseError."""
+    with open(path) as f:
+        for line_no, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                a, b = line.split()
+                u, v = int(a), int(b)
+            except ValueError:
+                raise EdgeListParseError(path, line_no, raw.rstrip("\n")) from None
+            yield line_no, u, v
 
 
 def load_edge_list(path, directed=False):
@@ -296,20 +327,9 @@ def load_edge_list(path, directed=False):
     """
     id_map = {}  # original id -> compact id, in order of first appearance
     ids = []
-    with open(path) as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(path, line_no, raw.rstrip("\n"))
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(path, line_no, raw.rstrip("\n")) from None
-            ids.append(id_map.setdefault(u, len(id_map)))
-            ids.append(id_map.setdefault(v, len(id_map)))
+    for _, u, v in _edge_lines(path):
+        ids.append(id_map.setdefault(u, len(id_map)))
+        ids.append(id_map.setdefault(v, len(id_map)))
     if not ids:
         raise DataError(f"{path}: empty edge set")
 

@@ -1,10 +1,12 @@
 """Structural metrics: PageRank, Spearman rank correlation, Louvain
 communities, modularity, ARI, and BFS shortest paths.
 
-All functions are pure given an immutable graph snapshot. Unreachability is
-represented by ``math.inf``, never an integer; turning it into a penalty is
-the reward module's business. Kernels are array code over the live edges
-(PageRank on a small graph is one dense solve), except Louvain's list sweeps.
+All functions are pure given an immutable graph snapshot. They read its live
+edges, not the order they were pruned in, so Louvain too returns one partition
+per live edge set and seed. Unreachability is represented by ``math.inf``,
+never an integer; turning it into a penalty is the reward module's business.
+Kernels are array code over the live edges (PageRank on a small graph is one
+dense solve), except Louvain's list sweeps.
 """
 
 import math
@@ -174,12 +176,9 @@ def louvain(g, rng):
     if g.edge_count == 0:
         return Partition(labels={i: i for i in range(n)}, modularity=0.0)
 
-    # unit-weight rows in live edge id order, which breaks ties (not CSR order once pruned)
-    rows = [[] for _ in range(n)]
-    eids = g.live_edge_ids()
-    for u, v in zip(g.src[eids].tolist(), g.dst[eids].tolist()):
-        rows[u].append((v, 1.0))
-        rows[v].append((u, 1.0))
+    # unit-weight rows, the live CSR rows: neighbours in edge id order, which breaks ties
+    indptr, nbrs, _ = (a.tolist() for a in g.live_csr())
+    rows = [[(v, 1.0) for v in nbrs[indptr[u]:indptr[u + 1]]] for u in range(n)]
     k = [float(len(row)) for row in rows]  # weighted degree of each super-node
     label = np.arange(n)  # super-node of each original node
     m2 = 2.0 * g.edge_count

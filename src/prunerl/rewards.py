@@ -47,13 +47,16 @@ def sample_training_pairs(gp, eid, k, rng):
     if k < 1:
         raise PruneRLError("need at least one sampled node per endpoint")
     n = gp.node_count
-    ends = (int(gp.src[eid]), int(gp.dst[eid]))
-    candidates = [x for x in range(n) if x not in ends]
-    if not candidates:
+    if n <= 2:
         raise PruneRLError("graph too small to sample shortest-path pairs")
-    others = rng.choice(candidates, size=k, replace=len(candidates) < k)
+    ends = (int(gp.src[eid]), int(gp.dst[eid]))
+    lo, hi = sorted(ends)
+    # positions among the n - 2 other nodes in ascending order, stepped past the endpoints
+    others = rng.choice(n - 2, size=k, replace=n - 2 < k)
+    others += others >= lo
+    others += others >= hi
     return PathQuerySet.from_graph(
-        gp, [(endpoint, int(o)) for endpoint in ends for o in others])
+        gp, [(endpoint, o) for endpoint in ends for o in others.tolist()])
 
 
 # ---------------------------------------------------------------- objectives

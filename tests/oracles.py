@@ -29,7 +29,7 @@ from the live edges in edge id order: the forms of `metrics.pagerank`,
 `bfs_distances`, `batch_spsp` and `modularity`, of `baselines.jaccard_scores`,
 and of the per-exponent survivor sets of `local_degree` and `l_spar`.
 `louvain_oracle` is the dict form of `metrics.louvain`; its dicts are filled
-in `live_edge_ids()` order, which pruning's swap-removes reorder.
+in `live_edge_ids()` order, which is edge id order.
 
 `SumTreeReplay` is the sum-tree sampler that `ReplayBuffer` replaced with one
 cumulative sum: it keeps the raw priorities beside a `SumTree` of their

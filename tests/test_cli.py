@@ -355,7 +355,11 @@ DATA_ERRORS = {
     "sparsified line of three tokens": (
         {"sparse.txt": "0 1\n0 2 7\n"},
         ["evaluate", "--dataset", KARATE, "--sparsified", "{sparse}", "--metric", "pagerank"],
-        "sparse.txt:2: expected two node ids, got '0 2 7'"),
+        "sparse.txt:2: malformed edge-list line: '0 2 7'"),
+    "sparsified line with a non-integer token": (
+        {"sparse.txt": "0 1\n2 x3\n"},
+        ["evaluate", "--dataset", KARATE, "--sparsified", "{sparse}", "--metric", "pagerank"],
+        "sparse.txt:2: malformed edge-list line: '2 x3'"),
 }
 
 
@@ -471,7 +475,7 @@ GOLDEN = {
          "local_degree": [0.4176257809930944, 0.6403661726242371],
          "edge_forest_fire": [0.2403348386386166, 0.18061964403427816],
          "l_spar": [0.3922385441789082, 0.3922385441789082]},
-        [0.6707055115287673, -0.3613839641511167, 0.5463529401753433],
+        [0.6707055115287673, -0.3613839641511167, 0.558762431421466],
     ),
     "spsp": (
         {"random_edge": [15.28125, 2.828125],
@@ -485,7 +489,7 @@ GOLDEN = {
          "local_degree": [0.45036160420775806, 0.4474030243261013],
          "edge_forest_fire": [0.5029585798816568, 0.5601577909270217],
          "l_spar": [0.6307189542483661, 0.6307189542483661]},
-        [0.09119035722112656, 0.11391038651516078, 0.21761936008311863],
+        [0.09119035722112656, 0.11391038651516078, 0.21892008849102704],
     ),
 }
 
@@ -513,6 +517,36 @@ def test_objective_numbers_are_unchanged(kind, tmp_path):
     assert rc == cli.EXIT_OK
     log = read_csv(tmp_path / "run" / "training_log.csv")
     assert [float(r["mean_reward"]) for r in log] == pytest.approx(rewards, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_evaluate_of_a_sparsified_file_equals_its_compare_cell(kind, trained, tmp_path):
+    # a score depends on the kept edges alone, not on the order a method
+    # pruned them in, so the file sparsify writes scores as compare's cell.
+    # Only the community objective reads the labels; evaluate takes no
+    # Louvain run count and averages the default 8.
+    config = write_config(tmp_path / "config.yaml",
+                          objective={"kind": kind, "labels_path": KARATE_LABELS},
+                          evaluation={"ratios": [0.5], "seeds": 3, "spsp_pairs": 64,
+                                      "louvain_runs": 8, "eval_subgraph_len": 8})
+    rc = cli.main(["compare", "--config", str(config), "--checkpoint",
+                   str(trained["checkpoint"]), "--out", str(tmp_path / "cmp")])
+    assert rc == cli.EXIT_OK
+    cells = read_csv(tmp_path / "cmp" / "compare_cells.csv")
+    assert {(c["method"], c["seed"]) for c in cells} == {
+        (m, str(s)) for m in cli.BASELINE_METHODS + ("agent",) for s in range(3)}
+    sparse, scored = tmp_path / "sparse.txt", tmp_path / "eval.csv"
+    for c in cells:
+        rc = cli.main(["sparsify", "--dataset", KARATE, "--method", c["method"],
+                       "--ratio", "0.5", "--seed", c["seed"], "--checkpoint",
+                       str(trained["checkpoint"]), "--eval-subgraph-len", "8",
+                       "--out", str(sparse)])
+        assert rc == cli.EXIT_OK
+        rc = cli.main(["evaluate", "--dataset", KARATE, "--sparsified", str(sparse),
+                       "--metric", kind, "--labels", KARATE_LABELS, "--seed", c["seed"],
+                       "--spsp-pairs", "64", "--out", str(scored)])
+        assert rc == cli.EXIT_OK
+        assert float(read_csv(scored)[0]["value"]) == float(c["value"]), c
 
 
 class TestSpannerCompare:

@@ -123,11 +123,24 @@ def test_modularity_matches(undirected):
 
 
 def test_louvain_matches_oracle(undirected, karate):
-    big = undirected[-1]
-    # pruning swap-removes, so the live ids (the order Louvain meets
-    # neighbours in) are no longer the CSR's edge id order
-    assert (np.diff(big.live_edge_ids()) < 0).any()
-    for g in [karate, Graph(5, [])] + undirected:
+    # one live edge set reached three ways (a random prune, a prune_edge loop
+    # from the last id down, copy_keeping's bulk pass) gives one partition
+    half = pruned(karate.copy(), np.random.default_rng(7), 0.5)
+    for g in (half, undirected[-1]):
+        fresh = Graph(g.node_count, np.stack([g.src, g.dst], axis=1))
+        looped = fresh.copy()
+        for eid in np.flatnonzero(~g.alive)[::-1].tolist():
+            looped.prune_edge(eid)
+        kept = fresh.copy_keeping(g.live_edge_ids())
+        # the swap-remove lists, which sampling draws from, do differ
+        assert not np.array_equal(looped._live_ids[: looped.edge_count],
+                                  kept._live_ids[: kept.edge_count])
+        for seed in range(3):
+            want = louvain(g, np.random.default_rng(seed))
+            for other in (looped, kept):
+                got = louvain(other, np.random.default_rng(seed))
+                assert (got.labels, got.modularity) == (want.labels, want.modularity)
+    for g in [karate, half, Graph(5, [])] + undirected:
         for seed in range(3):
             got = louvain(g, np.random.default_rng(seed))
             want = louvain_oracle(g, np.random.default_rng(seed))
