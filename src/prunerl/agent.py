@@ -14,7 +14,8 @@ import numpy as np
 from . import nnet
 from .errors import ConfigError, DataError, PruneRLError
 from .nnet import Adam
-from .qmodel import QModel, SubgraphUnion
+from .graph import CandidateSubgraph
+from .qmodel import QModel
 from .replay import ReplayBuffer, Transition
 
 LOG_FIELDS = ["episode", "step", "epsilon", "loss", "mean_reward", "buffer_size"]
@@ -76,12 +77,13 @@ def double_dqn_target(batch, policy, target, gamma):
     out = np.array([tr.reward for tr in batch], dtype=np.float64)
     live = [i for i, tr in enumerate(batch) if not tr.done]
     if live and gamma != 0.0:
-        union = SubgraphUnion([batch[i].next_state for i in live])
-        q, starts = policy.q_forward(union, grad=False).data, union.offsets[:-1]
+        subs = [batch[i].next_state for i in live]
+        nexts, counts = CandidateSubgraph.concat(subs), [len(s.eids) for s in subs]
+        q, starts = policy.q_forward(nexts, grad=False).data, np.cumsum(counts) - counts
         # each item's first index holding its max, the candidate np.argmax picks
-        top = np.repeat(np.maximum.reduceat(q, starts), np.diff(union.offsets))
+        top = np.repeat(np.maximum.reduceat(q, starts), counts)
         best = np.minimum.reduceat(np.where(q == top, np.arange(len(q)), len(q)), starts)
-        out[live] += gamma * target.q_forward(union.pick(best), grad=False).data
+        out[live] += gamma * target.q_forward(nexts.pick(best), grad=False).data
     return out
 
 
@@ -133,8 +135,9 @@ class Agent:
         idx, batch, weights = self.buffer.sample(cfg.batch_size, rng)
         targets = double_dqn_target(batch, self.policy, self.target, cfg.gamma)
 
-        states = SubgraphUnion([tr.state for tr in batch])
-        taken = states.pick(states.offsets[:-1] + [tr.action for tr in batch])
+        counts = [len(tr.state.eids) for tr in batch]
+        taken = CandidateSubgraph.concat([tr.state for tr in batch]).pick(
+            np.cumsum(counts) - counts + [tr.action for tr in batch])
         loss, td_errors = nnet.weighted_mse(self.policy.q_forward(taken), targets, weights)
 
         self.optimizer.zero_grad()

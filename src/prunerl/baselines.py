@@ -70,7 +70,7 @@ def _degree_ranked(g, key, keep_count, r, exponent):
     rank = np.arange(ranked.size) - indptr[rows]
     # counts are taken once per distinct degree with numpy's scalar power:
     # the vectorized power can round differently
-    degrees, node_degree = np.unique(g.degree, return_inverse=True)
+    degrees, node_degree = np.unique(g.deg[:, 0], return_inverse=True)
     row_degree = node_degree[rows]
 
     def survivors(x):
@@ -94,7 +94,7 @@ def local_degree(g, r=None, alpha=None):
         raise PruneRLError(f"alpha must be in [0, 1], got {alpha}")
     if alpha is None and r is None:
         raise PruneRLError("local_degree needs either r or alpha")
-    alpha, kept = _degree_ranked(g, lambda nbrs, eids: -g.degree[nbrs],
+    alpha, kept = _degree_ranked(g, lambda nbrs, eids: -g.deg[nbrs, 0],
                                  lambda d, a: int(math.floor(d ** a)), r, alpha)
     out = g.copy_keeping(kept)
     out.method_params = {"method": "local_degree", "alpha": alpha}
@@ -112,7 +112,7 @@ def jaccard_scores(g):
     common = np.asarray((adj @ adj)[u, v]).ravel()  # open common neighbors
     # the closed neighborhoods share the common neighbors plus u and v
     sim = np.full(g.original_edge_count, np.nan)
-    sim[eids] = (common + 2) / (g.degree[u] + g.degree[v] - common)
+    sim[eids] = (common + 2) / (g.deg[u, 0] + g.deg[v, 0] - common)
     return sim
 
 

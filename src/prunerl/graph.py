@@ -15,26 +15,33 @@ from .errors import CommunityFileError, DataError, DeadEdgeError, EdgeListParseE
 
 @dataclass
 class CandidateSubgraph:
-    """A uniformly sampled batch of live edges presented to the agent.
+    """Candidate edges with the snapshot the agent scores them on: a sample
+    of live edges, several samples concatenated, or a few edges picked from
+    one. `QModel.q_forward` reads this type alone.
 
     Degrees, 1-hop neighborhoods, and the edge-kept ratio are snapshots taken
     at sampling time, so a stored state stays evaluable after further pruning.
     Candidate edge j is edge id `eids[j]` with endpoints
-    `nodes[ends[j]]` (source first). Node i's closed neighborhood,
+    `nodes[ends[j]]` (source first). Node row i's closed neighborhood,
     `hood[hood_ptr[i]:hood_ptr[i + 1]]`, is the node itself and then its
-    sorted live (out-)neighbors.
+    sorted live (out-)neighbors. A sample lists each endpoint once, sorted;
+    a concatenation or a pick may list a node in several rows.
     """
 
-    eids: np.ndarray  # (k,) sampled live edge ids
+    eids: np.ndarray  # (k,) candidate edge ids
     ends: np.ndarray  # (k, 2) endpoint rows into nodes
-    nodes: np.ndarray  # sorted distinct endpoint ids
-    hood_ptr: np.ndarray  # len(nodes) + 1 offsets into hood
+    hood_ptr: np.ndarray  # node rows + 1 offsets into hood
     hood: np.ndarray  # closed neighborhoods, concatenated
-    node_degrees: np.ndarray  # per node: (degree,), or (in, out) when directed
-    edge_ratio: float
+    node_degrees: np.ndarray  # per node row: (degree,), or (in, out) when directed
+    edge_ratio: np.ndarray  # (node rows, 1) edge-kept ratio at sampling time
 
     def __len__(self):
         return len(self.eids)
+
+    @property
+    def nodes(self):
+        """Node id of each node row: the head of its neighborhood."""
+        return self.hood[self.hood_ptr[:-1]]
 
     def require_live(self, g):
         """Raise DeadEdgeError if a candidate edge is pruned in `g` (a stale snapshot)."""
@@ -42,13 +49,54 @@ class CandidateSubgraph:
         if dead.size:
             raise DeadEdgeError(f"stale candidate edge id {dead[0]}")
 
+    @classmethod
+    def concat(cls, subs):
+        """All candidates of `subs` as one snapshot, item after item, each
+        item's endpoint rows shifted past the node rows before it."""
+        counts = [len(s.eids) for s in subs]
+        if not subs or 0 in counts:
+            raise PruneRLError("q_forward needs nonempty candidate subgraphs")
+        sizes = [len(s.node_degrees) for s in subs]
+        hood_base = np.cumsum([0] + [len(s.hood) for s in subs[:-1]])
+        hood_ends = np.concatenate([s.hood_ptr[1:] for s in subs]) + np.repeat(hood_base, sizes)
+        node_base = np.cumsum([0] + sizes[:-1])
+        return cls(
+            eids=np.concatenate([s.eids for s in subs]),
+            ends=np.concatenate([s.ends for s in subs]) + np.repeat(node_base, counts)[:, None],
+            hood_ptr=np.concatenate([[0], hood_ends]),
+            hood=np.concatenate([s.hood for s in subs]),
+            node_degrees=np.concatenate([s.node_degrees for s in subs]),
+            edge_ratio=np.concatenate([s.edge_ratio for s in subs]),
+        )
+
+    def pick(self, rows):
+        """Candidates `rows` alone, scored as here up to rounding: candidate
+        i's node rows are 2i (source) and 2i + 1 (destination), unsorted,
+        the order that keeps training bit-identical to its op-by-op oracle."""
+        nodes = self.ends[rows].reshape(-1)
+        starts = self.hood_ptr[nodes]
+        lens = self.hood_ptr[nodes + 1] - starts
+        hood_ptr = np.concatenate([[0], np.cumsum(lens)])
+        return CandidateSubgraph(
+            eids=self.eids[rows],
+            ends=np.arange(len(nodes)).reshape(-1, 2),
+            hood_ptr=hood_ptr,
+            hood=self.hood[np.arange(hood_ptr[-1]) + np.repeat(starts - hood_ptr[:-1], lens)],
+            node_degrees=self.node_degrees[nodes],
+            edge_ratio=self.edge_ratio[nodes],
+        )
+
+
+def _edge_keys(pairs, node_count, directed):
+    """One int key per edge that `pairs` ((m, 2) compact ids) names; (v, u) is (u, v) undirected."""
+    ends = pairs if directed else np.sort(pairs, axis=1)
+    return ends[:, 0] * node_count + ends[:, 1]
+
 
 def _simple_edges(pairs, node_count, directed):
     """Mask of the rows of `pairs` ((m, 2) compact ids) that are neither a
-    self-loop nor a repeat of an earlier row; undirected rows compare as
-    (min, max)."""
-    ends = pairs if directed else np.sort(pairs, axis=1)
-    _, first = np.unique(ends[:, 0] * node_count + ends[:, 1], return_index=True)
+    self-loop nor a repeat of an earlier row."""
+    _, first = np.unique(_edge_keys(pairs, node_count, directed), return_index=True)
     simple = np.zeros(len(pairs), dtype=bool)
     simple[first] = True
     return simple & (pairs[:, 0] != pairs[:, 1])
@@ -98,34 +146,18 @@ class Graph:
         # to sampling and pruning, so its order never leaves the graph
         self._live_ids = np.arange(m, dtype=np.int64)
         self._live_pos = np.arange(m, dtype=np.int64)
-
-        if directed:
-            self.out_degree = row_len
-            self.in_degree = np.bincount(self.dst, minlength=node_count)
-        else:
-            self.degree = row_len
+        # live degrees in the rows a snapshot stores: (degree,), or (in, out)
+        cols = [np.bincount(self.dst, minlength=node_count), row_len] if directed else [row_len]
+        self.deg = np.stack(cols, axis=1)
 
     # ------------------------------------------------------------------ basics
 
     def copy(self):
+        """A graph with its own live state; the original edges and id maps are shared."""
         g = object.__new__(Graph)
-        g.node_count = self.node_count
-        g.directed = self.directed
-        g.id_map = self.id_map
-        g.original_ids = self.original_ids
-        g.src = self.src
-        g.dst = self.dst
-        g.indptr, g.nbrs, g.eids = self.indptr, self.nbrs, self.eids
-        g.alive = self.alive.copy()
-        g.original_edge_count = self.original_edge_count
-        g.edge_count = self.edge_count
-        g._live_ids = self._live_ids.copy()
-        g._live_pos = self._live_pos.copy()
-        if self.directed:
-            g.out_degree = self.out_degree.copy()
-            g.in_degree = self.in_degree.copy()
-        else:
-            g.degree = self.degree.copy()
+        g.__dict__.update(self.__dict__)
+        g.alive, g.deg = self.alive.copy(), self.deg.copy()
+        g._live_ids, g._live_pos = self._live_ids.copy(), self._live_pos.copy()
         return g
 
     def edge_id(self, u, v):
@@ -144,9 +176,8 @@ class Graph:
     def live_csr(self):
         """(indptr, nbrs, eids) of the live edges, rows in (node, edge id)
         order; undirected edges appear in both endpoints' rows."""
-        deg = self.out_degree if self.directed else self.degree
         live = self.alive[self.eids]
-        return np.concatenate(([0], np.cumsum(deg))), self.nbrs[live], self.eids[live]
+        return np.concatenate(([0], np.cumsum(self.deg[:, -1]))), self.nbrs[live], self.eids[live]
 
     def edge_kept_ratio(self):
         return self.edge_count / self.original_edge_count
@@ -167,14 +198,9 @@ class Graph:
         """Remove a live edge by id. Pruning a dead edge is a bookkeeping bug."""
         if not self.alive[eid]:
             raise DeadEdgeError(f"edge id {eid} is already pruned")
-        u, v = int(self.src[eid]), int(self.dst[eid])
         self.alive[eid] = False
-        if not self.directed:
-            self.degree[u] -= 1
-            self.degree[v] -= 1
-        else:
-            self.out_degree[u] -= 1
-            self.in_degree[v] -= 1
+        self.deg[self.src[eid], -1] -= 1  # out (or undirected) degree of the source
+        self.deg[self.dst[eid], 0] -= 1  # in (or undirected) degree of the destination
         # swap-remove from the live id list
         pos = self._live_pos[eid]
         last = self._live_ids[self.edge_count - 1]
@@ -196,13 +222,8 @@ class Graph:
                     raise DeadEdgeError(f"edge id {eid} is already pruned")
                 seen.add(eid)
         self.alive[:] = alive
-        src = np.bincount(self.src[eids], minlength=self.node_count)
-        dst = np.bincount(self.dst[eids], minlength=self.node_count)
-        if not self.directed:
-            self.degree -= src + dst
-        else:
-            self.out_degree -= src
-            self.in_degree -= dst
+        self.deg[:, -1] -= np.bincount(self.src[eids], minlength=self.node_count)
+        self.deg[:, 0] -= np.bincount(self.dst[eids], minlength=self.node_count)
         # the swap-removes of the loop, in order, on Python lists
         ids, pos = self._live_ids.tolist(), self._live_pos.tolist()
         n = self.edge_count
@@ -254,18 +275,13 @@ class Graph:
         nbrs = self.nbrs[rows[live]]
         seg = np.concatenate([np.arange(nodes.size), np.repeat(np.arange(nodes.size), counts)[live]])
         order = np.argsort(seg * (self.node_count + 1) + np.concatenate([np.zeros_like(nodes), nbrs + 1]))
-        if self.directed:
-            node_degrees = np.stack([self.in_degree[nodes], self.out_degree[nodes]], axis=1)
-        else:
-            node_degrees = self.degree[nodes][:, None]
         return CandidateSubgraph(
             eids=picked,
             ends=np.searchsorted(nodes, pairs),
-            nodes=nodes,
             hood_ptr=np.concatenate(([0], np.cumsum(np.bincount(seg)))),
             hood=np.concatenate([nodes, nbrs])[order],
-            node_degrees=node_degrees,
-            edge_ratio=self.edge_kept_ratio(),
+            node_degrees=self.deg.take(nodes, axis=0),  # deg[nodes], without fancy indexing's set-up
+            edge_ratio=np.broadcast_to(self.edge_kept_ratio(), (nodes.size, 1)),
         )
 
     # --------------------------------------------------------------------- io
@@ -291,15 +307,21 @@ class Graph:
         """A copy in which only the edges an edge-list file names (in original
         node ids) stay live. Being a copy, it keeps every node, so
         metric vectors stay index-aligned even when the file omits nodes that
-        became isolated. A line naming no edge of this graph raises DataError."""
-        kept = []
-        for line_no, a, b in _edge_lines(path):
-            u, v = self.id_map.get(a), self.id_map.get(b)
-            eid = None if u is None or v is None else self.edge_id(u, v)
-            if eid is None:
-                raise DataError(f"{path}:{line_no}: edge ({a}, {b}) is not in the dataset")
-            kept.append(eid)
-        return self.copy_keeping(kept)
+        became isolated. A line naming no edge of this graph raises DataError
+        (the first such line)."""
+        lines = list(_edge_lines(path))
+        pairs = np.array([(self.id_map.get(a, -1), self.id_map.get(b, -1)) for _, a, b in lines],
+                         dtype=np.int64).reshape(-1, 2)  # -1: a node id the dataset lacks
+        edges = np.stack([self.src, self.dst], axis=1)
+        keys = _edge_keys(np.concatenate([edges, pairs]), self.node_count, self.directed)
+        # the first row with a line's key is its edge, as edges come first with distinct keys
+        _, first, same = np.unique(keys, return_index=True, return_inverse=True)
+        eids = first[same[len(edges):]]
+        found = (pairs >= 0).all(axis=1) & (eids < len(edges))  # -1 can still form an edge's key
+        if not found.all():
+            line_no, a, b = lines[np.argmin(found)]
+            raise DataError(f"{path}:{line_no}: edge ({a}, {b}) is not in the dataset")
+        return self.copy_keeping(eids)
 
 
 def _edge_lines(path):

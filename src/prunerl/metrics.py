@@ -153,7 +153,7 @@ def modularity(g, partition_labels):
     eids = g.live_edge_ids()
     cu, cv = comm[g.src[eids]], comm[g.dst[eids]]
     intra = np.bincount(cu[cu == cv], minlength=first.size).tolist()
-    deg_sum = np.bincount(comm, weights=g.degree, minlength=first.size).tolist()
+    deg_sum = np.bincount(comm, weights=g.deg[:, 0], minlength=first.size).tolist()
     q = 0.0
     for c in np.argsort(first).tolist():  # communities in order of their first node
         q += intra[c] / m - (deg_sum[c] / (2.0 * m)) ** 2

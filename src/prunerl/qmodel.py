@@ -10,55 +10,11 @@ subgraph length is not fixed: any number of candidate edges can be scored.
 import numpy as np
 
 from . import nnet
-from .errors import PruneRLError
 from .nnet import Linear, Tensor
 
 ATTENTION_SLOPE = 0.2  # leaky slope inside attention scoring
 HIDDEN_SLOPE = 0.01  # leaky slope in the encoder MLPs
 EMB_SCALE = 0.1  # node embeddings start uniform in [-EMB_SCALE, EMB_SCALE]
-
-
-class SubgraphUnion:
-    """The disjoint union of candidate subgraphs as one snapshot that
-    `QModel.q_forward` scores in one pass: `hood_ptr`, `hood`, `node_degrees`
-    and `ends` as in a `CandidateSubgraph`, `edge_ratio` as a per-node
-    column, and `offsets`, item i's candidates being rows
-    offsets[i]:offsets[i + 1]."""
-
-    def __init__(self, subs):
-        if not subs or any(len(s) == 0 for s in subs):
-            raise PruneRLError("q_forward needs nonempty candidate subgraphs")
-        counts = [len(s) for s in subs]
-        self.offsets = np.cumsum([0] + counts)
-        sizes = [len(s.nodes) for s in subs]
-        hood_base = np.cumsum([0] + [len(s.hood) for s in subs[:-1]])
-        hood_ends = np.concatenate([s.hood_ptr[1:] for s in subs]) + np.repeat(hood_base, sizes)
-        self.hood_ptr = np.concatenate([[0], hood_ends])
-        self.hood = np.concatenate([s.hood for s in subs])
-        self.node_degrees = np.concatenate([s.node_degrees for s in subs])
-        self.edge_ratio = np.repeat([s.edge_ratio for s in subs], sizes)[:, None]
-        # each item's endpoint rows, shifted past the nodes of the items before it
-        node_base = np.cumsum([0] + sizes[:-1])
-        self.ends = np.concatenate([s.ends for s in subs]) + np.repeat(node_base, counts)[:, None]
-
-    def __len__(self):
-        return int(self.offsets[-1])
-
-    def pick(self, rows):
-        """Candidate rows `rows` alone, scored as in this union up to rounding:
-        item i is row rows[i]'s source then destination node rows, unsorted,
-        the order that keeps training bit-identical to its op-by-op oracle."""
-        nodes = self.ends[rows].reshape(-1)
-        starts = self.hood_ptr[nodes]
-        lens = self.hood_ptr[nodes + 1] - starts
-        picked = object.__new__(SubgraphUnion)
-        picked.hood_ptr = np.concatenate([[0], np.cumsum(lens)])
-        picked.hood = self.hood[np.arange(picked.hood_ptr[-1])
-                                + np.repeat(starts - picked.hood_ptr[:-1], lens)]
-        picked.node_degrees, picked.edge_ratio = self.node_degrees[nodes], self.edge_ratio[nodes]
-        picked.ends = np.arange(len(nodes)).reshape(-1, 2)
-        picked.offsets = np.arange(len(rows) + 1)
-        return picked
 
 
 class QModel:
@@ -109,9 +65,8 @@ class QModel:
     # ----------------------------------------------------------------- scoring
 
     def q_forward(self, sub, grad=True):
-        """Q-value per candidate edge of `sub`, a sampled CandidateSubgraph or
-        a SubgraphUnion of several (item i's values being entries
-        sub.offsets[i]:sub.offsets[i + 1]): a Tensor of shape (len(sub),).
+        """Q-value per candidate edge of `sub`, a CandidateSubgraph (one
+        sample, a concatenation, or a pick): a Tensor of shape (len(sub),).
         Neighborhoods, degrees, and the edge ratio come from the snapshot, so
         replayed states stay evaluable after further pruning; callers acting
         on a live graph check `require_live` themselves.
@@ -122,7 +77,7 @@ class QModel:
         gat_out = nnet.graph_attention(self.embeddings, self.gat_proj, self.gat_score,
                                        sub.hood_ptr, sub.hood, ATTENTION_SLOPE, grad)
         degs = sub.node_degrees / max(1, self.node_count - 1)  # feature scaling only
-        x = nnet.concat_features(gat_out, (degs, np.full((len(degs), 1), sub.edge_ratio)), grad)
+        x = nnet.concat_features(gat_out, (degs, sub.edge_ratio), grad)
         h = self.node_fc1(x, HIDDEN_SLOPE, grad)
         enc = self.node_fc2(h, HIDDEN_SLOPE, grad)
         # order-insensitive when undirected: Q(u,v) = Q(v,u)

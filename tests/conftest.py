@@ -77,8 +77,8 @@ def neighbors(g, u):
 
 def degree_of(g, u):
     if g.directed:
-        return (int(g.in_degree[u]), int(g.out_degree[u]))
-    return int(g.degree[u])
+        return (int(g.deg[u, 0]), int(g.deg[u, 1]))
+    return int(g.deg[u, 0])
 
 
 def shortest_path_distance(g, u, v):

@@ -4,11 +4,11 @@ The op-by-op autodiff below (one graph node per matmul, add, gather, leaky
 ReLU, softmax, ...) is the form the fused layers of `prunerl.nnet` replaced.
 On it, `gat_encode_oracle` is the op-by-op form of `nnet.graph_attention`,
 and `q_forward_batch_oracle` and `train_step_oracle` those of
-`QModel.q_forward` over the `SubgraphUnion` of a list of candidate
+`QModel.q_forward` over `CandidateSubgraph.concat` of a list of candidate
 subgraphs and of `Agent.train_step`; they must agree with them bit for bit.
 `train_step_oracle` scores the edges a step reads through one-edge views
-(`edge_views`), built here as `CandidateSubgraph`s, which `SubgraphUnion.pick`
-gathers as index arrays, and updates the parameters with `adam_step_oracle`
+(`edge_views`), built here one `CandidateSubgraph` per edge, which
+`CandidateSubgraph.pick` gathers as index arrays, and updates the parameters with `adam_step_oracle`
 and `soft_update_oracle`, the per-parameter forms of `Adam.step` and
 `QModel.soft_update_from`, which update one flat vector each;
 `taken_q_all_candidates_oracle` scores every candidate of the batch, and
@@ -22,7 +22,9 @@ per transition.
 `Graph.prune_edges` and `Graph.random_prune` replaced; they must leave every
 array of the graph, stale swap-remove entries included, exactly as the bulk
 forms do. `load_edge_list_oracle` is the dict/set loop that compacted ids and
-dropped self-loops and repeats before `load_edge_list` did both with arrays.
+dropped self-loops and repeats before `load_edge_list` did both with arrays,
+and `copy_listed_oracle` the per-line edge lookup that `Graph.copy_listed`
+replaced with one sorted-key search.
 
 The graph kernels below walk a dict-of-dicts adjacency in Python, rebuilt
 from the live edges in edge id order: the forms of `metrics.pagerank`,
@@ -41,7 +43,7 @@ import math
 
 import numpy as np
 
-from prunerl.errors import PruneRLError, ShapeError
+from prunerl.errors import DataError, PruneRLError, ShapeError
 from prunerl.graph import CandidateSubgraph
 from prunerl.metrics import Partition, modularity
 from prunerl.nnet import Tensor, _scatter_rows
@@ -226,8 +228,8 @@ def gat_encode_oracle(model, hood_ptr, hood):
 
 
 def q_forward_batch_oracle(model, subs):
-    """`QModel.q_forward(SubgraphUnion(subs))` (recording), op by op, and
-    the union's offsets."""
+    """`QModel.q_forward(CandidateSubgraph.concat(subs))` (recording), op by
+    op, and where each item's candidates start, then their total."""
     if not subs or any(len(s) == 0 for s in subs):
         raise PruneRLError("q_forward needs nonempty candidate subgraphs")
     sizes = [len(s.nodes) for s in subs]
@@ -237,7 +239,7 @@ def q_forward_batch_oracle(model, subs):
                                 np.concatenate([s.hood for s in subs]))
     degs = np.concatenate([s.node_degrees for s in subs])
     degs = degs / max(1, model.node_count - 1)
-    ratio = np.repeat([s.edge_ratio for s in subs], sizes)[:, None]
+    ratio = np.concatenate([s.edge_ratio for s in subs])
     x = concat([gat_out, Tensor(degs), Tensor(ratio)], axis=1)
     h = leaky_relu(linear(model.node_fc1, x), HIDDEN_SLOPE)
     enc = leaky_relu(linear(model.node_fc2, h), HIDDEN_SLOPE)
@@ -255,16 +257,17 @@ def q_forward_batch_oracle(model, subs):
 def edge_views(subs, rows):
     """Candidate rows[i] of subs[i] as a one-edge `CandidateSubgraph` whose
     two nodes are its source and then its destination, unsorted. Their
-    union holds the arrays `SubgraphUnion(subs).pick` gathers: the same
-    neighborhoods, degrees and edge ratios, node rows in the same order."""
+    concatenation holds the arrays `CandidateSubgraph.concat(subs).pick`
+    gathers: the same neighborhoods, degrees and edge ratios, node rows in
+    the same order."""
     views = []
     for s, j in zip(subs, rows):
         ends = s.ends[j]
         hoods = [s.hood[s.hood_ptr[n]:s.hood_ptr[n + 1]] for n in ends]
         views.append(CandidateSubgraph(
-            eids=s.eids[j:j + 1], ends=np.array([[0, 1]]), nodes=s.nodes[ends],
+            eids=s.eids[j:j + 1], ends=np.array([[0, 1]]),
             hood_ptr=np.cumsum([0] + [len(h) for h in hoods]), hood=np.concatenate(hoods),
-            node_degrees=s.node_degrees[ends], edge_ratio=s.edge_ratio))
+            node_degrees=s.node_degrees[ends], edge_ratio=s.edge_ratio[ends]))
     return views
 
 
@@ -333,7 +336,7 @@ def soft_update_oracle(target, policy, rate):
 
 
 def snapshot_dicts(sub):
-    """The subgraph's node snapshot as {node: neighbors}, {node: degrees}."""
+    """A sample's node snapshot as {node: neighbors}, {node: degrees}."""
     neighborhoods, node_degrees = {}, {}
     for i, n in enumerate(sub.nodes.tolist()):
         neighborhoods[n] = tuple(sub.hood[sub.hood_ptr[i] + 1:sub.hood_ptr[i + 1]].tolist())
@@ -366,7 +369,7 @@ def q_forward_oracle(model, sub):
     gat_out = gat_node_encode_oracle(model, neighborhoods, nodes)
     degs = np.array([node_degrees[n] for n in nodes], dtype=np.float64)
     degs = degs / max(1, model.node_count - 1)
-    ratio = np.full((len(nodes), 1), sub.edge_ratio)
+    ratio = np.full((len(nodes), 1), sub.edge_ratio[0, 0])  # one ratio per sample
     x = concat([gat_out, Tensor(degs), Tensor(ratio)], axis=1)
     h = leaky_relu(linear(model.node_fc1, x), HIDDEN_SLOPE)
     enc = leaky_relu(linear(model.node_fc2, h), HIDDEN_SLOPE)
@@ -408,6 +411,24 @@ def random_prune_oracle(g, count, rng):
     for _ in range(count):
         pos = int(rng.integers(g.edge_count))
         g.prune_edge(int(g._live_ids[pos]))
+
+
+def copy_listed_oracle(g, path):
+    """The per-line loop that `Graph.copy_listed` replaced, on a well-formed
+    file: each line resolved with `Graph.edge_id`, and the first line that
+    names no edge of `g` raising DataError."""
+    kept = []
+    with open(path) as f:
+        for line_no, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                a, b = (int(x) for x in line.split())
+                u, v = g.id_map.get(a), g.id_map.get(b)
+                eid = None if u is None or v is None else g.edge_id(u, v)
+                if eid is None:
+                    raise DataError(f"{path}:{line_no}: edge ({a}, {b}) is not in the dataset")
+                kept.append(eid)
+    return g.copy_keeping(kept)
 
 
 def load_edge_list_oracle(path, directed=False):
@@ -517,7 +538,7 @@ def modularity_oracle(g, labels):
         if labels[u] == labels[v]:
             intra[labels[u]] = intra.get(labels[u], 0) + 1
     for n in range(g.node_count):
-        deg_sum[labels[n]] = deg_sum.get(labels[n], 0) + int(g.degree[n])
+        deg_sum[labels[n]] = deg_sum.get(labels[n], 0) + int(g.deg[n, 0])
     q = 0.0
     for c, d in deg_sum.items():
         q += intra.get(c, 0) / m - (d / (2.0 * m)) ** 2
@@ -535,7 +556,7 @@ def jaccard_closed(g, u, v, adj=None):
 def local_degree_survivors(g):
     """kept(a): edge ids kept at exponent a, each node keeping its top
     floor(deg^a) incident edges by (-neighbor degree, eid)."""
-    adj, deg = adjacency(g), g.degree
+    adj, deg = adjacency(g), g.deg[:, 0]
 
     def kept(a):
         out = set()
@@ -559,7 +580,8 @@ def l_spar_survivors(g):
         out = set()
         for v in range(g.node_count):
             inc = sorted(adj[v].items(), key=lambda kv: (-sim[kv[1]], kv[1]))
-            k = int(math.ceil(g.degree[v] ** x)) if g.degree[v] > 0 else 0
+            deg = g.deg[v, 0]
+            k = int(math.ceil(deg ** x)) if deg > 0 else 0
             out.update(eid for _, eid in inc[:k])
         return out
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,9 @@ from prunerl.agent import (
     train_loop,
 )
 from prunerl.errors import DataError, PruneRLError
-from prunerl.graph import Graph, load_edge_list
+from prunerl.graph import CandidateSubgraph, Graph, load_edge_list
 from prunerl.nnet import Tensor
-from prunerl.qmodel import QModel, SubgraphUnion
+from prunerl.qmodel import QModel
 from prunerl.replay import Transition
 from prunerl.rewards import PagerankReward, SpspReward
 
@@ -77,18 +78,25 @@ class TestActing:
     def test_lazy_q_pass_keeps_every_draw(self, karate, monkeypatch):
         """Episodes that score only greedy steps prune, pay and learn exactly
         as episodes that score every step, with fewer Q passes."""
-        calls = {"n": 0}
-        forward = QModel.q_forward
+        calls = {"n": 0, "learning": False}
+        forward, train_step = QModel.q_forward, Agent.train_step
 
         def counted(self, sub, *args, **kwargs):
-            calls["n"] += not isinstance(sub, SubgraphUnion)  # acting passes only
+            calls["n"] += not calls["learning"]  # acting passes only
             return forward(self, sub, *args, **kwargs)
+
+        def learning(self, rng):
+            calls["learning"] = True
+            out = train_step(self, rng)
+            calls["learning"] = False
+            return out
 
         def eager(count, qvals, epsilon, rng):
             q = qvals()
             return select_action(count, lambda: q, epsilon, rng)
 
         monkeypatch.setattr(QModel, "q_forward", counted)
+        monkeypatch.setattr(Agent, "train_step", learning)
         runs = []
         for choose in (select_action, eager):
             monkeypatch.setattr(agent_module, "select_action", choose)
@@ -161,9 +169,9 @@ class TestDoubleDQNTarget:
                   for _ in range(40)]
         states = [karate.sample_subgraph(len(q), rng) for q in items]
         batch = [Transition(s, 0, 0.0, s, False) for s in states]
-        picked, pick = [], SubgraphUnion.pick
-        monkeypatch.setattr(SubgraphUnion, "pick",
-                            lambda union, rows: picked.append(rows) or pick(union, rows))
+        picked, pick = [], CandidateSubgraph.pick
+        monkeypatch.setattr(CandidateSubgraph, "pick",
+                            lambda sub, rows: picked.append(rows) or pick(sub, rows))
         double_dqn_target(batch, FixedQ(np.concatenate(items)), FixedQ(None), 0.9)
         starts = np.cumsum([0] + [len(q) for q in items[:-1]])
         assert picked[0].tolist() == [lo + int(np.argmax(q)) for lo, q in zip(starts, items)]
@@ -177,6 +185,11 @@ class FixedQ:
 
     def q_forward(self, sub, grad=True):
         return Tensor(np.zeros(len(sub)) if self.q is None else self.q)
+
+
+def item_offsets(subs):
+    """Where each item's candidates start in their concatenation, then the total."""
+    return np.cumsum([0] + [len(s) for s in subs])
 
 
 def replay_batch(g, rng, size=12):
@@ -203,8 +216,7 @@ class TestBatchedQNet:
         model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
         batch = replay_batch(karate, rng)
         subs = [tr.state for tr in batch] + [tr.next_state for tr in batch]
-        union = SubgraphUnion(subs)
-        q, offsets = model.q_forward(union), union.offsets
+        q, offsets = model.q_forward(CandidateSubgraph.concat(subs)), item_offsets(subs)
         assert len({len(s) for s in subs}) > 5
         assert q.shape == (sum(len(s) for s in subs),)
         for sub, lo, hi in zip(subs, offsets[:-1], offsets[1:]):
@@ -215,8 +227,7 @@ class TestBatchedQNet:
         g = directed_graph()
         model = QModel(6, directed=True, emb_dim=4, hidden_dim=8, rng=rng)
         subs = [g.sample_subgraph(k, rng) for k in (1, 3, 9, 5)]
-        union = SubgraphUnion(subs)
-        q, offsets = model.q_forward(union), union.offsets
+        q, offsets = model.q_forward(CandidateSubgraph.concat(subs)), item_offsets(subs)
         for sub, lo, hi in zip(subs, offsets[:-1], offsets[1:]):
             assert np.allclose(q.data[lo:hi], q_forward_oracle(model, sub).data,
                                rtol=0, atol=1e-10)
@@ -228,7 +239,7 @@ class TestBatchedQNet:
         w = nnet.Tensor(rng.normal(size=sum(len(s) for s in subs)))
 
         def loss_fn():
-            return sum_all(mul(model.q_forward(SubgraphUnion(subs)), w))
+            return sum_all(mul(model.q_forward(CandidateSubgraph.concat(subs)), w))
 
         assert grad_check(loss_fn, model.parameters(), tolerance=1e-4, h=1e-6,
                           rng=np.random.default_rng(1)) < 1e-4
@@ -260,8 +271,8 @@ class TestBatchedQNet:
                 p.zero_grad()
             return out
 
-        union = SubgraphUnion([tr.state for tr in batch])
-        q, offsets = model.q_forward(union), union.offsets
+        states = [tr.state for tr in batch]
+        q, offsets = model.q_forward(CandidateSubgraph.concat(states)), item_offsets(states)
         batched = grads(oracles.gather_rows(q, offsets[:-1] + actions))
         per_item = grads(oracles.concat([
             oracles.gather_rows(q_forward_oracle(model, tr.state), [tr.action])
@@ -278,7 +289,7 @@ class TestNoGradPass:
         model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
         batch = replay_batch(karate, rng)
         subs = [tr.state for tr in batch] + [tr.next_state for tr in batch]
-        union = SubgraphUnion(subs)
+        union = CandidateSubgraph.concat(subs)
         q, q0 = model.q_forward(union), model.q_forward(union, grad=False)
         assert np.array_equal(q0.data, q.data)
         assert q0._parents == () and q0._backward is None
@@ -298,7 +309,7 @@ class TestNoGradPass:
         g = directed_graph()
         model = QModel(6, directed=True, emb_dim=4, hidden_dim=8, rng=rng)
         subs = [g.sample_subgraph(k, rng) for k in (1, 3, 9, 5)]
-        union = SubgraphUnion(subs)
+        union = CandidateSubgraph.concat(subs)
         q0 = model.q_forward(union, grad=False).data
         assert np.array_equal(q0, model.q_forward(union).data)
         assert np.array_equal(q0, q_forward_batch_oracle(model, subs)[0].data)
@@ -310,8 +321,11 @@ class TestNoGradPass:
         g.random_prune(20, rng)
         for k in (1, 8, 32):
             sub = g.sample_subgraph(k, rng)
+            one = CandidateSubgraph.concat([sub])
+            for f in fields(CandidateSubgraph):
+                assert np.array_equal(getattr(one, f.name), getattr(sub, f.name)), f.name
             assert np.array_equal(model.q_forward(sub, grad=grad).data,
-                                  model.q_forward(SubgraphUnion([sub]), grad=grad).data)
+                                  model.q_forward(one, grad=grad).data)
 
     def test_nonfinite_q_values_raise(self, karate, rng):
         model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
@@ -377,8 +391,9 @@ class TestFusedTraining:
         agent = filled_agent(karate)
         _, batch, weights = agent.buffer.sample(agent.config.batch_size, np.random.default_rng(5))
         targets = double_dqn_target(batch, agent.policy, agent.target, agent.config.gamma)
-        states = SubgraphUnion([tr.state for tr in batch])
-        q = agent.policy.q_forward(states.pick(states.offsets[:-1] + [tr.action for tr in batch]))
+        states = [tr.state for tr in batch]
+        rows = item_offsets(states)[:-1] + [tr.action for tr in batch]
+        q = agent.policy.q_forward(CandidateSubgraph.concat(states).pick(rows))
         nnet.weighted_mse(q, targets, weights)[0].backward()
         picked_grads = [p.grad for p in agent.policy.parameters()]
         agent.optimizer.zero_grad()

@@ -376,6 +376,36 @@ def test_data_errors_exit_2_with_one_line(case, trained, tmp_path, capsys):
     assert message in err
 
 
+# each case: (sparsified file, --directed, kept edge count or the message naming
+# the file's first line that is no dataset edge); karate lists (0, 1), not (1, 0)
+LISTED_FILES = {
+    "node id absent from the dataset": (
+        "0 1\n5 99\n7 98\n", False, "sparse.txt:2: edge (5, 99) is not in the dataset"),
+    "reversed pair, undirected": ("1 0\n2 0\n", False, 2),
+    "reversed pair, directed": (
+        "0 1\n1 0\n", True, "sparse.txt:2: edge (1, 0) is not in the dataset"),
+    "line listed twice": ("0 1\n0 2\n0 1\n", False, 2),
+    "line listed twice, directed": ("0 2\n0 2\n", True, 1),
+    "pair listed both ways, undirected": ("0 1\n1 0\n", False, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LISTED_FILES))
+def test_evaluate_resolves_each_listed_line(case, tmp_path, capsys):
+    text, directed, want = LISTED_FILES[case]
+    sparse, out = tmp_path / "sparse.txt", tmp_path / "eval.csv"
+    sparse.write_text(text)
+    rc = cli.main(["evaluate", "--dataset", KARATE, "--sparsified", str(sparse),
+                   "--metric", "pagerank", "--out", str(out)] + ["--directed"] * directed)
+    err = capsys.readouterr().err
+    if isinstance(want, str):
+        assert rc == cli.EXIT_DATA
+        assert err.count("\n") == 1 and want in err
+    else:
+        assert rc == cli.EXIT_OK, err
+        assert float(read_csv(out)[0]["edge_kept_ratio"]) == want / 78
+
+
 class TestCompare:
     def test_grid_and_aggregation(self, tmp_path):
         config = write_config(tmp_path / "config.yaml")

@@ -1,15 +1,17 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from prunerl.errors import (CommunityFileError, DataError, DeadEdgeError, EdgeListParseError,
                             PruneRLError)
-from prunerl.graph import Graph, load_communities, load_edge_list
+from prunerl.graph import CandidateSubgraph, Graph, load_communities, load_edge_list
 
 from conftest import (complete_graph, degree_of, make_graph, neighbors, path_graph,
                       random_sparse_graph, shortest_path_distance)
-from oracles import adjacency, load_edge_list_oracle, prune_edges_oracle, random_prune_oracle
+from oracles import (adjacency, copy_listed_oracle, edge_views, load_edge_list_oracle,
+                     prune_edges_oracle, random_prune_oracle)
 
 
 class TestLoadEdgeList:
@@ -112,6 +114,46 @@ def random_edge_file(rng):
     return "\n".join(lines) + "\n"
 
 
+class TestCopyListed:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_per_line_oracle(self, tmp_path, directed):
+        """Listed edges, live or pruned, some reversed or repeated, at times
+        with a pair of dataset nodes that may be no edge or an unknown id."""
+        data, listed = tmp_path / "edges.txt", tmp_path / "listed.txt"
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            data.write_text(random_edge_file(rng))
+            g = load_edge_list(data, directed=directed)
+            g.random_prune(int(rng.integers(g.edge_count)), rng)
+            ids = g.original_ids
+            lines = []
+            for e in rng.integers(g.original_edge_count, size=int(rng.integers(12))):
+                u, v = ids[g.src[e]], ids[g.dst[e]]
+                lines.append((v, u) if rng.random() < 0.3 else (u, v))
+            for bad in ((ids[rng.integers(g.node_count)], ids[rng.integers(g.node_count)]),
+                        (ids[0], 2 ** 66)):
+                if rng.random() < 0.3:
+                    lines.insert(int(rng.integers(len(lines) + 1)), bad)
+            listed.write_text("".join(f"{a} {b}\n" for a, b in lines))
+            try:
+                want = copy_listed_oracle(g, listed)
+            except DataError as exc:
+                with pytest.raises(DataError) as got:
+                    g.copy_listed(listed)
+                assert str(got.value) == str(exc)
+                continue
+            assert_same_state(g.copy_listed(listed), want)
+
+    @pytest.mark.parametrize("line", ["1 99", "99 1", "1 -1"])
+    def test_unknown_node_id_names_no_edge(self, tmp_path, line):
+        # an unknown id must not alias a real edge: 1 * 3 - 1 is edge (0, 2)'s key
+        g = Graph(3, [(0, 2)], directed=True)
+        p = tmp_path / "listed.txt"
+        p.write_text(f"0 2\n{line}\n")
+        with pytest.raises(DataError, match=f"listed.txt:2: edge \\({line.replace(' ', ', ')}\\)"):
+            g.copy_listed(p)
+
+
 class TestLoadCommunities:
     def test_two_lines(self, tmp_path):
         g = make_graph(5, [(0, 1), (1, 2), (3, 4)])
@@ -203,8 +245,7 @@ class TestRandomPrune:
 
 def graph_state(g):
     """Every array pruning writes, stale swap-remove entries included."""
-    degrees = (g.in_degree, g.out_degree) if g.directed else (g.degree,)
-    return [g.edge_count, g.alive, g._live_ids, g._live_pos, *degrees]
+    return [g.edge_count, g.alive, g._live_ids, g._live_pos, g.deg]
 
 
 def assert_same_state(a, b):
@@ -289,7 +330,8 @@ class TestSampleSubgraph:
         g = make_graph(8, [(i, (i + 1) % 8) for i in range(8)])
         g.random_prune(2, rng)
         sub = g.sample_subgraph(3, rng)
-        assert sub.edge_ratio == 0.75
+        assert sub.edge_ratio.shape == (len(sub.nodes), 1)
+        assert np.all(sub.edge_ratio == 0.75)
 
     def test_no_dead_or_duplicate_edges(self, karate, rng):
         karate.random_prune(30, rng)
@@ -330,6 +372,29 @@ class TestSampleSubgraph:
         expected = [[*np.atleast_1d(degree_of(g, u)), *np.atleast_1d(degree_of(g, v))]
                     for u, v in pairs.tolist()]
         assert np.array_equal(sub.node_degrees[sub.ends].reshape(len(sub), -1), expected)
+
+
+class TestConcatAndPick:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_pick_equals_concat_of_edge_views(self, karate, rng, directed):
+        """concat(subs).pick(rows) is the concatenation of the picked
+        candidates' one-edge views, field for field, for rows in any order,
+        repeats included."""
+        g = karate.copy() if not directed else make_graph(
+            5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (4, 0), (2, 4)], directed=True)
+        subs = []
+        for k in (1, 4, 9, 2, 16):  # a prune between samples moves degrees and ratios
+            subs.append(g.sample_subgraph(k, rng))
+            g.random_prune(1, rng)
+        items = rng.integers(len(subs), size=12)
+        cols = [int(rng.integers(len(subs[i]))) for i in items]
+        starts = np.cumsum([0] + [len(s) for s in subs])
+        got = CandidateSubgraph.concat(subs).pick(starts[items] + cols)
+        want = CandidateSubgraph.concat(edge_views([subs[i] for i in items], cols))
+        for f in fields(CandidateSubgraph):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name), f.name)
+        pairs = np.stack([g.src[got.eids], g.dst[got.eids]], axis=1)
+        assert np.array_equal(got.nodes[got.ends], pairs)
 
 
 class TestEdgeKeptRatio:

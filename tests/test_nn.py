@@ -5,9 +5,9 @@ import pytest
 
 from prunerl import nnet
 from prunerl.errors import PruneRLError, ShapeError
-from prunerl.graph import load_edge_list
+from prunerl.graph import CandidateSubgraph, load_edge_list
 from prunerl.nnet import Adam, Linear, Tensor
-from prunerl.qmodel import ATTENTION_SLOPE, HIDDEN_SLOPE, QModel, SubgraphUnion
+from prunerl.qmodel import ATTENTION_SLOPE, HIDDEN_SLOPE, QModel
 
 import oracles
 from conftest import DATA_DIR, neighbors, path_graph
@@ -294,7 +294,7 @@ def karate_union(rng):
     entries over a 34-row table."""
     karate = load_edge_list(DATA_DIR / "karate.txt")
     karate.random_prune(karate.edge_count // 2, rng)
-    union = SubgraphUnion([karate.sample_subgraph(32, rng) for _ in range(32)])
+    union = CandidateSubgraph.concat([karate.sample_subgraph(32, rng) for _ in range(32)])
     return QModel(34, emb_dim=16, hidden_dim=32, rng=rng), union.hood_ptr, union.hood
 
 
