@@ -14,7 +14,6 @@ import numpy as np
 from . import nnet
 from .errors import ConfigError, DataError, PruneRLError
 from .nnet import Adam
-from .graph import CandidateSubgraph
 from .qmodel import QModel
 from .replay import ReplayBuffer, Transition
 
@@ -69,21 +68,22 @@ def select_action(count, qvals, epsilon, rng):
 
 
 def double_dqn_target(batch, policy, target, gamma):
-    """Per-item TD target: r, or r + gamma * Q_target(s', argmax Q_policy(s')).
+    """Per-item TD target of a replay `Batch`: r, or r + gamma *
+    Q_target(s', argmax Q_policy(s')).
 
     Neither pass records a graph: the policy scores every candidate of the
     non-terminal next states, and the target only the argmax of each.
     """
-    out = np.array([tr.reward for tr in batch], dtype=np.float64)
-    live = [i for i, tr in enumerate(batch) if not tr.done]
-    if live and gamma != 0.0:
-        subs = [batch[i].next_state for i in live]
-        nexts, counts = CandidateSubgraph.concat(subs), [len(s.eids) for s in subs]
-        q, starts = policy.q_forward(nexts, grad=False).data, np.cumsum(counts) - counts
+    out = batch.rewards.copy()
+    live = np.flatnonzero(~batch.done)
+    if live.size and gamma != 0.0:
+        recs = batch.next_states[live]
+        nexts, starts, counts = batch.store.candidates(recs)
+        q = policy.q_forward(nexts, grad=False).data
         # each item's first index holding its max, the candidate np.argmax picks
         top = np.repeat(np.maximum.reduceat(q, starts), counts)
         best = np.minimum.reduceat(np.where(q == top, np.arange(len(q)), len(q)), starts)
-        out[live] += gamma * target.q_forward(nexts.pick(best), grad=False).data
+        out[live] += gamma * target.q_forward(batch.store.rows(recs, best - starts), grad=False).data
     return out
 
 
@@ -134,10 +134,7 @@ class Agent:
             )
         idx, batch, weights = self.buffer.sample(cfg.batch_size, rng)
         targets = double_dqn_target(batch, self.policy, self.target, cfg.gamma)
-
-        counts = [len(tr.state.eids) for tr in batch]
-        taken = CandidateSubgraph.concat([tr.state for tr in batch]).pick(
-            np.cumsum(counts) - counts + [tr.action for tr in batch])
+        taken = batch.store.rows(batch.states, batch.actions)
         loss, td_errors = nnet.weighted_mse(self.policy.q_forward(taken), targets, weights)
 
         self.optimizer.zero_grad()

@@ -130,7 +130,7 @@ def cmd_evaluate(args):
     objective = make_reward_spec(args.metric, graph,
                                  labels=_load_labels_if(args.labels, graph))
     value = objective.evaluate(sparsified, np.random.default_rng(args.seed),
-                               spsp_pairs=args.spsp_pairs)
+                               louvain_runs=args.louvain_runs, spsp_pairs=args.spsp_pairs)
     row = {
         "dataset": args.dataset,
         "method": "file",
@@ -249,7 +249,8 @@ def cmd_h_sweep(args):
             t0 = time.perf_counter()
             sp = agent.sparsify(graph, args.ratio, h, rng)
             elapsed = time.perf_counter() - t0
-            value = objective.evaluate(sp, np.random.default_rng(seed))
+            value = objective.evaluate(sp, np.random.default_rng(seed),
+                                       louvain_runs=args.louvain_runs)
             rows.append({"subgraph_len": h, "ratio": args.ratio,
                          "metric": args.metric, "seed": seed, "value": value,
                          "wall_time_s": elapsed})
@@ -297,6 +298,7 @@ def build_parser():
     e.add_argument("--labels", default=None)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--spsp-pairs", dest="spsp_pairs", type=_positive_int, default=8196)
+    e.add_argument("--louvain-runs", dest="louvain_runs", type=_positive_int, default=8)
     e.add_argument("--directed", action="store_true")
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_evaluate)
@@ -330,6 +332,7 @@ def build_parser():
                    default=[8, 16, 32, 64])
     h.add_argument("--seeds", type=_positive_int, default=3)
     h.add_argument("--labels", default=None)
+    h.add_argument("--louvain-runs", dest="louvain_runs", type=_positive_int, default=8)
     h.add_argument("--directed", action="store_true")
     h.add_argument("--out", default=None)
     h.set_defaults(func=cmd_h_sweep)

@@ -16,8 +16,8 @@ from .errors import CommunityFileError, DataError, DeadEdgeError, EdgeListParseE
 @dataclass
 class CandidateSubgraph:
     """Candidate edges with the snapshot the agent scores them on: a sample
-    of live edges, several samples concatenated, or a few edges picked from
-    one. `QModel.q_forward` reads this type alone.
+    of live edges, or a replay batch's gather of stored samples (see
+    `replay.SnapshotStore`). `QModel.q_forward` reads this type alone.
 
     Degrees, 1-hop neighborhoods, and the edge-kept ratio are snapshots taken
     at sampling time, so a stored state stays evaluable after further pruning.
@@ -25,7 +25,7 @@ class CandidateSubgraph:
     `nodes[ends[j]]` (source first). Node row i's closed neighborhood,
     `hood[hood_ptr[i]:hood_ptr[i + 1]]`, is the node itself and then its
     sorted live (out-)neighbors. A sample lists each endpoint once, sorted;
-    a concatenation or a pick may list a node in several rows.
+    a gather of several may list a node in several rows.
     """
 
     eids: np.ndarray  # (k,) candidate edge ids
@@ -49,42 +49,11 @@ class CandidateSubgraph:
         if dead.size:
             raise DeadEdgeError(f"stale candidate edge id {dead[0]}")
 
-    @classmethod
-    def concat(cls, subs):
-        """All candidates of `subs` as one snapshot, item after item, each
-        item's endpoint rows shifted past the node rows before it."""
-        counts = [len(s.eids) for s in subs]
-        if not subs or 0 in counts:
-            raise PruneRLError("q_forward needs nonempty candidate subgraphs")
-        sizes = [len(s.node_degrees) for s in subs]
-        hood_base = np.cumsum([0] + [len(s.hood) for s in subs[:-1]])
-        hood_ends = np.concatenate([s.hood_ptr[1:] for s in subs]) + np.repeat(hood_base, sizes)
-        node_base = np.cumsum([0] + sizes[:-1])
-        return cls(
-            eids=np.concatenate([s.eids for s in subs]),
-            ends=np.concatenate([s.ends for s in subs]) + np.repeat(node_base, counts)[:, None],
-            hood_ptr=np.concatenate([[0], hood_ends]),
-            hood=np.concatenate([s.hood for s in subs]),
-            node_degrees=np.concatenate([s.node_degrees for s in subs]),
-            edge_ratio=np.concatenate([s.edge_ratio for s in subs]),
-        )
 
-    def pick(self, rows):
-        """Candidates `rows` alone, scored as here up to rounding: candidate
-        i's node rows are 2i (source) and 2i + 1 (destination), unsorted,
-        the order that keeps training bit-identical to its op-by-op oracle."""
-        nodes = self.ends[rows].reshape(-1)
-        starts = self.hood_ptr[nodes]
-        lens = self.hood_ptr[nodes + 1] - starts
-        hood_ptr = np.concatenate([[0], np.cumsum(lens)])
-        return CandidateSubgraph(
-            eids=self.eids[rows],
-            ends=np.arange(len(nodes)).reshape(-1, 2),
-            hood_ptr=hood_ptr,
-            hood=self.hood[np.arange(hood_ptr[-1]) + np.repeat(starts - hood_ptr[:-1], lens)],
-            node_degrees=self.node_degrees[nodes],
-            edge_ratio=self.edge_ratio[nodes],
-        )
+def concat_ranges(starts, lens):
+    """Indices of the ranges [starts[i], starts[i] + lens[i]), concatenated."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
 
 
 def _edge_keys(pairs, node_count, directed):
@@ -159,12 +128,6 @@ class Graph:
         g.alive, g.deg = self.alive.copy(), self.deg.copy()
         g._live_ids, g._live_pos = self._live_ids.copy(), self._live_pos.copy()
         return g
-
-    def edge_id(self, u, v):
-        """Stable id of edge (u, v), live or pruned, or None if it never existed."""
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        hits = np.flatnonzero(self.nbrs[lo:hi] == v)
-        return int(self.eids[lo + hits[0]]) if hits.size else None
 
     def is_alive(self, eid):
         return bool(self.alive[eid])
@@ -270,7 +233,7 @@ class Graph:
         # gather the nodes' CSR rows and keep the live entries; one sort on
         # (segment, 0 for the node itself or 1 + neighbour) orders each hood
         starts, counts = self.indptr[nodes], self.indptr[nodes + 1] - self.indptr[nodes]
-        rows = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        rows = concat_ranges(starts, counts)
         live = self.alive[self.eids[rows]]
         nbrs = self.nbrs[rows[live]]
         seg = np.concatenate([np.arange(nodes.size), np.repeat(np.arange(nodes.size), counts)[live]])
@@ -281,7 +244,7 @@ class Graph:
             hood_ptr=np.concatenate(([0], np.cumsum(np.bincount(seg)))),
             hood=np.concatenate([nodes, nbrs])[order],
             node_degrees=self.deg.take(nodes, axis=0),  # deg[nodes], without fancy indexing's set-up
-            edge_ratio=np.broadcast_to(self.edge_kept_ratio(), (nodes.size, 1)),
+            edge_ratio=np.full((nodes.size, 1), self.edge_kept_ratio()),
         )
 
     # --------------------------------------------------------------------- io

@@ -66,7 +66,7 @@ class QModel:
 
     def q_forward(self, sub, grad=True):
         """Q-value per candidate edge of `sub`, a CandidateSubgraph (one
-        sample, a concatenation, or a pick): a Tensor of shape (len(sub),).
+        sample, or a replay batch's gather): a Tensor of shape (len(sub),).
         Neighborhoods, degrees, and the edge ratio come from the snapshot, so
         replayed states stay evaluable after further pruning; callers acting
         on a live graph check `require_live` themselves.

@@ -75,6 +75,13 @@ def neighbors(g, u):
     return g.nbrs[lo:hi][g.alive[g.eids[lo:hi]]].tolist()
 
 
+def edge_id(g, u, v):
+    """Stable id of edge (u, v) of g, live or pruned, or None if it never existed."""
+    lo, hi = g.indptr[u], g.indptr[u + 1]
+    hits = np.flatnonzero(g.nbrs[lo:hi] == v)
+    return int(g.eids[lo + hits[0]]) if hits.size else None
+
+
 def degree_of(g, u):
     if g.directed:
         return (int(g.deg[u, 0]), int(g.deg[u, 1]))

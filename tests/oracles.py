@@ -4,13 +4,14 @@ The op-by-op autodiff below (one graph node per matmul, add, gather, leaky
 ReLU, softmax, ...) is the form the fused layers of `prunerl.nnet` replaced.
 On it, `gat_encode_oracle` is the op-by-op form of `nnet.graph_attention`,
 and `q_forward_batch_oracle` and `train_step_oracle` those of
-`QModel.q_forward` over `CandidateSubgraph.concat` of a list of candidate
+`QModel.q_forward` over `concat_oracle` of a list of candidate
 subgraphs and of `Agent.train_step`; they must agree with them bit for bit.
-`train_step_oracle` scores the edges a step reads through one-edge views
-(`edge_views`), built here one `CandidateSubgraph` per edge, which
-`CandidateSubgraph.pick` gathers as index arrays, and updates the parameters with `adam_step_oracle`
-and `soft_update_oracle`, the per-parameter forms of `Adam.step` and
-`QModel.soft_update_from`, which update one flat vector each;
+`train_step_oracle` reads the transitions a replay buffer was given, kept
+per slot by `keep_transitions`, and scores the edges a step reads through
+one-edge views (`edge_views`), built here one `CandidateSubgraph` per edge,
+which `pick_oracle` gathers as index arrays. It updates the parameters with
+`adam_step_oracle` and `soft_update_oracle`, the per-parameter forms of
+`Adam.step` and `QModel.soft_update_from`, which update one flat vector each;
 `taken_q_all_candidates_oracle` scores every candidate of the batch, and
 agrees with the picked pass only to rounding, because its matrix products
 sum over more rows. `q_forward_oracle` scores one candidate subgraph at a
@@ -18,12 +19,16 @@ time, projecting and scoring every (center, neighbor) row of the attention
 layer on its own, and `double_dqn_target_oracle` makes two forward passes
 per transition.
 
+`concat_oracle` and `pick_oracle` lay snapshots out as the replay store's
+two gathers, `SnapshotStore.candidates` and `SnapshotStore.rows`, must: a
+concatenation of whole snapshots, and a few candidates picked from one.
+
 `prune_edges_oracle` and `random_prune_oracle` are the per-edge loops that
 `Graph.prune_edges` and `Graph.random_prune` replaced; they must leave every
 array of the graph, stale swap-remove entries included, exactly as the bulk
 forms do. `load_edge_list_oracle` is the dict/set loop that compacted ids and
 dropped self-loops and repeats before `load_edge_list` did both with arrays,
-and `copy_listed_oracle` the per-line edge lookup that `Graph.copy_listed`
+and `copy_listed_oracle` the per-line edge lookup (`conftest.edge_id`) that `Graph.copy_listed`
 replaced with one sorted-key search.
 
 The graph kernels below walk a dict-of-dicts adjacency in Python, rebuilt
@@ -48,6 +53,8 @@ from prunerl.graph import CandidateSubgraph
 from prunerl.metrics import Partition, modularity
 from prunerl.nnet import Tensor, _scatter_rows
 from prunerl.qmodel import ATTENTION_SLOPE, HIDDEN_SLOPE
+
+from conftest import edge_id
 
 
 # ------------------------------------------------------- op-by-op autodiff
@@ -228,7 +235,7 @@ def gat_encode_oracle(model, hood_ptr, hood):
 
 
 def q_forward_batch_oracle(model, subs):
-    """`QModel.q_forward(CandidateSubgraph.concat(subs))` (recording), op by
+    """`QModel.q_forward(concat_oracle(subs))` (recording), op by
     op, and where each item's candidates start, then their total."""
     if not subs or any(len(s) == 0 for s in subs):
         raise PruneRLError("q_forward needs nonempty candidate subgraphs")
@@ -254,10 +261,48 @@ def q_forward_batch_oracle(model, subs):
     return reshape(linear(model.head, h), (-1,)), np.cumsum([0] + counts)
 
 
+def concat_oracle(subs):
+    """All candidates of `subs` as one snapshot, item after item, each
+    item's endpoint rows shifted past the node rows before it."""
+    counts = [len(s.eids) for s in subs]
+    if not subs or 0 in counts:
+        raise PruneRLError("q_forward needs nonempty candidate subgraphs")
+    sizes = [len(s.node_degrees) for s in subs]
+    hood_base = np.cumsum([0] + [len(s.hood) for s in subs[:-1]])
+    hood_ends = np.concatenate([s.hood_ptr[1:] for s in subs]) + np.repeat(hood_base, sizes)
+    node_base = np.cumsum([0] + sizes[:-1])
+    return CandidateSubgraph(
+        eids=np.concatenate([s.eids for s in subs]),
+        ends=np.concatenate([s.ends for s in subs]) + np.repeat(node_base, counts)[:, None],
+        hood_ptr=np.concatenate([[0], hood_ends]),
+        hood=np.concatenate([s.hood for s in subs]),
+        node_degrees=np.concatenate([s.node_degrees for s in subs]),
+        edge_ratio=np.concatenate([s.edge_ratio for s in subs]),
+    )
+
+
+def pick_oracle(sub, rows):
+    """Candidates `rows` of `sub` alone, scored as in `sub` up to rounding:
+    candidate i's node rows are 2i (source) and 2i + 1 (destination),
+    unsorted."""
+    nodes = sub.ends[rows].reshape(-1)
+    starts = sub.hood_ptr[nodes]
+    lens = sub.hood_ptr[nodes + 1] - starts
+    hood_ptr = np.concatenate([[0], np.cumsum(lens)])
+    return CandidateSubgraph(
+        eids=sub.eids[rows],
+        ends=np.arange(len(nodes)).reshape(-1, 2),
+        hood_ptr=hood_ptr,
+        hood=sub.hood[np.arange(hood_ptr[-1]) + np.repeat(starts - hood_ptr[:-1], lens)],
+        node_degrees=sub.node_degrees[nodes],
+        edge_ratio=sub.edge_ratio[nodes],
+    )
+
+
 def edge_views(subs, rows):
     """Candidate rows[i] of subs[i] as a one-edge `CandidateSubgraph` whose
     two nodes are its source and then its destination, unsorted. Their
-    concatenation holds the arrays `CandidateSubgraph.concat(subs).pick`
+    concatenation holds the arrays `pick_oracle(concat_oracle(subs), ...)`
     gathers: the same neighborhoods, degrees and edge ratios, node rows in
     the same order."""
     views = []
@@ -285,12 +330,27 @@ def taken_q_all_candidates_oracle(model, batch):
     return gather_rows(q, offsets[:-1] + [tr.action for tr in batch])
 
 
-def train_step_oracle(agent, rng):
-    """`Agent.train_step`, op by op: an op-by-op policy pass over every
-    candidate of the next states, then op-by-op target and recording passes
-    over one-edge views of the edges they read."""
+def keep_transitions(buffer):
+    """A list that keeps, by slot, each transition `buffer.add` stores from
+    here on: the objects the store packed."""
+    slots, add = [None] * buffer.capacity, buffer.add
+
+    def keeping(transition, priority=None):
+        slots[buffer.write] = transition
+        add(transition, priority)
+
+    buffer.add = keeping
+    return slots
+
+
+def train_step_oracle(agent, rng, slots):
+    """`Agent.train_step`, op by op, on the transitions `slots` keeps: an
+    op-by-op policy pass over every candidate of the next states, then
+    op-by-op target and recording passes over one-edge views of the edges
+    they read."""
     cfg = agent.config
-    idx, batch, weights = agent.buffer.sample(cfg.batch_size, rng)
+    idx, _, weights = agent.buffer.sample(cfg.batch_size, rng)
+    batch = [slots[j] for j in idx]
     targets = np.array([tr.reward for tr in batch], dtype=np.float64)
     live = [i for i, tr in enumerate(batch) if not tr.done]
     if live:
@@ -424,7 +484,7 @@ def copy_listed_oracle(g, path):
             if line and not line.startswith("#"):
                 a, b = (int(x) for x in line.split())
                 u, v = g.id_map.get(a), g.id_map.get(b)
-                eid = None if u is None or v is None else g.edge_id(u, v)
+                eid = None if u is None or v is None else edge_id(g, u, v)
                 if eid is None:
                     raise DataError(f"{path}:{line_no}: edge ({a}, {b}) is not in the dataset")
                 kept.append(eid)

@@ -20,14 +20,14 @@ from prunerl.errors import DataError, PruneRLError
 from prunerl.graph import CandidateSubgraph, Graph, load_edge_list
 from prunerl.nnet import Tensor
 from prunerl.qmodel import QModel
-from prunerl.replay import Transition
+from prunerl.replay import ReplayBuffer, SnapshotStore, Transition
 from prunerl.rewards import PagerankReward, SpspReward
 
 import oracles
 from conftest import complete_graph
 from gradcheck import grad_check, mul, sum_all
-from oracles import (double_dqn_target_oracle, q_forward_batch_oracle, q_forward_oracle,
-                     train_step_oracle)
+from oracles import (concat_oracle, double_dqn_target_oracle, keep_transitions,
+                     q_forward_batch_oracle, q_forward_oracle, train_step_oracle)
 
 SMALL = dict(emb_dim=8, hidden_dim=16, train_subgraph_len=8, batch_size=8)
 # Agent.save of a karate agent (emb 4, hidden 8, seed 3) after 6 PageRank
@@ -132,32 +132,32 @@ class TestActing:
 
 
 class TestDoubleDQNTarget:
-    def _batch(self, rng, reward, done):
+    def _transition(self, rng, reward, done):
         g = complete_graph(4)
         s = g.sample_subgraph(3, rng)
-        return [Transition(state=s, action=0, reward=reward,
-                           next_state=g.sample_subgraph(3, rng), done=done)]
+        return Transition(state=s, action=0, reward=reward,
+                          next_state=g.sample_subgraph(3, rng), done=done)
 
     def test_terminal_is_reward(self, rng):
         policy = QModel(4, emb_dim=4, hidden_dim=8, rng=rng)
         target = QModel(4, emb_dim=4, hidden_dim=8, rng=rng)
-        batch = self._batch(rng, reward=2.5, done=True)
+        batch = as_batch([self._transition(rng, reward=2.5, done=True)])
         assert double_dqn_target(batch, policy, target, 0.95)[0] == 2.5
 
     def test_gamma_zero_is_reward(self, rng):
         policy = QModel(4, emb_dim=4, hidden_dim=8, rng=rng)
         target = QModel(4, emb_dim=4, hidden_dim=8, rng=rng)
-        batch = self._batch(rng, reward=-1.5, done=False)
+        batch = as_batch([self._transition(rng, reward=-1.5, done=False)])
         assert double_dqn_target(batch, policy, target, 0.0)[0] == pytest.approx(-1.5)
 
     def test_policy_selects_target_evaluates(self, rng):
         policy = QModel(4, emb_dim=4, hidden_dim=8, rng=rng)
         target = QModel(4, emb_dim=4, hidden_dim=8, rng=np.random.default_rng(7))
-        batch = self._batch(rng, reward=1.0, done=False)
-        nxt = batch[0].next_state
+        tr = self._transition(rng, reward=1.0, done=False)
+        nxt = tr.next_state
         a_star = int(np.argmax(policy.q_forward(nxt).data))
         expected = 1.0 + 0.9 * float(target.q_forward(nxt).data[a_star])
-        assert double_dqn_target(batch, policy, target, 0.9)[0] == pytest.approx(expected)
+        assert double_dqn_target(as_batch([tr]), policy, target, 0.9)[0] == pytest.approx(expected)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_argmax_is_each_items_first_max(self, karate, monkeypatch, seed):
@@ -168,13 +168,12 @@ class TestDoubleDQNTarget:
         items += [rng.choice([-0.0, 0.0, 1.0, 2.0], size=int(rng.integers(1, 7))).tolist()
                   for _ in range(40)]
         states = [karate.sample_subgraph(len(q), rng) for q in items]
-        batch = [Transition(s, 0, 0.0, s, False) for s in states]
-        picked, pick = [], CandidateSubgraph.pick
-        monkeypatch.setattr(CandidateSubgraph, "pick",
-                            lambda sub, rows: picked.append(rows) or pick(sub, rows))
+        batch = as_batch([Transition(s, 0, 0.0, s, False) for s in states])
+        picked, gather = [], SnapshotStore.rows
+        monkeypatch.setattr(SnapshotStore, "rows",
+                            lambda store, recs, rows: picked.append(rows) or gather(store, recs, rows))
         double_dqn_target(batch, FixedQ(np.concatenate(items)), FixedQ(None), 0.9)
-        starts = np.cumsum([0] + [len(q) for q in items[:-1]])
-        assert picked[0].tolist() == [lo + int(np.argmax(q)) for lo, q in zip(starts, items)]
+        assert picked[0].tolist() == [int(np.argmax(q)) for q in items]
 
 
 class FixedQ:
@@ -185,6 +184,14 @@ class FixedQ:
 
     def q_forward(self, sub, grad=True):
         return Tensor(np.zeros(len(sub)) if self.q is None else self.q)
+
+
+def as_batch(transitions):
+    """The replay batch of `transitions`, in order."""
+    buf = ReplayBuffer(len(transitions))
+    for tr in transitions:
+        buf.add(tr)
+    return buf.batch(np.arange(len(transitions)))
 
 
 def item_offsets(subs):
@@ -216,7 +223,7 @@ class TestBatchedQNet:
         model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
         batch = replay_batch(karate, rng)
         subs = [tr.state for tr in batch] + [tr.next_state for tr in batch]
-        q, offsets = model.q_forward(CandidateSubgraph.concat(subs)), item_offsets(subs)
+        q, offsets = model.q_forward(concat_oracle(subs)), item_offsets(subs)
         assert len({len(s) for s in subs}) > 5
         assert q.shape == (sum(len(s) for s in subs),)
         for sub, lo, hi in zip(subs, offsets[:-1], offsets[1:]):
@@ -227,7 +234,7 @@ class TestBatchedQNet:
         g = directed_graph()
         model = QModel(6, directed=True, emb_dim=4, hidden_dim=8, rng=rng)
         subs = [g.sample_subgraph(k, rng) for k in (1, 3, 9, 5)]
-        q, offsets = model.q_forward(CandidateSubgraph.concat(subs)), item_offsets(subs)
+        q, offsets = model.q_forward(concat_oracle(subs)), item_offsets(subs)
         for sub, lo, hi in zip(subs, offsets[:-1], offsets[1:]):
             assert np.allclose(q.data[lo:hi], q_forward_oracle(model, sub).data,
                                rtol=0, atol=1e-10)
@@ -239,7 +246,7 @@ class TestBatchedQNet:
         w = nnet.Tensor(rng.normal(size=sum(len(s) for s in subs)))
 
         def loss_fn():
-            return sum_all(mul(model.q_forward(CandidateSubgraph.concat(subs)), w))
+            return sum_all(mul(model.q_forward(concat_oracle(subs)), w))
 
         assert grad_check(loss_fn, model.parameters(), tolerance=1e-4, h=1e-6,
                           rng=np.random.default_rng(1)) < 1e-4
@@ -249,13 +256,13 @@ class TestBatchedQNet:
         policy = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
         target = QModel(34, emb_dim=16, hidden_dim=32, rng=np.random.default_rng(7))
         batch = replay_batch(karate, rng)
-        assert np.allclose(double_dqn_target(batch, policy, target, gamma),
+        assert np.allclose(double_dqn_target(as_batch(batch), policy, target, gamma),
                            double_dqn_target_oracle(batch, policy, target, gamma),
                            rtol=0, atol=1e-10)
 
     def test_all_done_batch_makes_no_pass(self, karate, rng):
         batch = [tr for tr in replay_batch(karate, rng) if tr.done]
-        out = double_dqn_target(batch, None, None, 0.95)
+        out = double_dqn_target(as_batch(batch), None, None, 0.95)
         assert np.array_equal(out, [tr.reward for tr in batch])
 
     def test_loss_gradients_match_oracle(self, karate, rng):
@@ -272,7 +279,7 @@ class TestBatchedQNet:
             return out
 
         states = [tr.state for tr in batch]
-        q, offsets = model.q_forward(CandidateSubgraph.concat(states)), item_offsets(states)
+        q, offsets = model.q_forward(concat_oracle(states)), item_offsets(states)
         batched = grads(oracles.gather_rows(q, offsets[:-1] + actions))
         per_item = grads(oracles.concat([
             oracles.gather_rows(q_forward_oracle(model, tr.state), [tr.action])
@@ -289,7 +296,7 @@ class TestNoGradPass:
         model = QModel(34, emb_dim=16, hidden_dim=32, rng=rng)
         batch = replay_batch(karate, rng)
         subs = [tr.state for tr in batch] + [tr.next_state for tr in batch]
-        union = CandidateSubgraph.concat(subs)
+        union = concat_oracle(subs)
         q, q0 = model.q_forward(union), model.q_forward(union, grad=False)
         assert np.array_equal(q0.data, q.data)
         assert q0._parents == () and q0._backward is None
@@ -309,7 +316,7 @@ class TestNoGradPass:
         g = directed_graph()
         model = QModel(6, directed=True, emb_dim=4, hidden_dim=8, rng=rng)
         subs = [g.sample_subgraph(k, rng) for k in (1, 3, 9, 5)]
-        union = CandidateSubgraph.concat(subs)
+        union = concat_oracle(subs)
         q0 = model.q_forward(union, grad=False).data
         assert np.array_equal(q0, model.q_forward(union).data)
         assert np.array_equal(q0, q_forward_batch_oracle(model, subs)[0].data)
@@ -321,7 +328,7 @@ class TestNoGradPass:
         g.random_prune(20, rng)
         for k in (1, 8, 32):
             sub = g.sample_subgraph(k, rng)
-            one = CandidateSubgraph.concat([sub])
+            one = concat_oracle([sub])
             for f in fields(CandidateSubgraph):
                 assert np.array_equal(getattr(one, f.name), getattr(sub, f.name)), f.name
             assert np.array_equal(model.q_forward(sub, grad=grad).data,
@@ -347,13 +354,15 @@ def count_tensors(monkeypatch):
     return counter
 
 
-def filled_agent(karate, seed=3):
-    """An agent on karate whose buffer holds at least one batch."""
+def filled_agent(karate, seed=3, keep=False):
+    """An agent on karate whose buffer holds at least one batch; with
+    `keep`, also the transitions its buffer was given, by slot."""
     agent = Agent(karate, AgentConfig(emb_dim=16, hidden_dim=32), rng=np.random.default_rng(seed))
+    slots = keep_transitions(agent.buffer) if keep else None
     rng = np.random.default_rng(seed + 1)
     while len(agent.buffer) < agent.config.batch_size:
         agent.run_episode(PagerankReward(karate), rng)
-    return agent
+    return (agent, slots) if keep else agent
 
 
 class TestGraphSize:
@@ -373,11 +382,11 @@ class TestGraphSize:
 
 class TestFusedTraining:
     def test_50_train_steps_equal_op_by_op_path(self, karate):
-        fused, oracle = filled_agent(karate), filled_agent(karate)
+        fused, (oracle, slots) = filled_agent(karate), filled_agent(karate, keep=True)
         rng_f, rng_o = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(50):
             loss_f, td_f = fused.train_step(rng_f)
-            loss_o, td_o = train_step_oracle(oracle, rng_o)
+            loss_o, td_o = train_step_oracle(oracle, rng_o, slots)
             assert loss_f == loss_o
             assert np.array_equal(td_f, td_o)
         for a, b in zip(fused.policy.parameters() + fused.target.parameters(),
@@ -388,12 +397,11 @@ class TestFusedTraining:
             assert np.array_equal(a, b)
 
     def test_picked_pass_matches_all_candidates_pass(self, karate):
-        agent = filled_agent(karate)
-        _, batch, weights = agent.buffer.sample(agent.config.batch_size, np.random.default_rng(5))
-        targets = double_dqn_target(batch, agent.policy, agent.target, agent.config.gamma)
-        states = [tr.state for tr in batch]
-        rows = item_offsets(states)[:-1] + [tr.action for tr in batch]
-        q = agent.policy.q_forward(CandidateSubgraph.concat(states).pick(rows))
+        agent, slots = filled_agent(karate, keep=True)
+        idx, b, weights = agent.buffer.sample(agent.config.batch_size, np.random.default_rng(5))
+        targets = double_dqn_target(b, agent.policy, agent.target, agent.config.gamma)
+        batch = [slots[j] for j in idx]
+        q = agent.policy.q_forward(b.store.rows(b.states, b.actions))
         nnet.weighted_mse(q, targets, weights)[0].backward()
         picked_grads = [p.grad for p in agent.policy.parameters()]
         agent.optimizer.zero_grad()
@@ -421,8 +429,7 @@ class TestFusedTraining:
     def test_nan_parameter_raises_before_any_update(self, karate, all_done):
         agent = filled_agent(karate)
         if all_done:  # no target pass: the loss check must catch it
-            for tr in agent.buffer.data[:len(agent.buffer)]:
-                tr.done = True
+            agent.buffer.done[:len(agent.buffer)] = True
         agent.policy.node_fc2.W.data[0, 0] = np.nan
         params = [p.data.copy() for p in agent.policy.parameters() + agent.target.parameters()]
         m, v = [a.copy() for a in agent.optimizer.m], [a.copy() for a in agent.optimizer.v]

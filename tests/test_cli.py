@@ -553,8 +553,8 @@ def test_objective_numbers_are_unchanged(kind, tmp_path):
 def test_evaluate_of_a_sparsified_file_equals_its_compare_cell(kind, trained, tmp_path):
     # a score depends on the kept edges alone, not on the order a method
     # pruned them in, so the file sparsify writes scores as compare's cell.
-    # Only the community objective reads the labels; evaluate takes no
-    # Louvain run count and averages the default 8.
+    # Only the community objective reads the labels; evaluate averages its
+    # default 8 Louvain runs, as this config does.
     config = write_config(tmp_path / "config.yaml",
                           objective={"kind": kind, "labels_path": KARATE_LABELS},
                           evaluation={"ratios": [0.5], "seeds": 3, "spsp_pairs": 64,
@@ -577,6 +577,39 @@ def test_evaluate_of_a_sparsified_file_equals_its_compare_cell(kind, trained, tm
                        "--spsp-pairs", "64", "--out", str(scored)])
         assert rc == cli.EXIT_OK
         assert float(read_csv(scored)[0]["value"]) == float(c["value"]), c
+
+
+@pytest.mark.parametrize("kind", ["community", "modularity"])
+def test_louvain_runs_reach_evaluate_and_h_sweep(kind, trained, tmp_path):
+    """Under a config with louvain_runs 4, evaluate --louvain-runs 4 on the
+    file sparsify wrote, and h-sweep --louvain-runs 4, score as compare's
+    cells."""
+    config = write_config(tmp_path / "config.yaml",
+                          objective={"kind": kind, "labels_path": KARATE_LABELS},
+                          evaluation={"ratios": [0.5], "seeds": 2, "spsp_pairs": 64,
+                                      "louvain_runs": 4, "eval_subgraph_len": 8})
+    checkpoint = str(trained["checkpoint"])
+    rc = cli.main(["compare", "--config", str(config), "--checkpoint", checkpoint,
+                   "--out", str(tmp_path / "cmp")])
+    assert rc == cli.EXIT_OK
+    cells = read_csv(tmp_path / "cmp" / "compare_cells.csv")
+    sparse, scored = tmp_path / "sparse.txt", tmp_path / "eval.csv"
+    for c in cells:
+        rc = cli.main(["sparsify", "--dataset", KARATE, "--method", c["method"],
+                       "--ratio", "0.5", "--seed", c["seed"], "--checkpoint", checkpoint,
+                       "--eval-subgraph-len", "8", "--out", str(sparse)])
+        assert rc == cli.EXIT_OK
+        rc = cli.main(["evaluate", "--dataset", KARATE, "--sparsified", str(sparse),
+                       "--metric", kind, "--labels", KARATE_LABELS, "--seed", c["seed"],
+                       "--louvain-runs", "4", "--out", str(scored)])
+        assert rc == cli.EXIT_OK
+        assert float(read_csv(scored)[0]["value"]) == float(c["value"]), c
+    rc = cli.main(["h-sweep", "--dataset", KARATE, "--checkpoint", checkpoint, "--ratio", "0.5",
+                   "--metric", kind, "--labels", KARATE_LABELS, "--subgraph-lens", "8",
+                   "--seeds", "2", "--louvain-runs", "4", "--out", str(tmp_path / "sweep.csv")])
+    assert rc == cli.EXIT_OK
+    agent_cells = [float(c["value"]) for c in cells if c["method"] == "agent"]
+    assert [float(r["value"]) for r in read_csv(tmp_path / "sweep.csv")] == agent_cells
 
 
 class TestSpannerCompare:

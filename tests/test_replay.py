@@ -1,12 +1,15 @@
+import copy
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from prunerl.errors import PruneRLError
-from prunerl.graph import Graph
-from prunerl.replay import ReplayBuffer, Transition
+from prunerl.graph import CandidateSubgraph, Graph
+from prunerl.replay import ReplayBuffer, SnapshotStore, Transition
 
 from conftest import complete_graph, sampling_probabilities
-from oracles import SumTree, SumTreeReplay
+from oracles import SumTree, SumTreeReplay, concat_oracle, keep_transitions, pick_oracle
 
 
 def make_transition(rng, reward=0.0, done=False):
@@ -63,14 +66,14 @@ class TestSumTree:
 class TestReplayBuffer:
     def test_sample_respects_prefix(self, rng):
         buf = ReplayBuffer(capacity=8, alpha=1.0)
-        for p in (1.0, 2.0, 3.0, 4.0):
-            buf.add(make_transition(rng), priority=p)
+        for i, p in enumerate((1.0, 2.0, 3.0, 4.0)):
+            buf.add(make_transition(rng, reward=float(i)), priority=p)
         # cumulative boundaries: [0,1], (1,3], (3,6], (6,10]; a draw on a
         # boundary takes the lower slot, as the sum tree's walk did
         draws = np.array([0.5, 1.5, 4.0, 9.9, 1.0, 6.0]) / 10
         idx, batch, _ = buf.sample(len(draws), FixedDraws(draws))
         assert idx.tolist() == [0, 1, 2, 3, 0, 2]
-        assert batch == [buf.data[j] for j in idx]
+        assert batch.rewards.tolist() == idx.tolist()
 
     def test_update_overwrites(self, rng):
         buf = ReplayBuffer(capacity=4, alpha=1.0, priority_floor=1e-3)
@@ -173,10 +176,110 @@ class TestReplayBuffer:
         for i in range(5):
             buf.add(make_transition(rng, reward=float(i)), priority=1.0)
         assert len(buf) == 3
-        rewards = sorted(t.reward for t in buf.data if t is not None)
-        assert rewards == [2.0, 3.0, 4.0]
+        assert sorted(buf.reward.tolist()) == [2.0, 3.0, 4.0]
 
     def test_empty_sample_rejected(self, rng):
         buf = ReplayBuffer(capacity=4)
         with pytest.raises(PruneRLError):
             buf.sample(1, rng)
+
+
+def directed_graph():
+    return Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (1, 4), (4, 1)],
+                 directed=True)
+
+
+def episode_stream(g, rng, count):
+    """`count` transitions as `Agent.run_episode` hands them on: within an
+    episode each state is the previous next state, the same object. States
+    hold 1 to 12 candidates; a done item's next state is its state when the
+    graph ran out of edges, and a sample of its own otherwise."""
+    out = []
+    while len(out) < count:
+        gi = g.copy()
+        gi.random_prune(int(rng.integers(0, g.edge_count // 2)), rng)
+        state = gi.sample_subgraph(int(rng.integers(1, 13)), rng)
+        done = False
+        while not done:
+            action = int(rng.integers(len(state)))
+            gi.prune_edge(int(state.eids[action]))
+            nxt = gi.sample_subgraph(int(rng.integers(1, 13)), rng) if gi.edge_count else state
+            done = gi.edge_count == 0 or rng.random() < 0.2
+            out.append(Transition(state, action, float(rng.normal()), nxt, done))
+            state = nxt
+    return out[:count]
+
+
+def assert_same_snapshot(got, want):
+    for f in fields(CandidateSubgraph):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+        np.testing.assert_array_equal(a, b, f.name)
+
+
+class TestSnapshotStore:
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_gathers_equal_the_oracle_after_every_wrap(self, karate, directed):
+        """Both gathers of any slots, repeats included, equal field for field
+        the oracle's layout of the transitions last written there."""
+        rng = np.random.default_rng(11)
+        buf = ReplayBuffer(capacity=8)
+        slots = keep_transitions(buf)
+        wraps = 0
+        for tr in episode_stream(directed_graph() if directed else karate, rng, 5 * 8 + 3):
+            buf.add(tr)
+            if buf.write:
+                continue
+            wraps += 1
+            for _ in range(5):
+                picks = rng.integers(8, size=int(rng.integers(1, 20)))
+                kept = [slots[j] for j in picks]
+                b = buf.batch(picks)
+                assert b.actions.tolist() == [tr.action for tr in kept]
+                assert b.rewards.tolist() == [tr.reward for tr in kept]
+                assert b.done.tolist() == [tr.done for tr in kept]
+                live = np.flatnonzero(~b.done)
+                for recs, subs, rows in (
+                        (b.states, [tr.state for tr in kept], b.actions),
+                        (b.next_states[live], [kept[i].next_state for i in live], None)):
+                    if not subs:
+                        continue
+                    sub, starts, counts = b.store.candidates(recs)
+                    want = concat_oracle(subs)
+                    assert_same_snapshot(sub, want)
+                    assert counts.tolist() == [len(s) for s in subs]
+                    assert starts.tolist() == np.cumsum([0] + counts.tolist()[:-1]).tolist()
+                    if rows is None:
+                        rows = np.array([int(rng.integers(len(s))) for s in subs])
+                    assert_same_snapshot(b.store.rows(recs, rows), pick_oracle(want, starts + rows))
+        assert wraps >= 5
+
+    def test_a_handed_on_state_is_stored_once(self, karate, rng):
+        s0, s1, s2 = (karate.sample_subgraph(k, rng) for k in (3, 5, 4))
+        buf = ReplayBuffer(capacity=8)
+        buf.add(Transition(s0, 0, 0.0, s1, False))
+        buf.add(Transition(s1, 1, 0.0, s2, False))
+        used = buf.store.used
+        assert used[SnapshotStore.REC] == 3
+        assert buf.recs[0, 1] == buf.recs[1, 0]
+        buf.add(Transition(s2, 2, 0.0, s2, True))  # its own next state
+        assert used[SnapshotStore.REC] == 3
+        assert buf.recs[2].tolist() == [buf.recs[1, 1]] * 2
+        buf.add(Transition(copy.copy(s0), 0, 0.0, s2, True))  # equal, but not the same object
+        assert used[SnapshotStore.REC] == 4
+        assert used[SnapshotStore.EDGE] == 3 + 5 + 4 + 3
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_store_holds_at_most_twice_its_live_entries(self, karate, directed):
+        rng = np.random.default_rng(12)
+        buf = ReplayBuffer(capacity=8)
+        slots = keep_transitions(buf)
+        stream = episode_stream(directed_graph() if directed else karate, rng, 40 * 8)
+        for tr in stream:
+            buf.add(tr)
+            live = {id(s): s for t in slots if t is not None
+                    for s in ([t.state] if t.done else [t.state, t.next_state])}
+            need = np.sum([[len(s), len(s.node_degrees), len(s.hood)] for s in live.values()], axis=0)
+            used = np.array(buf.store.used)[[SnapshotStore.EDGE, SnapshotStore.NODE, SnapshotStore.HOOD]]
+            assert (used <= 2 * need).all(), (used, need)
+        assert buf.store.used[SnapshotStore.REC] < len(stream) // 4  # dropped as the ring wrapped

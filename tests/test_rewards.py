@@ -26,6 +26,7 @@ from prunerl.rewards import (
 )
 
 from conftest import (
+    edge_id,
     floyd_warshall,
     path_graph,
     random_connected_graph,
@@ -82,7 +83,7 @@ class TestRewardPagerank:
     def test_star_leaf_prune_matches_oracle(self):
         g = star_graph(5)
         gp = g.copy()
-        gp.prune_edge(g.edge_id(0, 5))
+        gp.prune_edge(edge_id(g, 0, 5))
         expected = spearman_rho(pagerank(g), pagerank(gp)) - 1.0
         assert training_reward(PagerankReward(g), gp) == pytest.approx(expected)
 
@@ -107,8 +108,8 @@ class TestRewardCommunity:
 
     def test_label_term_values(self):
         g, labels = bridged_triangles()
-        intra = g.edge_id(0, 1)
-        inter = g.edge_id(2, 3)
+        intra = edge_id(g, 0, 1)
+        inter = edge_id(g, 2, 3)
         base = base_ari(g, labels)
         for edge, label_term in ((intra, 1.0), (inter, -1.0)):
             gp = g.copy()
@@ -121,7 +122,7 @@ class TestRewardCommunity:
 
     def test_label_sign_switch_flips_term(self):
         g, labels = bridged_triangles()
-        inter = g.edge_id(2, 3)
+        inter = edge_id(g, 2, 3)
         gp = g.copy()
         gp.prune_edge(inter)
         r_pos = training_reward(CommunityReward(g, labels, label_sign=1.0), gp, inter)
@@ -139,7 +140,7 @@ class TestRewardCommunity:
         # removing the inter-community edge leaves two clean triangles, which
         # Louvain labels exactly: ARI = 1, label term = -1 for an inter prune
         g, labels = bridged_triangles()
-        inter = g.edge_id(2, 3)
+        inter = edge_id(g, 2, 3)
         gp = g.copy()
         gp.prune_edge(inter)
         r = training_reward(CommunityReward(g, labels), gp, inter)
@@ -162,7 +163,7 @@ class TestRewardSpsp:
         g = path_graph(3)
         q = PathQuerySet.from_graph(g, [(0, 2)])
         gp = g.copy()
-        gp.prune_edge(g.edge_id(1, 2))
+        gp.prune_edge(edge_id(g, 1, 2))
         # severed pair enters the mean as a flat |V| = 3, not a difference
         assert spsp_penalty(gp, q) == pytest.approx(3.0)
 
@@ -236,7 +237,7 @@ class TestRewardModularity:
     def test_pruning_bridge_improves(self):
         g, _ = bridged_triangles()
         gp = g.copy()
-        gp.prune_edge(g.edge_id(2, 3))
+        gp.prune_edge(edge_id(g, 2, 3))
         assert training_reward(ModularityReward(g), gp) > 0.0
 
     def test_edgeless_graph_scores_minus_baseline(self):
