@@ -97,13 +97,9 @@ def load_run_config(path):
         raise ConfigError(
             f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
         )
-    sections = {
-        "objective": (ObjectiveConfig, data.pop("objective", {})),
-        "agent": (AgentConfig, data.pop("agent", {})),
-        "train": (TrainConfig, data.pop("train", {})),
-        "evaluation": (EvalConfig, data.pop("evaluation", {})),
-    }
-    built = {name: _build(cls, section, name) for name, (cls, section) in sections.items()}
+    sections = {"objective": ObjectiveConfig, "agent": AgentConfig, "train": TrainConfig,
+                "evaluation": EvalConfig}
+    built = {name: _build(cls, data.pop(name, {}), name) for name, cls in sections.items()}
     top_fields = {f for f in RunConfig.__dataclass_fields__} - set(sections)
     unknown = set(data) - top_fields
     if unknown:

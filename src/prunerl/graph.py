@@ -99,14 +99,16 @@ class Graph:
             u, v = (int(x) for x in pairs[np.argmin(simple)])
             raise PruneRLError(f"self-loop ({u},{u}) not allowed" if u == v
                                else f"duplicate edge ({u},{v})")
-        # CSR of every original edge (both directions when undirected), rows
-        # in (node, edge id) order: the order neighbours are visited in
+        # CSR of every original edge (both directions when undirected), rows in (node,
+        # edge id) order, which PageRank's sums, Louvain's ties and Edge Forest Fire's
+        # draws follow; nbr_order: each row's positions in neighbour order (lexsort: ~7x slower)
         both = pairs if directed else np.concatenate([pairs, pairs[:, ::-1]])
         eids = np.tile(np.arange(m), 1 if directed else 2)
         order = np.argsort(both[:, 0] * (m + 1) + eids)
         row_len = np.bincount(both[:, 0], minlength=node_count)
         self.indptr = np.concatenate(([0], np.cumsum(row_len)))
         self.nbrs, self.eids = both[order, 1], eids[order]
+        self.nbr_order = np.argsort(both[order, 0] * node_count + self.nbrs)
 
         self.alive = np.ones(m, dtype=bool)
         self.original_edge_count = m
@@ -230,22 +232,20 @@ class Graph:
         picked = rng.choice(self._live_ids[: self.edge_count], size=k, replace=False)
         pairs = np.stack([self.src[picked], self.dst[picked]], axis=1)
         nodes = np.unique(pairs)
-        # gather the nodes' CSR rows and keep the live entries; one sort on
-        # (segment, 0 for the node itself or 1 + neighbour) orders each hood
-        starts, counts = self.indptr[nodes], self.indptr[nodes + 1] - self.indptr[nodes]
-        rows = concat_ranges(starts, counts)
-        live = self.alive[self.eids[rows]]
-        nbrs = self.nbrs[rows[live]]
-        seg = np.concatenate([np.arange(nodes.size), np.repeat(np.arange(nodes.size), counts)[live]])
-        order = np.argsort(seg * (self.node_count + 1) + np.concatenate([np.zeros_like(nodes), nbrs + 1]))
-        return CandidateSubgraph(
-            eids=picked,
-            ends=np.searchsorted(nodes, pairs),
-            hood_ptr=np.concatenate(([0], np.cumsum(np.bincount(seg)))),
-            hood=np.concatenate([nodes, nbrs])[order],
-            node_degrees=self.deg.take(nodes, axis=0),  # deg[nodes], without fancy indexing's set-up
-            edge_ratio=np.full((nodes.size, 1), self.edge_kept_ratio()),
-        )
+        degs = self.deg.take(nodes, axis=0)  # deg[nodes], without fancy indexing's set-up
+        # the nodes' CSR rows read in neighbour order, so their live entries
+        # come out sorted; a hood is its node, then a live (out-)degree of them
+        starts = self.indptr[nodes]
+        pos = self.nbr_order[concat_ranges(starts, self.indptr[nodes + 1] - starts)]
+        hood_ptr = np.concatenate(([0], np.cumsum(degs[:, -1] + 1)))
+        hood = np.empty(hood_ptr[-1], dtype=np.int64)
+        hood[hood_ptr[:-1]] = nodes
+        is_nbr = np.ones(hood.size, dtype=bool)
+        is_nbr[hood_ptr[:-1]] = False
+        hood[is_nbr] = self.nbrs[pos[self.alive[self.eids[pos]]]]
+        return CandidateSubgraph(eids=picked, ends=np.searchsorted(nodes, pairs), hood_ptr=hood_ptr,
+                                 hood=hood, node_degrees=degs,
+                                 edge_ratio=np.full((nodes.size, 1), self.edge_kept_ratio()))
 
     # --------------------------------------------------------------------- io
 

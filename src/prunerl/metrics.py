@@ -56,18 +56,13 @@ def sample_pairs(g, max_pairs, rng):
     n = g.node_count
     cap = n * (n - 1) // 2 if not g.directed else n * (n - 1)
     k = min(max_pairs, cap)
-    seen = set()
-    pairs = []
+    seen, pairs = set(), []
     while len(pairs) < k:
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
+        u, v = int(rng.integers(n)), int(rng.integers(n))
         key = (u, v) if g.directed else (min(u, v), max(u, v))
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append((u, v))
+        if u != v and key not in seen:
+            seen.add(key)
+            pairs.append((u, v))
     return pairs
 
 

@@ -14,7 +14,7 @@ Op outputs in between are not checked.
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import _sparsetools
 
 from .errors import PruneRLError, ShapeError
 
@@ -198,12 +198,12 @@ def graph_attention(table, proj, score, ptr, hood, slope, grad=True):
     s = _leaky_relu_(s.reshape(-1), slope)
     e = np.exp(s - np.repeat(np.maximum.reduceat(s, ptr[:-1]), lens))
     att = e / np.repeat(np.bincount(segments, weights=e, minlength=count), lens)
-    # the weighted sums as a sparse product: scipy adds each att * p_uniq row
-    # to a zeroed row in stored (entry) order, as a bincount over the
-    # products would, without building the (entries, d) product array;
-    # int32 indices are what scipy would otherwise convert them to
-    weights = csr_matrix((att, rows.astype(np.int32), ptr.astype(np.int32)), shape=(count, k))
-    out = weights @ p_uniq
+    # the weighted sums csr_matrix((att, rows, ptr)) @ p_uniq, by scipy's kernel itself without
+    # the matrix's per-call checks: it adds each att * p_uniq row to a zeroed row in entry order,
+    # as a bincount over the products would; it reads int32 indices and flat C-order arrays
+    rows32, ptr32 = rows.astype(np.int32), ptr.astype(np.int32)
+    out = np.zeros((count, d))
+    _sparsetools.csr_matvecs(count, k, d, ptr32, rows32, att, p_uniq.ravel(), out.ravel())
     if not grad:
         return out
 
@@ -216,9 +216,12 @@ def graph_attention(table, proj, score, ptr, hood, slope, grad=True):
         d_nbr = _scatter_rows(rows, d_s[:, 0], k)[:, None]
         # proj's three gradient terms, added in the order the op-by-op graph
         # (tests/oracles.py) added them, so that training stays bit-identical;
-        # the transposed product adds each entry's att * g row to its node in
-        # entry order, as that graph's bincount did
-        d_proj = weights.T @ g
+        # the transposed product (the CSC kernel on the same arrays) adds each
+        # entry's att * g row to its node in entry order, as that graph's
+        # bincount did; g can be a column slice (concat_features)
+        d_proj = np.zeros((k, d))
+        _sparsetools.csc_matvecs(k, count, d, ptr32, rows32, att, np.ascontiguousarray(g).ravel(),
+                                 d_proj.ravel())
         d_proj = d_proj + d_nbr * W[d:, 0]
         d_proj = d_proj + d_center * W[:d, 0]
         score.W._accum(np.concatenate([p_uniq.T @ d_center, p_uniq.T @ d_nbr]))

@@ -42,41 +42,52 @@ class SnapshotStore:
     """Sampled snapshots packed into flat arrays that grow on demand, one
     record each. Record r, row r of `rec` (edge, node row and hood starts,
     then their counts), spans rows of the edge arrays (`eids`, and `ends` as
-    store node rows), of the node-row arrays (`deg`, and `hood_start` and
-    `hood_len` into `hood`) and of `hood`; `ratio[r]` is its edge-kept ratio.
+    store node rows), of the node-row arrays (`deg`, `ratio`, and
+    `hood_start` and `hood_len` into `hood`) and of `hood`.
     """
 
-    SPACES = (("rec", "ratio"), ("eids", "ends"), ("deg", "hood_start", "hood_len"), ("hood",))
+    SPACES = (("rec",), ("eids", "ends"), ("deg", "ratio", "hood_start", "hood_len"), ("hood",))
     REC, EDGE, NODE, HOOD = range(4)  # the index spaces, whose arrays SPACES names
 
     def __init__(self):
         self.used = [0] * len(self.SPACES)  # rows per space
+        self.room = [0] * len(self.SPACES)  # rows the arrays of each space hold
         self._last = None  # the snapshot the last record holds
 
-    def _append(self, space, **cols):
-        """Append rows to the arrays of one space; returns the first row."""
-        n, k = self.used[space], len(next(iter(cols.values())))
-        for name, rows in cols.items():
-            arr = self.__dict__.get(name, rows[:0])
-            if len(arr) < n + k:  # doubling, so appends cost O(1) amortized
-                arr, old = np.empty((max(n + k, 2 * n),) + rows.shape[1:], rows.dtype), arr
-                arr[:n] = old[:n]
-                setattr(self, name, arr)
-            arr[n:n + k] = rows
-        self.used[space] += k
-        return n
+    def _grow(self, sub):
+        """At least double the rows of each space short of room, so appends
+        cost O(1) amortized; the first snapshot sets dtypes and widths."""
+        first = dict(rec=np.zeros((0, 6), dtype=np.int64), eids=sub.eids, ends=sub.ends,
+                     deg=sub.node_degrees, ratio=sub.edge_ratio, hood_start=sub.hood_ptr,
+                     hood_len=sub.hood_ptr, hood=sub.hood)
+        for space, names in enumerate(self.SPACES):
+            room, need = self.room[space], self.used[space]
+            if need > room:
+                self.room[space] = max(need, 2 * room)
+                for name in names:
+                    old = self.__dict__.get(name, first[name])
+                    arr = np.empty((self.room[space],) + old.shape[1:], old.dtype)
+                    arr[:room] = old[:room]
+                    setattr(self, name, arr)
 
     def add(self, sub):
         """Append a sampled snapshot, unless it is the last one added (the
         same object, as an episode hands a next state on); returns its record."""
         if sub is not self._last:
-            self._last, lens = sub, np.diff(sub.hood_ptr)
-            hood0 = self._append(self.HOOD, hood=sub.hood)
-            node0 = self._append(self.NODE, deg=sub.node_degrees,
-                                 hood_start=sub.hood_ptr[:-1] + hood0, hood_len=lens)
-            edge0 = self._append(self.EDGE, eids=sub.eids, ends=sub.ends + node0)
-            rec = np.array([[edge0, node0, hood0, len(sub.eids), len(lens), len(sub.hood)]])
-            self._append(self.REC, rec=rec, ratio=sub.edge_ratio[:1, 0])
+            self._last, ptr = sub, sub.hood_ptr
+            r, e0, n0, h0 = self.used
+            e, n, h = len(sub.eids), len(ptr) - 1, len(sub.hood)
+            self.used[:] = r + 1, e0 + e, n0 + n, h0 + h
+            if any(map(int.__gt__, self.used, self.room)):
+                self._grow(sub)
+            self.rec[r] = e0, n0, h0, e, n, h
+            self.eids[e0:e0 + e] = sub.eids
+            np.add(sub.ends, n0, out=self.ends[e0:e0 + e])
+            self.deg[n0:n0 + n] = sub.node_degrees
+            self.ratio[n0:n0 + n] = sub.edge_ratio
+            np.add(ptr[:-1], h0, out=self.hood_start[n0:n0 + n])
+            np.subtract(ptr[1:], ptr[:-1], out=self.hood_len[n0:n0 + n])
+            self.hood[h0:h0 + h] = sub.hood
         return self.used[self.REC] - 1
 
     def drop_before(self, first):
@@ -86,7 +97,7 @@ class SnapshotStore:
         lo = [int(first), *self.rec[first, :3].tolist()]
         if all(2 * a <= n for a, n in zip(lo, self.used)):
             return False
-        self.used = [n - a for a, n in zip(lo, self.used)]
+        self.used[:] = [n - a for a, n in zip(lo, self.used)]
         for names, a, n in zip(self.SPACES, lo, self.used):
             for name in names:
                 arr = getattr(self, name)
@@ -96,12 +107,13 @@ class SnapshotStore:
         self.hood_start[:self.used[self.NODE]] -= lo[self.HOOD]
         return True
 
-    def _snapshot(self, eids, ends, nrows, hood, ratio):
+    def _snapshot(self, eids, ends, nrows, hood):
         """Candidates `eids`, `ends` over store node rows `nrows`, whose
-        neighborhoods `hood` holds, with edge-kept ratios `ratio`."""
+        neighborhoods `hood` holds."""
         hood_ptr = np.concatenate(([0], np.cumsum(self.hood_len.take(nrows))))
         return CandidateSubgraph(eids=eids, ends=ends, hood_ptr=hood_ptr, hood=hood,
-                                 node_degrees=self.deg.take(nrows, axis=0), edge_ratio=ratio[:, None])
+                                 node_degrees=self.deg.take(nrows, axis=0),
+                                 edge_ratio=self.ratio.take(nrows, axis=0))
 
     def candidates(self, recs):
         """Every candidate of records `recs`, laid out as their snapshots'
@@ -111,8 +123,7 @@ class SnapshotStore:
         erows, nrows = concat_ranges(e0, edges), concat_ranges(n0, nodes)
         ends = self.ends.take(erows, axis=0) - np.repeat(n0 - np.cumsum(nodes) + nodes, edges)[:, None]
         hood = self.hood.take(concat_ranges(h0, hoods))  # a record's hoods lie together
-        ratio = np.repeat(self.ratio.take(recs), nodes)
-        sub = self._snapshot(self.eids.take(erows), ends, nrows, hood, ratio)
+        sub = self._snapshot(self.eids.take(erows), ends, nrows, hood)
         return sub, np.cumsum(edges) - edges, edges
 
     def rows(self, recs, rows):
@@ -122,8 +133,7 @@ class SnapshotStore:
         erows = self.rec.take(recs, axis=0)[:, 0] + rows
         nrows = self.ends.take(erows, axis=0).reshape(-1)
         hood = self.hood.take(concat_ranges(self.hood_start.take(nrows), self.hood_len.take(nrows)))
-        return self._snapshot(self.eids.take(erows), np.arange(len(nrows)).reshape(-1, 2), nrows, hood,
-                              np.repeat(self.ratio.take(recs), 2))
+        return self._snapshot(self.eids.take(erows), np.arange(len(nrows)).reshape(-1, 2), nrows, hood)
 
 
 class ReplayBuffer:

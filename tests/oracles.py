@@ -23,6 +23,10 @@ per transition.
 two gathers, `SnapshotStore.candidates` and `SnapshotStore.rows`, must: a
 concatenation of whole snapshots, and a few candidates picked from one.
 
+`sample_subgraph_oracle` is `Graph.sample_subgraph` as it sorted each
+closed neighbourhood with an argsort per sample; it must draw the same
+candidates and lay out the same snapshot, field for field.
+
 `prune_edges_oracle` and `random_prune_oracle` are the per-edge loops that
 `Graph.prune_edges` and `Graph.random_prune` replaced; they must leave every
 array of the graph, stale swap-remove entries included, exactly as the bulk
@@ -49,7 +53,7 @@ import math
 import numpy as np
 
 from prunerl.errors import DataError, PruneRLError, ShapeError
-from prunerl.graph import CandidateSubgraph
+from prunerl.graph import CandidateSubgraph, concat_ranges
 from prunerl.metrics import Partition, modularity
 from prunerl.nnet import Tensor, _scatter_rows
 from prunerl.qmodel import ATTENTION_SLOPE, HIDDEN_SLOPE
@@ -456,6 +460,30 @@ def double_dqn_target_oracle(batch, policy, target, gamma):
 
 
 # ------------------------------------------------------------- graph pruning
+
+
+def sample_subgraph_oracle(g, size, rng):
+    """`Graph.sample_subgraph` before the graph kept `nbr_order`, for
+    1 <= size and a live edge: the endpoints' CSR rows read in edge-id order,
+    then one argsort on (segment, 0 for the node itself or 1 + neighbour)
+    orders each hood."""
+    picked = rng.choice(g._live_ids[: g.edge_count], size=min(size, g.edge_count), replace=False)
+    pairs = np.stack([g.src[picked], g.dst[picked]], axis=1)
+    nodes = np.unique(pairs)
+    starts, counts = g.indptr[nodes], g.indptr[nodes + 1] - g.indptr[nodes]
+    rows = concat_ranges(starts, counts)
+    live = g.alive[g.eids[rows]]
+    nbrs = g.nbrs[rows[live]]
+    seg = np.concatenate([np.arange(nodes.size), np.repeat(np.arange(nodes.size), counts)[live]])
+    order = np.argsort(seg * (g.node_count + 1) + np.concatenate([np.zeros_like(nodes), nbrs + 1]))
+    return CandidateSubgraph(
+        eids=picked,
+        ends=np.searchsorted(nodes, pairs),
+        hood_ptr=np.concatenate(([0], np.cumsum(np.bincount(seg)))),
+        hood=np.concatenate([nodes, nbrs])[order],
+        node_degrees=g.deg[nodes],
+        edge_ratio=np.full((nodes.size, 1), g.edge_kept_ratio()),
+    )
 
 
 def prune_edges_oracle(g, eids):

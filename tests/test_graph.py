@@ -11,7 +11,8 @@ from prunerl.graph import CandidateSubgraph, Graph, load_communities, load_edge_
 from conftest import (complete_graph, degree_of, edge_id, make_graph, neighbors, path_graph,
                       random_sparse_graph, shortest_path_distance)
 from oracles import (adjacency, concat_oracle, copy_listed_oracle, edge_views,
-                     load_edge_list_oracle, pick_oracle, prune_edges_oracle, random_prune_oracle)
+                     load_edge_list_oracle, pick_oracle, prune_edges_oracle, random_prune_oracle,
+                     sample_subgraph_oracle)
 
 
 class TestLoadEdgeList:
@@ -353,25 +354,45 @@ class TestSampleSubgraph:
         g.random_prune(5, rng)
         assert np.all(sub.node_degrees == 3)
 
-    @pytest.mark.parametrize("directed", [False, True])
-    def test_node_snapshot_matches_live_graph(self, karate, rng, directed):
-        g = karate.copy() if not directed else make_graph(
-            5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (4, 0), (2, 4)], directed=True)
-        g.random_prune(2, rng)
-        sub = g.sample_subgraph(4, rng)
-        pairs = np.stack([g.src[sub.eids], g.dst[sub.eids]], axis=1)
-        assert np.array_equal(sub.nodes[sub.ends], pairs)
-        ends = sorted(set(pairs.ravel().tolist()))
-        assert sub.nodes.tolist() == ends
-        assert len(sub.hood_ptr) == len(ends) + 1
-        for i, n in enumerate(ends):
-            hood = sub.hood[sub.hood_ptr[i]:sub.hood_ptr[i + 1]].tolist()
-            assert hood == [n] + sorted(neighbors(g, n))
-            deg = degree_of(g, n)
-            assert tuple(sub.node_degrees[i]) == (deg if directed else (deg,))
-        expected = [[*np.atleast_1d(degree_of(g, u)), *np.atleast_1d(degree_of(g, v))]
-                    for u, v in pairs.tolist()]
-        assert np.array_equal(sub.node_degrees[sub.ends].reshape(len(sub), -1), expected)
+    @pytest.mark.parametrize("directed, shuffled", [(False, False), (True, False), (False, True),
+                                                    (True, True)],
+                             ids=["False", "True", "shuffled-undirected", "shuffled-directed"])
+    def test_node_snapshot_matches_live_graph(self, karate, rng, directed, shuffled):
+        """Each hood is its node, then its sorted live (out-)neighbours, and
+        the snapshot equals the argsort oracle's field for field under the
+        same rng. The shuffled cases list a random graph's edges in random
+        order, so that no CSR row is in neighbour order by chance (karate's
+        file nearly is), and sample every |H| up to all live edges."""
+        if shuffled:
+            h = random_sparse_graph(40, 150, rng, directed=directed)
+            edges = np.stack([h.src, h.dst], axis=1)[rng.permutation(150)]
+            g = make_graph(40, edges, directed=directed)
+            g.random_prune(50, rng)
+        else:
+            g = karate.copy() if not directed else make_graph(
+                5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (4, 0), (2, 4)], directed=True)
+            g.random_prune(2, rng)
+        for size in range(1, g.edge_count + 1) if shuffled else [4]:
+            seed = int(rng.integers(2**32))
+            sub = g.sample_subgraph(size, np.random.default_rng(seed))
+            want = sample_subgraph_oracle(g, size, np.random.default_rng(seed))
+            for f in fields(CandidateSubgraph):
+                got = getattr(sub, f.name)
+                np.testing.assert_array_equal(got, getattr(want, f.name), f.name)
+                assert got.dtype == getattr(want, f.name).dtype, f.name
+            pairs = np.stack([g.src[sub.eids], g.dst[sub.eids]], axis=1)
+            assert np.array_equal(sub.nodes[sub.ends], pairs)
+            ends = sorted(set(pairs.ravel().tolist()))
+            assert sub.nodes.tolist() == ends
+            assert len(sub.hood_ptr) == len(ends) + 1
+            for i, n in enumerate(ends):
+                hood = sub.hood[sub.hood_ptr[i]:sub.hood_ptr[i + 1]].tolist()
+                assert hood == [n] + sorted(neighbors(g, n))
+                deg = degree_of(g, n)
+                assert tuple(sub.node_degrees[i]) == (deg if directed else (deg,))
+            expected = [[*np.atleast_1d(degree_of(g, u)), *np.atleast_1d(degree_of(g, v))]
+                        for u, v in pairs.tolist()]
+            assert np.array_equal(sub.node_degrees[sub.ends].reshape(len(sub), -1), expected)
 
 
 class TestConcatAndPick:

@@ -1,7 +1,9 @@
 import gc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from prunerl import nnet
 from prunerl.errors import PruneRLError, ShapeError
@@ -314,13 +316,13 @@ class TestAttentionRemap:
     @pytest.mark.parametrize("case", [karate_union, wide_table])
     def test_rows_equal_np_unique(self, case, monkeypatch):
         model, ptr, hood = case(np.random.default_rng(1))
-        seen, real = [], nnet.csr_matrix
+        seen, real = [], nnet._sparsetools.csr_matvecs
 
-        def spy(arg, shape):
-            seen.append((arg[1], shape[1]))
-            return real(arg, shape=shape)
+        def spy(n_row, n_col, n_vecs, indptr, indices, *arrays):
+            seen.append((indices, n_col))
+            return real(n_row, n_col, n_vecs, indptr, indices, *arrays)
 
-        monkeypatch.setattr(nnet, "csr_matrix", spy)
+        monkeypatch.setattr(nnet, "_sparsetools", SimpleNamespace(csr_matvecs=spy))
         attend(model, ptr, hood, grad=False)
         (rows, k), = seen
         uniq = np.empty(k, dtype=hood.dtype)
@@ -339,6 +341,33 @@ class TestAttentionRemap:
         assert np.array_equal(out.data, oracle.data)
         for got, want in zip(grads_of(out, params, np.random.default_rng(3)), expected):
             assert np.array_equal(got, want)
+
+
+class TestSparseKernels:
+    """`graph_attention` calls scipy's private product kernels itself; held
+    bit for bit to the public `csr_matrix` products they stand for, so that a
+    scipy release that changes them fails here."""
+
+    @pytest.mark.parametrize("width", [1, 4, 16, 33])
+    def test_kernels_equal_csr_matrix_products(self, width):
+        rng = np.random.default_rng(width)
+        lens = rng.integers(1, 7, size=40)
+        lens[::3] = 1  # one-entry segments
+        count, k = len(lens), 25
+        ptr = np.concatenate(([0], np.cumsum(lens))).astype(np.int32)
+        rows = rng.integers(k, size=ptr[-1]).astype(np.int32)
+        att = rng.random(ptr[-1])
+        x = rng.standard_normal((k, width))
+        y = rng.standard_normal((count, width + 3))[:, 1:width + 1]
+        assert not y.flags.c_contiguous  # as concat_features hands back a slice
+        weights = csr_matrix((att, rows, ptr), shape=(count, k))
+        out = np.zeros((count, width))
+        nnet._sparsetools.csr_matvecs(count, k, width, ptr, rows, att, x.ravel(), out.ravel())
+        assert np.array_equal(out, weights @ x)
+        back = np.zeros((k, width))
+        nnet._sparsetools.csc_matvecs(k, count, width, ptr, rows, att,
+                                      np.ascontiguousarray(y).ravel(), back.ravel())
+        assert np.array_equal(back, weights.T @ y)
 
 
 class TestGATEncode:
