@@ -30,7 +30,8 @@ def random_edge(g, r, rng):
 
 def _exponent_search(g, r, survivors_at):
     """Binary-search an exponent in [0, 1] so the surviving edge count best
-    matches `g.edge_budget(r)`. Warns when no exponent lands within one edge."""
+    matches `g.edge_budget(r)`. Returns (exponent, sorted kept edge ids); the
+    kept count can miss the budget, and callers report the count achieved."""
     target = g.edge_budget(r)
     lo, hi = 0.0, 1.0
     best = None
@@ -50,13 +51,7 @@ def _exponent_search(g, r, survivors_at):
         kept = survivors_at(cand)
         if abs(len(kept) - target) < abs(len(best[1]) - target):
             best = (cand, kept)
-    exponent, kept = best
-    if abs(len(kept) - target) > 1:
-        log.warning(
-            "exponent search: closest achievable kept count %d vs target %d",
-            len(kept), target,
-        )
-    return exponent, kept
+    return best
 
 
 def _degree_ranked(g, key, keep_count, r, exponent):

@@ -242,18 +242,20 @@ def cmd_h_sweep(args):
     agent = _load_agent_if(args.checkpoint, graph)
     objective = make_reward_spec(args.metric, graph,
                                  labels=_load_labels_if(args.labels, graph))
-    rows = []
-    for h in args.subgraph_lens:
-        for seed in range(args.seeds):
+    series = [[None] * args.seeds for _ in args.subgraph_lens]
+    # seed-major, so that host drift over the run lands on every |H| alike
+    for seed in range(args.seeds):
+        for runs, h in zip(series, args.subgraph_lens):
             rng = np.random.default_rng(seed)
             t0 = time.perf_counter()
             sp = agent.sparsify(graph, args.ratio, h, rng)
             elapsed = time.perf_counter() - t0
             value = objective.evaluate(sp, np.random.default_rng(seed),
                                        louvain_runs=args.louvain_runs)
-            rows.append({"subgraph_len": h, "ratio": args.ratio,
-                         "metric": args.metric, "seed": seed, "value": value,
-                         "wall_time_s": elapsed})
+            runs[seed] = {"subgraph_len": h, "ratio": args.ratio,
+                          "metric": args.metric, "seed": seed, "value": value,
+                          "wall_time_s": elapsed}
+    rows = [row for runs in series for row in runs]
     if args.out:
         _write_csv(args.out, rows,
                    ["subgraph_len", "ratio", "metric", "seed", "value", "wall_time_s"])

@@ -174,9 +174,10 @@ class Graph:
         self.edge_count -= 1
 
     def prune_edges(self, eids):
-        """Remove live edges by id, leaving every array exactly as a
-        `prune_edge` loop over the same ids in the same order would. A dead
-        or repeated id raises before anything changes."""
+        """Remove live edges by id. The kept set and degrees end as a
+        `prune_edge` loop over the same ids would leave them; the live id
+        list ends in edge-id order. A dead or repeated id raises before
+        anything changes."""
         eids = np.asarray(eids, dtype=np.int64)
         alive = self.alive.copy()
         alive[eids] = False
@@ -189,31 +190,19 @@ class Graph:
         self.alive[:] = alive
         self.deg[:, -1] -= np.bincount(self.src[eids], minlength=self.node_count)
         self.deg[:, 0] -= np.bincount(self.dst[eids], minlength=self.node_count)
-        # the swap-removes of the loop, in order, on Python lists
-        ids, pos = self._live_ids.tolist(), self._live_pos.tolist()
-        n = self.edge_count
-        for eid in eids.tolist():
-            n -= 1
-            p, last = pos[eid], ids[n]
-            ids[p], pos[last] = last, p
-        self._live_ids[:], self._live_pos[:] = ids, pos
-        self.edge_count = n
+        self.edge_count -= eids.size
+        live = np.flatnonzero(alive)
+        self._live_ids[: live.size] = live
+        self._live_pos[live] = np.arange(live.size)
 
     def random_prune(self, count, rng):
-        """Prune `count` distinct live edges uniformly at random."""
+        """Prune `count` distinct live edges uniformly at random. The draw
+        depends on the live set and `rng` alone, not on the pruning history."""
         if count < 0 or count > self.edge_count:
             raise PruneRLError(
                 f"cannot prune {count} of {self.edge_count} live edges"
             )
-        # draw i is uniform over the edge_count - i edges still live then,
-        # consuming the rng as one draw per prune would
-        ids, n = self._live_ids[: self.edge_count].tolist(), self.edge_count
-        picked = []
-        for p in rng.integers(np.arange(n, n - count, -1)).tolist():
-            n -= 1
-            picked.append(ids[p])
-            ids[p] = ids[n]
-        self.prune_edges(picked)
+        self.prune_edges(rng.choice(self.live_edge_ids(), count, replace=False))
 
     def copy_keeping(self, eids):
         """A copy in which only the edges of `eids` that are live here stay live."""

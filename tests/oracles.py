@@ -27,10 +27,11 @@ concatenation of whole snapshots, and a few candidates picked from one.
 closed neighbourhood with an argsort per sample; it must draw the same
 candidates and lay out the same snapshot, field for field.
 
-`prune_edges_oracle` and `random_prune_oracle` are the per-edge loops that
-`Graph.prune_edges` and `Graph.random_prune` replaced; they must leave every
-array of the graph, stale swap-remove entries included, exactly as the bulk
-forms do. `load_edge_list_oracle` is the dict/set loop that compacted ids and
+`prune_edges_oracle` is the per-edge loop that `Graph.prune_edges`
+replaced; both must leave the same kept set, live edge count and degrees.
+The private live id list, which sampling draws from, ends in swap-remove
+order after the loop and in edge-id order after the bulk form.
+`load_edge_list_oracle` is the dict/set loop that compacted ids and
 dropped self-loops and repeats before `load_edge_list` did both with arrays,
 and `copy_listed_oracle` the per-line edge lookup (`conftest.edge_id`) that `Graph.copy_listed`
 replaced with one sorted-key search.
@@ -490,15 +491,6 @@ def prune_edges_oracle(g, eids):
     """`Graph.prune_edges` as one `prune_edge` call per id."""
     for eid in eids:
         g.prune_edge(int(eid))
-
-
-def random_prune_oracle(g, count, rng):
-    """`Graph.random_prune` as one draw and one `prune_edge` per edge."""
-    if count < 0 or count > g.edge_count:
-        raise PruneRLError(f"cannot prune {count} of {g.edge_count} live edges")
-    for _ in range(count):
-        pos = int(rng.integers(g.edge_count))
-        g.prune_edge(int(g._live_ids[pos]))
 
 
 def copy_listed_oracle(g, path):

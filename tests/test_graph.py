@@ -11,8 +11,7 @@ from prunerl.graph import CandidateSubgraph, Graph, load_communities, load_edge_
 from conftest import (complete_graph, degree_of, edge_id, make_graph, neighbors, path_graph,
                       random_sparse_graph, shortest_path_distance)
 from oracles import (adjacency, concat_oracle, copy_listed_oracle, edge_views,
-                     load_edge_list_oracle, pick_oracle, prune_edges_oracle, random_prune_oracle,
-                     sample_subgraph_oracle)
+                     load_edge_list_oracle, pick_oracle, prune_edges_oracle, sample_subgraph_oracle)
 
 
 class TestLoadEdgeList:
@@ -243,15 +242,54 @@ class TestRandomPrune:
             counts[dead.pop()] += 1
         assert np.all(np.abs(counts / trials - 1 / 6) < 0.02)
 
+    def test_k4_uniform_pairs(self, rng):
+        # each of the 15 edge pairs removed with frequency 1/15 +- 0.015 when count=2
+        counts = np.zeros((6, 6))
+        trials = 10_000
+        base = complete_graph(4)
+        for _ in range(trials):
+            g = base.copy()
+            g.random_prune(2, rng)
+            counts[tuple(np.flatnonzero(~g.alive))] += 1
+        pairs = counts[np.triu_indices(6, 1)]
+        assert pairs.sum() == trials
+        assert np.all(np.abs(pairs / trials - 1 / 15) < 0.015)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_draw_ignores_pruning_history(self, directed):
+        """One live set reached by two prune orders: the same seed prunes
+        the same edges on both."""
+        g = random_sparse_graph(40, 150, np.random.default_rng(5), directed=directed)
+        dead = np.random.default_rng(6).permutation(150)[:60]
+        forward, backward = g.copy(), g.copy()
+        prune_edges_oracle(forward, dead)
+        prune_edges_oracle(backward, dead[::-1])
+        assert not np.array_equal(forward._live_ids[:90], backward._live_ids[:90])
+        for count in (0, 1, 37, 90):
+            a, b = forward.copy(), backward.copy()
+            a.random_prune(count, np.random.default_rng(7))
+            b.random_prune(count, np.random.default_rng(7))
+            np.testing.assert_array_equal(a.alive, b.alive)
+
 
 def graph_state(g):
-    """Every array pruning writes, stale swap-remove entries included."""
-    return [g.edge_count, g.alive, g._live_ids, g._live_pos, g.deg]
+    """The state pruning writes that leaves the graph: live count, liveness, degrees."""
+    return [g.edge_count, g.alive, g.deg]
+
+
+def assert_live_list(g):
+    """The invariant sampling relies on: the first edge_count entries of the
+    private live id list are the live ids, and `_live_pos` inverts them."""
+    n = g.edge_count
+    np.testing.assert_array_equal(np.sort(g._live_ids[:n]), g.live_edge_ids())
+    np.testing.assert_array_equal(g._live_pos[g._live_ids[:n]], np.arange(n))
 
 
 def assert_same_state(a, b):
     for x, y in zip(graph_state(a), graph_state(b), strict=True):
         np.testing.assert_array_equal(x, y)
+    assert_live_list(a)
+    assert_live_list(b)
 
 
 class TestPruneEdges:
@@ -296,19 +334,29 @@ class TestPruneEdges:
         assert_same_state(graph, before)
 
 
-class TestRandomPruneMatchesPerDrawLoop:
+class TestLiveListInvariant:
     @pytest.mark.parametrize("directed", [False, True])
-    @pytest.mark.parametrize("count", [0, 1, 37, "all"])
-    def test_state_and_rng_match(self, count, directed):
-        g = random_sparse_graph(40, 150, np.random.default_rng(5), directed=directed)
-        random_prune_oracle(g, 30, np.random.default_rng(6))
-        count = g.edge_count if count == "all" else count
-        loop, rng_loop, rng = g.copy(), np.random.default_rng(7), np.random.default_rng(7)
-        random_prune_oracle(loop, count, rng_loop)
-        g.random_prune(count, rng)
-        assert_same_state(g, loop)
-        # the vectorized draw consumed the generator exactly as the loop did
-        assert rng.integers(1 << 62) == rng_loop.integers(1 << 62)
+    def test_holds_through_mixed_pruning(self, directed):
+        """A random mix of one-edge, bulk and random prunes and kept-set
+        copies keeps the live id list a permutation of the live ids."""
+        rng = np.random.default_rng(8)
+        g = random_sparse_graph(60, 300, rng, directed=directed)
+        for _ in range(200):
+            live = g.live_edge_ids()
+            step = int(rng.integers(4))
+            if step == 0:
+                g.prune_edge(int(rng.choice(live)))
+            elif step == 1:
+                g.prune_edges(rng.permutation(live)[: int(rng.integers(min(live.size, 5) + 1))])
+            elif step == 2:
+                g.random_prune(int(rng.integers(min(live.size, 5) + 1)), rng)
+            else:
+                g = g.copy_keeping(live[rng.random(live.size) < 0.95])
+            assert_live_list(g)
+            if g.edge_count == 0:
+                break
+            sub = g.sample_subgraph(8, rng)
+            assert g.alive[sub.eids].all()
 
 
 class TestSampleSubgraph:
