@@ -33,5 +33,5 @@ spsp = spsp_penalty(gp, queries)
 print(f"mean shortest-path increase over 200 pairs: {spsp:.4f} hops")
 
 part = louvain(gp, rng)
-print(f"Louvain on the pruned graph: {len(set(part.labels.values()))} "
+print(f"Louvain on the pruned graph: {len(np.unique(part.labels))} "
       f"communities, modularity {part.modularity:.4f}")

@@ -4,7 +4,7 @@ The community objective pays the agent the change in agreement between
 Louvain's partition and ground-truth labels, plus a per-edge bonus keyed to
 whether the pruned edge crossed communities (label_sign=-1 rewards cutting
 inter-community edges). The result should preserve more modularity than
-random pruning at the same budget. Takes about a minute.
+random pruning at the same budget. Takes about ten seconds.
 """
 
 import numpy as np

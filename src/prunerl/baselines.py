@@ -267,7 +267,7 @@ def baswana_sen_spanner(g, t_stretch, rng):
         for c, (u, eid) in lightest_per_cluster(v).items():
             spanner.add(eid)
 
-    out = g.copy_keeping(spanner)
+    out = g.copy_keeping(np.fromiter(spanner, dtype=np.int64, count=len(spanner)))
     out.method_params = {"method": "baswana_sen_spanner", "t": t_stretch, "k": k}
     return out
 

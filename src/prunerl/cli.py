@@ -316,7 +316,7 @@ def build_parser():
     sc = sub.add_parser("spanner-compare", help="match the agent against the spanner")
     sc.add_argument("--dataset", required=True)
     sc.add_argument("--checkpoint", required=True)
-    sc.add_argument("--stretch", type=int, nargs="+", default=[3, 5, 7])
+    sc.add_argument("--stretch", type=_positive_int, nargs="+", default=[3, 5, 7])
     sc.add_argument("--runs", type=_positive_int, default=16)
     sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--spsp-pairs", dest="spsp_pairs", type=_positive_int, default=512)

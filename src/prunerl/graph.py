@@ -205,10 +205,10 @@ class Graph:
         self.prune_edges(rng.choice(self.live_edge_ids(), count, replace=False))
 
     def copy_keeping(self, eids):
-        """A copy in which only the edges of `eids` that are live here stay live."""
+        """A copy in which only the ids of the array `eids` that are live here stay live."""
         out = self.copy()
         live = self.live_edge_ids()
-        out.prune_edges(live[~np.isin(live, np.fromiter(eids, dtype=np.int64))])
+        out.prune_edges(live[~np.isin(live, eids)])
         return out
 
     def sample_subgraph(self, size, rng):
@@ -321,10 +321,11 @@ def load_edge_list(path, directed=False):
 def load_communities(path, graph):
     """Load ground-truth communities: one community per line, space-separated ids.
 
-    Returns a dict mapping compact node id -> community index. Communities
-    must be non-overlapping, and every listed id must exist in the graph.
+    Returns the int64 array of each compact node id's community index, -1
+    for a node no line lists. Communities must be non-overlapping, and every
+    listed id must exist in the graph.
     """
-    labels = {}
+    labels = np.full(graph.node_count, -1, dtype=np.int64)
     with open(path) as f:
         idx = 0
         for line_no, raw in enumerate(f, start=1):
@@ -340,7 +341,7 @@ def load_communities(path, graph):
                 if node not in graph.id_map:
                     raise CommunityFileError(f"{path}: node id {node} not in graph")
                 cid = graph.id_map[node]
-                if cid in labels:
+                if labels[cid] >= 0:
                     raise CommunityFileError(
                         f"{path}: node id {node} appears in more than one community"
                     )

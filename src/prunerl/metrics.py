@@ -10,7 +10,7 @@ dense solve), except Louvain's list sweeps.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
@@ -25,7 +25,7 @@ UNREACHABLE = math.inf
 class Partition:
     """Node-to-community labels plus the modularity of that split."""
 
-    labels: dict  # node id -> community index
+    labels: np.ndarray  # (|V|,) community index of each node
     modularity: float
 
 
@@ -33,17 +33,17 @@ class Partition:
 class PathQuerySet:
     """(u, v) query pairs with per-pair baseline distances in a fixed graph."""
 
-    pairs: list  # list[(u, v)]
-    baseline: list = field(default_factory=list)  # distances, inf = unreachable
+    pairs: np.ndarray  # (k, 2) int64 node ids
+    baseline: np.ndarray  # (k,) float hop distances, inf = unreachable
 
     @classmethod
     def from_graph(cls, g, pairs):
-        for u, v in pairs:
-            if u == v:
-                raise PruneRLError(f"SPSP pair must have distinct endpoints, got ({u},{v})")
-        q = cls(pairs=list(pairs))
-        q.baseline = batch_spsp(g, q.pairs)
-        return q
+        pairs = np.asarray(pairs, dtype=np.int64)
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            u, v = pairs[np.argmax(loops)].tolist()
+            raise PruneRLError(f"SPSP pair must have distinct endpoints, got ({u},{v})")
+        return cls(pairs=pairs, baseline=batch_spsp(g, pairs))
 
     @classmethod
     def sample(cls, g, max_pairs, rng):
@@ -52,7 +52,9 @@ class PathQuerySet:
 
 
 def sample_pairs(g, max_pairs, rng):
-    """Fixed random distinct pairs, capped at n*(n-1)/2 for undirected graphs."""
+    """Fixed random distinct pairs as a (k, 2) array, capped at n*(n-1)/2 for
+    undirected graphs. Each pair is two scalar draws: a vectorized draw would
+    take another rng stream."""
     n = g.node_count
     cap = n * (n - 1) // 2 if not g.directed else n * (n - 1)
     k = min(max_pairs, cap)
@@ -63,7 +65,7 @@ def sample_pairs(g, max_pairs, rng):
         if u != v and key not in seen:
             seen.add(key)
             pairs.append((u, v))
-    return pairs
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 # ------------------------------------------------------------------- pagerank
@@ -135,16 +137,15 @@ def spearman_rho_ranked(ra, b):
 # -------------------------------------------------------------------- louvain
 
 
-def modularity(g, partition_labels):
-    """Q = sum_c [ m_c/m - (d_c/2m)^2 ] over live edges; 0 when edgeless."""
+def modularity(g, labels):
+    """Q = sum_c [ m_c/m - (d_c/2m)^2 ] over live edges, for the (|V|,) array
+    of each node's community; 0 when edgeless."""
     if g.directed:
         raise PruneRLError("modularity requires an undirected graph")
     m = g.edge_count
     if m == 0:
         return 0.0
-    labels = partition_labels.labels if isinstance(partition_labels, Partition) else partition_labels
-    _, first, comm = np.unique([labels[n] for n in range(g.node_count)],
-                               return_index=True, return_inverse=True)
+    _, first, comm = np.unique(labels, return_index=True, return_inverse=True)
     eids = g.live_edge_ids()
     cu, cv = comm[g.src[eids]], comm[g.dst[eids]]
     intra = np.bincount(cu[cu == cv], minlength=first.size).tolist()
@@ -169,7 +170,7 @@ def louvain(g, rng):
         raise PruneRLError("louvain requires an undirected graph")
     n = g.node_count
     if g.edge_count == 0:
-        return Partition(labels={i: i for i in range(n)}, modularity=0.0)
+        return Partition(labels=np.arange(n), modularity=0.0)
 
     # unit-weight rows, the live CSR rows: neighbours in edge id order, which breaks ties
     indptr, nbrs, _ = (a.tolist() for a in g.live_csr())
@@ -240,21 +241,18 @@ def louvain(g, rng):
         if len(kept) == nn:
             break
 
-    labels = dict(enumerate(label.tolist()))
-    return Partition(labels=labels, modularity=modularity(g, labels))
+    return Partition(labels=label, modularity=modularity(g, label))
 
 
 # ------------------------------------------------------------------------ ari
 
 
 def adjusted_rand_index(a, b):
-    """Chance-corrected Rand index between two labelings of the same nodes."""
-    keys = sorted(a.keys()) if isinstance(a, dict) else list(range(len(a)))
-    if isinstance(b, dict):
-        if set(b.keys()) != set(keys):
-            raise PruneRLError("adjusted_rand_index: label maps cover different nodes")
-    la = np.array([a[k] for k in keys])
-    lb = np.array([b[k] for k in keys])
+    """Chance-corrected Rand index between two label arrays over the same nodes."""
+    la, lb = np.asarray(a), np.asarray(b)
+    if la.shape != lb.shape or la.ndim != 1:
+        raise PruneRLError(f"adjusted_rand_index needs two equal-length label vectors, "
+                           f"got {la.shape} vs {lb.shape}")
     n = la.size
     if n < 2:
         raise PruneRLError("adjusted_rand_index needs at least 2 nodes")
@@ -298,9 +296,7 @@ def bfs_distances(g, source):
 
 
 def batch_spsp(g, pairs):
-    """Distances for many pairs, from one search over their distinct sources."""
-    if not pairs:
-        return []
-    sources, row = np.unique([u for u, _ in pairs], return_inverse=True)
-    dist = _hop_distances(g, sources)[row, [v for _, v in pairs]]
-    return [UNREACHABLE if d == UNREACHABLE else int(d) for d in dist.tolist()]
+    """Hop distances of (k, 2) pairs (inf where unreachable), from one search
+    over their distinct sources."""
+    sources, row = np.unique(pairs[:, 0], return_inverse=True)
+    return _hop_distances(g, sources)[row, pairs[:, 1]]

@@ -9,7 +9,6 @@ evaluation never pays for them.
 """
 
 import inspect
-import math
 
 import numpy as np
 
@@ -30,14 +29,11 @@ def spsp_penalty(gp, queries):
     """Mean shortest-path increase over the query set (a penalty: lower is
     better). Pairs that become unreachable count as |V|; pairs that were
     already unreachable in the baseline contribute 0."""
-    dists = batch_spsp(gp, queries.pairs)
-    diffs = []
-    for d0, d1 in zip(queries.baseline, dists):
-        if d1 == math.inf:
-            diffs.append(0.0 if d0 == math.inf else float(gp.node_count))
-        else:
-            diffs.append(float(d1 - d0))
-    return float(np.mean(diffs)) if diffs else 0.0
+    d0, d1 = queries.baseline, batch_spsp(gp, queries.pairs)
+    diffs = np.where(d0 == np.inf, 0.0, float(gp.node_count))
+    reach = d1 != np.inf  # only these are subtracted: inf - inf would warn
+    diffs[reach] = d1[reach] - d0[reach]
+    return float(np.mean(diffs)) if diffs.size else 0.0
 
 
 def sample_training_pairs(gp, eid, k, rng):
@@ -49,14 +45,13 @@ def sample_training_pairs(gp, eid, k, rng):
     n = gp.node_count
     if n <= 2:
         raise PruneRLError("graph too small to sample shortest-path pairs")
-    ends = (int(gp.src[eid]), int(gp.dst[eid]))
-    lo, hi = sorted(ends)
+    ends = np.array([gp.src[eid], gp.dst[eid]])
     # positions among the n - 2 other nodes in ascending order, stepped past the endpoints
     others = rng.choice(n - 2, size=k, replace=n - 2 < k)
-    others += others >= lo
-    others += others >= hi
-    return PathQuerySet.from_graph(
-        gp, [(endpoint, o) for endpoint in ends for o in others.tolist()])
+    others += others >= ends.min()
+    others += others >= ends.max()
+    # endpoint-major: each endpoint against every sampled node
+    return PathQuerySet.from_graph(gp, np.stack([np.repeat(ends, k), np.tile(others, 2)], axis=1))
 
 
 # ---------------------------------------------------------------- objectives
@@ -126,17 +121,22 @@ class PagerankReward(RewardSpec):
 
 
 class CommunityReward(RewardSpec):
-    """ARI between Louvain(G') and the ground-truth labels. The training
-    reward is ARI(G') - ARI(G) plus the label term: +label_sign when the
-    pruned edge joins two same-label nodes, -label_sign otherwise."""
+    """ARI between Louvain(G') and the ground-truth labels, the (|V|,) array
+    `load_communities` returns (a negative entry: a node no community lists).
+    The training reward is ARI(G') - ARI(G) plus the label term: +label_sign
+    when the pruned edge joins two same-label nodes, -label_sign otherwise."""
 
     def __init__(self, g, labels=None, label_sign=1.0):
-        if not labels:
+        if labels is None:
             raise ConfigError("community objective requires ground-truth labels "
                               "(labels_path / --labels)")
-        missing = [n for n in range(g.node_count) if n not in labels]
-        if missing:
-            raise ConfigError(f"labels missing for {len(missing)} nodes (e.g. {missing[0]})")
+        labels = np.asarray(labels)
+        if labels.shape != (g.node_count,):
+            raise ConfigError(f"labels must be a ({g.node_count},) array, got {labels.shape}")
+        missing = np.flatnonzero(labels < 0)
+        if missing.size:
+            raise ConfigError(f"labels missing for {missing.size} nodes "
+                              f"(e.g. {g.original_ids[missing[0]]})")
         super().__init__(g)
         self.labels = labels
         self.label_sign = label_sign
@@ -145,7 +145,7 @@ class CommunityReward(RewardSpec):
         return adjusted_rand_index(louvain(gp, rng).labels, self.labels)
 
     def after_prune(self, g, eid, ctx, rng):
-        same = self.labels[int(g.src[eid])] == self.labels[int(g.dst[eid])]
+        same = self.labels[g.src[eid]] == self.labels[g.dst[eid]]
         return self._training_score(g) + (self.label_sign if same else -self.label_sign)
 
 
@@ -161,13 +161,14 @@ class SpspReward(RewardSpec):
     def __init__(self, g, pairs_per_endpoint=16):
         self.graph = g
         self.pairs_per_endpoint = pairs_per_endpoint
-        self.queries = {}  # drawn pairs -> their PathQuerySet, searched once
+        self.queries = {}  # drawn pairs' bytes -> their PathQuerySet, searched once
 
     def evaluate(self, gp, rng, louvain_runs=8, spsp_pairs=8196):
-        pairs = tuple(sample_pairs(self.graph, spsp_pairs, rng))
-        if pairs not in self.queries:
-            self.queries[pairs] = PathQuerySet.from_graph(self.graph, pairs)
-        return spsp_penalty(gp, self.queries[pairs])
+        pairs = sample_pairs(self.graph, spsp_pairs, rng)
+        key = pairs.tobytes()
+        if key not in self.queries:
+            self.queries[key] = PathQuerySet.from_graph(self.graph, pairs)
+        return spsp_penalty(gp, self.queries[key])
 
     def on_episode_start(self, g_original, g_working, rng):
         pass  # no Louvain seed to draw

@@ -508,7 +508,7 @@ def copy_listed_oracle(g, path):
                 if eid is None:
                     raise DataError(f"{path}:{line_no}: edge ({a}, {b}) is not in the dataset")
                 kept.append(eid)
-    return g.copy_keeping(kept)
+    return g.copy_keeping(np.array(kept, dtype=np.int64))
 
 
 def load_edge_list_oracle(path, directed=False):
@@ -673,7 +673,7 @@ def louvain_oracle(g, rng, resolution=1.0, min_gain=1e-12):
     visit order and first-seen tie order, on dict rows and numpy scalars."""
     n = g.node_count
     if g.edge_count == 0:
-        return Partition(labels={i: i for i in range(n)}, modularity=0.0)
+        return Partition(labels=np.arange(n), modularity=0.0)
 
     # weighted working graph: list of dicts nbr->weight, loops[i] = self-loop weight
     adj = [dict() for _ in range(n)]
@@ -743,10 +743,9 @@ def louvain_oracle(g, rng, resolution=1.0, min_gain=1e-12):
         if new_n == nn:
             break
 
-    labels = {}
+    labels = np.empty(n, dtype=np.int64)  # the array form `metrics.louvain` returns
     for c, members in enumerate(node_of):
-        for orig in members:
-            labels[orig] = c
+        labels[members] = c
     q = modularity(g, labels)
     return Partition(labels=labels, modularity=q)
 

@@ -198,8 +198,10 @@ class TestExitCodes:
          "--eval-subgraph-len", "0"],
         ["h-sweep", "--dataset", KARATE, "--checkpoint", "c.npz", "--ratio", "0.5",
          "--subgraph-lens", "8", "0"],
+        ["spanner-compare", "--dataset", KARATE, "--checkpoint", "c.npz", "--stretch", "0"],
+        ["spanner-compare", "--dataset", KARATE, "--checkpoint", "c.npz", "--stretch", "3", "-3"],
     ], ids=["spsp-pairs", "seeds", "runs", "workers", "sparsify-eval-subgraph-len",
-            "spanner-eval-subgraph-len", "subgraph-lens"])
+            "spanner-eval-subgraph-len", "subgraph-lens", "stretch-0", "stretch-negative"])
     def test_nonpositive_count_is_usage(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
         assert "must be a positive integer" in capsys.readouterr().err
@@ -273,6 +275,16 @@ DATA_ERRORS = {
         ["evaluate", "--dataset", KARATE, "--sparsified", KARATE, "--metric",
          "community", "--labels", "{labels}"],
         "labels.txt:2: node id 'x3' is not an integer"),
+    "community file that lists no node": (
+        {"labels.txt": "# no communities\n\n"},
+        ["evaluate", "--dataset", KARATE, "--sparsified", KARATE, "--metric",
+         "community", "--labels", "{labels}"],
+        "labels missing for 34 nodes (e.g. 0)"),
+    "community file without one node": (
+        {"tri.txt": "10 20\n20 30\n30 10\n", "labels.txt": "10 20\n"},
+        ["evaluate", "--dataset", "{tri}", "--sparsified", "{tri}", "--metric",
+         "community", "--labels", "{labels}"],
+        "labels missing for 1 nodes (e.g. 30)"),
     "checkpoint for another graph": (
         {"small.txt": "0 1\n1 2\n2 0\n"},
         ["sparsify", "--dataset", "{small}", "--method", "agent", "--checkpoint",

@@ -1,7 +1,9 @@
-"""Smoke test: the quick demos run to completion from the repository root.
+"""Smoke test: the Python demos run to completion from the repository root.
 
-Demos 04 and 05 train for tens of seconds each and are left out; demo 07 is
-the shell pipeline through the CLI.
+The ones that train for several seconds (03 and 04) are marked slow. Demo
+04 is the one end-to-end run of `load_communities` into `CommunityReward`,
+and 05 of the spanner protocol's `PathQuerySet` and `spsp_penalty`. Demo 07
+is the shell pipeline through the CLI.
 """
 
 import os
@@ -18,6 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
     "01_load_prune_measure.py",
     "02_baseline_showdown.py",
     pytest.param("03_bridge_lesson.py", marks=pytest.mark.slow),
+    pytest.param("04_community_aware_pruning.py", marks=pytest.mark.slow),
+    "05_spanner_vs_learned.py",
     "06_subgraph_length_tradeoff.py",
 ])
 def test_demo_exits_0(demo):

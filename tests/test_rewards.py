@@ -38,7 +38,7 @@ from conftest import (
 def bridged_triangles():
     """Two triangles {0,1,2} and {3,4,5} joined by the single edge (2,3)."""
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-    labels = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
+    labels = np.array([0, 0, 0, 1, 1, 1])
     return g, labels
 
 
@@ -134,7 +134,7 @@ class TestRewardCommunity:
         # refuses to be built
         g, _ = bridged_triangles()
         with pytest.raises(ConfigError, match="missing"):
-            CommunityReward(g, {0: 0})
+            CommunityReward(g, np.array([0, -1, -1, -1, -1, -1]))
 
     def test_bridge_prune_recovers_ground_truth(self):
         # removing the inter-community edge leaves two clean triangles, which
@@ -151,7 +151,14 @@ class TestRewardCommunity:
     def test_spec_requires_full_label_coverage(self):
         g, _ = bridged_triangles()
         with pytest.raises(ConfigError, match="missing"):
-            CommunityReward(g, {0: 0, 1: 0})
+            CommunityReward(g, np.array([0, 0, -1, -1, -1, -1]))
+
+    @pytest.mark.parametrize("labels", [np.zeros(5, dtype=np.int64), np.zeros((6, 1)),
+                                        {n: 0 for n in range(6)}])
+    def test_labels_of_another_shape_rejected(self, labels):
+        g, _ = bridged_triangles()
+        with pytest.raises(ConfigError, match=r"must be a \(6,\) array"):
+            CommunityReward(g, labels)
 
 
 class TestRewardSpsp:
@@ -190,6 +197,10 @@ class TestRewardSpsp:
                     diffs.append(d1 - d0)
             assert spsp_penalty(gp, q) == pytest.approx(np.mean(diffs))
 
+    def test_pair_with_equal_endpoints_named(self, karate):
+        with pytest.raises(PruneRLError, match=r"got \(4,4\)"):
+            PathQuerySet.from_graph(karate, np.array([(0, 2), (4, 4), (5, 5)]))
+
     def test_monotone_in_pruning(self, karate, rng):
         q = PathQuerySet.sample(karate, 100, rng)
         gp = karate.copy()
@@ -209,6 +220,12 @@ class TestSampleTrainingPairs:
             assert len(q.pairs) == 2 * k
             assert all(u != v for u, v in q.pairs)
             assert all(u in ends for u, _ in q.pairs)
+
+    def test_pairs_are_endpoint_major(self, karate, rng):
+        q = sample_training_pairs(karate, 0, 5, rng)
+        assert q.pairs.dtype == np.int64
+        assert q.pairs[:, 0].tolist() == [karate.src[0]] * 5 + [karate.dst[0]] * 5
+        assert q.pairs[:5, 1].tolist() == q.pairs[5:, 1].tolist()
 
     def test_zero_k_rejected(self, karate, rng):
         with pytest.raises(PruneRLError):
