@@ -35,7 +35,7 @@ train_loop(agent, SpspReward(g, pairs_per_endpoint=16), 300, rng)
 
 # greedy pruning down to 13 of 21 edges, scoring all live edges each step
 sp = agent.sparsify(g, 13 / 21, 21, np.random.default_rng(1))
-bridge_alive = sp.is_alive(20)
+bridge_alive = sp.alive[20]
 print(f"pruned 8 edges; bridge alive: {bridge_alive}")
 
 # inspect the learned Q-values on the full graph

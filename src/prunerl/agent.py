@@ -5,6 +5,8 @@ random-start pruning, and greedy evaluation-time sparsification.
 
 import csv
 import json
+import math
+import numbers
 import os
 import zipfile
 from dataclasses import dataclass, field, asdict
@@ -41,12 +43,25 @@ class AgentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        sizes = ("t_max", "train_subgraph_len", "buffer_capacity", "batch_size", "emb_dim",
+                 "hidden_dim")
+        require_numbers(self, {**dict.fromkeys(sizes, 1), "eps_decay_steps": 0})
         for name in ("gamma", "eps_start", "eps_end", "soft_update_rate"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
-                raise PruneRLError(f"{name} must be in (0, 1), got {v}")
-        if self.t_max < 1:
-            raise PruneRLError("t_max must be >= 1")
+                raise ConfigError(f"{name} must be in (0, 1), got {v}")
+
+
+def require_numbers(config, at_least):
+    """Raise ConfigError unless every field of the dataclass `config` is a
+    finite number, and each field that `at_least` names is an integer no
+    smaller than the minimum it maps to."""
+    for name in config.__dataclass_fields__:
+        v = getattr(config, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ConfigError(f"{name} must be a finite number, got {v!r}")
+        if name in at_least and not (isinstance(v, numbers.Integral) and v >= at_least[name]):
+            raise ConfigError(f"{name} must be an integer >= {at_least[name]}, got {v!r}")
 
 
 def epsilon_at(config, step):
@@ -257,7 +272,7 @@ class Agent:
         require_fields(path, "optimizer", header.get("optimizer"), ("step_count",))
         try:
             config = AgentConfig(**header["extra"]["agent_config"])
-        except (TypeError, PruneRLError) as exc:  # an unknown key or a bad value
+        except (TypeError, ConfigError) as exc:  # an unknown key or a bad value
             raise ConfigError(f"{path}: not a prunerl checkpoint (agent_config: {exc})") from None
         agent = cls(graph, config=config)
         for name, own in agent._arrays().items():

@@ -180,7 +180,9 @@ def baswana_sen_spanner(g, t_stretch, rng):
 
     Requires odd t_stretch = 2k-1. The stretch guarantee is probabilistic in
     size but deterministic in stretch; tests verify it against an all-pairs
-    oracle.
+    oracle. Each round draws one number per cluster, in ascending center
+    order, and reads only the state the round started from, so it runs as
+    array passes over the residual edges.
     """
     if g.directed:
         raise PruneRLError("spanner construction is defined for undirected graphs")
@@ -190,84 +192,56 @@ def baswana_sen_spanner(g, t_stretch, rng):
         )
     k = (t_stretch + 1) // 2
     n = g.node_count
-    # residual edge set as adjacency of dicts nbr -> eid; the edge id doubles
-    # as a distinct pseudo-weight, which the algorithm needs for tie-breaking
-    indptr, nbrs, eids = (a.tolist() for a in g.live_csr())
-    work = [dict(zip(nbrs[indptr[u]:indptr[u + 1]], eids[indptr[u]:indptr[u + 1]]))
-            for u in range(n)]
-    residual_nodes = set(range(n))
-    spanner = set()
-    center = {v: v for v in range(n)}  # cluster center per residual vertex
+    # the edge id doubles as a distinct pseudo-weight, which the algorithm
+    # needs for tie-breaking; no_edge is above every id
+    no_edge = g.original_edge_count
+    residual = g.alive.copy()
+    center = np.arange(n)  # cluster center per vertex, -1 once it leaves the clustering
+    kept = np.zeros(g.original_edge_count, dtype=bool)
     sample_p = n ** (-1.0 / k)
 
-    def lightest_per_cluster(v):
-        """center -> (neighbor, eid) of the lowest-id residual edge into
-        that neighbor's cluster."""
-        best = {}
-        for u, eid in work[v].items():
-            c = center[u]
-            if c not in best or eid < best[c][1]:
-                best[c] = (u, eid)
-        return best
+    def lightest_per_cluster():
+        """Each residual edge from both ends as (vertex, eid), sorted by
+        (vertex, the other end's cluster, eid), with that cluster, the
+        group's lowest eid and a mask of the group heads."""
+        eids = np.flatnonzero(residual)
+        v = np.concatenate([g.src[eids], g.dst[eids]])
+        c = center[np.concatenate([g.dst[eids], g.src[eids]])]
+        eids = np.tile(eids, 2)
+        order = np.lexsort((eids, c, v))
+        v, c, eids = v[order], c[order], eids[order]
+        head = np.ones(v.size, dtype=bool)
+        head[1:] = (v[1:] != v[:-1]) | (c[1:] != c[:-1])
+        return v, eids, c, eids[head][np.cumsum(head) - 1], head
 
     for _ in range(k - 1):
-        sampled = {c for c in set(center.values()) if rng.random() < sample_p}
-        add_edges = set()
-        remove_edges = set()
-        new_center = {}
-        for v in residual_nodes:
-            if center[v] in sampled:
-                continue
-            best = lightest_per_cluster(v)
-            sampled_adj = [c for c in best if c in sampled]
-            if not sampled_adj:
-                # connect once per adjacent cluster; v surrenders every
-                # residual edge and leaves the clustering
-                for c, (u, eid) in best.items():
-                    add_edges.add(eid)
-                remove_edges.update(work[v].values())
-            else:
-                closest = min(sampled_adj, key=lambda c: best[c][1])
-                closest_w = best[closest][1]
-                add_edges.add(closest_w)
-                new_center[v] = closest
-                # also connect to strictly lighter clusters, then drop edges
-                # into the closest cluster and every strictly lighter one
-                for c, (u, eid) in best.items():
-                    if eid < closest_w:
-                        add_edges.add(eid)
-                for u, eid in work[v].items():
-                    cu = center[u]
-                    if cu == closest or best[cu][1] < closest_w:
-                        remove_edges.add(eid)
-        for node, c in center.items():
-            if c in sampled:
-                new_center[node] = c
-        spanner |= add_edges
-        for eid in remove_edges:
-            a, b = int(g.src[eid]), int(g.dst[eid])
-            work[a].pop(b, None)
-            work[b].pop(a, None)
-        center = new_center
-        # drop edges that ended up inside one cluster, and vertices that
-        # left the clustering
-        for a in list(residual_nodes):
-            if a not in center:
-                for b in list(work[a]):
-                    work[b].pop(a, None)
-                work[a].clear()
-                residual_nodes.discard(a)
-        for a in residual_nodes:
-            for b in [x for x in work[a] if center[a] == center[x]]:
-                work[a].pop(b, None)
-                work[b].pop(a, None)
+        clusters = np.unique(center[center >= 0])
+        sampled = np.zeros(n + 1, dtype=bool)  # entry n, which center -1 reads, stays False
+        sampled[clusters[rng.random(clusters.size) < sample_p]] = True
+        v, eids, c, lightest, head = lightest_per_cluster()
+        # reach: the lowest edge id a vertex joins a sampled cluster by;
+        # no_edge if none is adjacent (it connects to every adjacent cluster
+        # and leaves), -1 if its own cluster is sampled (it does nothing)
+        into = head & sampled[c]
+        reach = np.full(n, no_edge)
+        np.minimum.at(reach, v[into], eids[into])
+        reach[sampled[center]] = -1
+        # connect to every cluster no heavier than reach, and drop the
+        # residual edges into those clusters
+        hit = lightest <= reach[v]
+        kept[eids[hit & head]] = True
+        residual[eids[hit]] = False
+        joins = head & (eids == reach[v])
+        center = np.where(sampled[center], center, -1)
+        center[v[joins]] = c[joins]
+        # drop edges inside one cluster or at a vertex that left the clustering
+        cs, cd = center[g.src], center[g.dst]
+        residual &= (np.minimum(cs, cd) >= 0) & (cs != cd)
 
     # phase 2: every vertex connects once to each adjacent surviving cluster
-    for v in residual_nodes:
-        for c, (u, eid) in lightest_per_cluster(v).items():
-            spanner.add(eid)
-
-    out = g.copy_keeping(np.fromiter(spanner, dtype=np.int64, count=len(spanner)))
+    _, eids, _, _, head = lightest_per_cluster()
+    kept[eids[head]] = True
+    out = g.copy_keeping(np.flatnonzero(kept))
     out.method_params = {"method": "baswana_sen_spanner", "t": t_stretch, "k": k}
     return out
 

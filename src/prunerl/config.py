@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .agent import AgentConfig
+from .agent import AgentConfig, require_numbers
 from .errors import ConfigError
 from .rewards import OBJECTIVES
 
@@ -41,7 +41,10 @@ class ObjectiveConfig:
 @dataclass
 class TrainConfig:
     episodes: int = 500
-    checkpoint_every: int = 100
+    checkpoint_every: int = 100  # 0: write the checkpoint only at the end
+
+    def __post_init__(self):
+        require_numbers(self, {"episodes": 1, "checkpoint_every": 0})
 
 
 @dataclass

@@ -131,9 +131,6 @@ class Graph:
         g._live_ids, g._live_pos = self._live_ids.copy(), self._live_pos.copy()
         return g
 
-    def is_alive(self, eid):
-        return bool(self.alive[eid])
-
     def live_edge_ids(self):
         """Ids of the live edges in edge-id order, whatever order they were pruned in."""
         return np.flatnonzero(self.alive)
@@ -341,6 +338,9 @@ def load_communities(path, graph):
                 if node not in graph.id_map:
                     raise CommunityFileError(f"{path}: node id {node} not in graph")
                 cid = graph.id_map[node]
+                if labels[cid] == idx:
+                    raise CommunityFileError(
+                        f"{path}:{line_no}: node id {node} is listed twice on this line")
                 if labels[cid] >= 0:
                     raise CommunityFileError(
                         f"{path}: node id {node} appears in more than one community"

@@ -40,6 +40,9 @@ The graph kernels below walk a dict-of-dicts adjacency in Python, rebuilt
 from the live edges in edge id order: the forms of `metrics.pagerank`,
 `bfs_distances`, `batch_spsp` and `modularity`, of `baselines.jaccard_scores`,
 and of the per-exponent survivor sets of `local_degree` and `l_spar`.
+`baswana_sen_spanner_oracle` is the dict-and-set form of
+`baselines.baswana_sen_spanner`, one vertex at a time, with each round's
+cluster draw in ascending center order; both must keep the same edge ids.
 `louvain_oracle` is the dict form of `metrics.louvain`; its dicts are filled
 in `live_edge_ids()` order, which is edge id order.
 
@@ -666,6 +669,87 @@ def l_spar_survivors(g):
         return out
 
     return kept
+
+
+def baswana_sen_spanner_oracle(g, t_stretch, rng):
+    """Sorted kept edge ids of `baselines.baswana_sen_spanner`, computed on a
+    residual adjacency of dicts nbr -> eid, one vertex at a time. Each round
+    samples the clusters in ascending center order."""
+    k = (t_stretch + 1) // 2
+    n = g.node_count
+    work = adjacency(g)
+    residual_nodes = set(range(n))
+    spanner = set()
+    center = {v: v for v in range(n)}  # cluster center per residual vertex
+    sample_p = n ** (-1.0 / k)
+
+    def lightest_per_cluster(v):
+        """center -> (neighbor, eid) of the lowest-id residual edge into
+        that neighbor's cluster."""
+        best = {}
+        for u, eid in work[v].items():
+            c = center[u]
+            if c not in best or eid < best[c][1]:
+                best[c] = (u, eid)
+        return best
+
+    for _ in range(k - 1):
+        sampled = {c for c in sorted(set(center.values())) if rng.random() < sample_p}
+        add_edges = set()
+        remove_edges = set()
+        new_center = {}
+        for v in residual_nodes:
+            if center[v] in sampled:
+                continue
+            best = lightest_per_cluster(v)
+            sampled_adj = [c for c in best if c in sampled]
+            if not sampled_adj:
+                # connect once per adjacent cluster; v surrenders every
+                # residual edge and leaves the clustering
+                for c, (u, eid) in best.items():
+                    add_edges.add(eid)
+                remove_edges.update(work[v].values())
+            else:
+                closest = min(sampled_adj, key=lambda c: best[c][1])
+                closest_w = best[closest][1]
+                add_edges.add(closest_w)
+                new_center[v] = closest
+                # also connect to strictly lighter clusters, then drop edges
+                # into the closest cluster and every strictly lighter one
+                for c, (u, eid) in best.items():
+                    if eid < closest_w:
+                        add_edges.add(eid)
+                for u, eid in work[v].items():
+                    cu = center[u]
+                    if cu == closest or best[cu][1] < closest_w:
+                        remove_edges.add(eid)
+        for node, c in center.items():
+            if c in sampled:
+                new_center[node] = c
+        spanner |= add_edges
+        for eid in remove_edges:
+            a, b = int(g.src[eid]), int(g.dst[eid])
+            work[a].pop(b, None)
+            work[b].pop(a, None)
+        center = new_center
+        # drop edges that ended up inside one cluster, and vertices that
+        # left the clustering
+        for a in list(residual_nodes):
+            if a not in center:
+                for b in list(work[a]):
+                    work[b].pop(a, None)
+                work[a].clear()
+                residual_nodes.discard(a)
+        for a in residual_nodes:
+            for b in [x for x in work[a] if center[a] == center[x]]:
+                work[a].pop(b, None)
+                work[b].pop(a, None)
+
+    # phase 2: every vertex connects once to each adjacent surviving cluster
+    for v in residual_nodes:
+        for c, (u, eid) in lightest_per_cluster(v).items():
+            spanner.add(eid)
+    return np.array(sorted(spanner), dtype=np.int64)
 
 
 def louvain_oracle(g, rng, resolution=1.0, min_gain=1e-12):

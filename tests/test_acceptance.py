@@ -202,7 +202,7 @@ class TestBridgeSurvival:
             train_loop(agent, SpspReward(g, pairs_per_endpoint=16), 300, rng)
             sp = agent.sparsify(g, 13 / 21, 21, np.random.default_rng(seed + 1000))
             assert sp.edge_count == 13
-            wins += sp.is_alive(bridge_eid)
+            wins += sp.alive[bridge_eid]
         assert wins >= 9, f"bridge survived in only {wins}/10 seeds"
 
 

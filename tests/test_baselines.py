@@ -171,13 +171,14 @@ class TestSpanner:
             assert out.live_edge_set() <= g.live_edge_set()
             assert np.all(np.isfinite(floyd_warshall(out)))
 
-    def test_stretch_three_oracle(self, rng):
+    @pytest.mark.parametrize("t", [3, 5, 7])
+    def test_stretch_oracle(self, rng, t):
         for _ in range(30):
             g = random_connected_graph(12, rng, extra_edge_prob=0.35)
-            out = baswana_sen_spanner(g, 3, rng)
+            out = baswana_sen_spanner(g, t, rng)
             base = floyd_warshall(g)
             sp = floyd_warshall(out)
-            assert np.all(sp <= 3 * base + 1e-9)
+            assert np.all(sp <= t * base + 1e-9)
 
 
 class TestSpannerProtocol:

@@ -213,9 +213,9 @@ class TestExitCodes:
         assert rc == cli.EXIT_RUNTIME
 
 
-def eval_config(**evaluation):
-    """Config text for karate with the given evaluation section."""
-    return yaml.safe_dump({"schema_version": 1, "dataset": KARATE, "evaluation": evaluation})
+def section_config(section, **values):
+    """Config text for karate with the given values in one section."""
+    return yaml.safe_dump({"schema_version": 1, "dataset": KARATE, section: values})
 
 
 def bad_input(tmp_path, name, content, checkpoint):
@@ -249,6 +249,7 @@ def corrupted_checkpoint(path, checkpoint):
     path.write_bytes(bytes(data))
 
 
+TRAIN = ["train", "--config", "{config}", "--out", "{out}"]
 SPARSIFY_BROKEN = ["sparsify", "--dataset", KARATE, "--method", "agent", "--checkpoint",
                    "{broken}", "--ratio", "0.5", "--out", "{out}"]
 
@@ -270,6 +271,11 @@ DATA_ERRORS = {
         ["evaluate", "--dataset", KARATE, "--sparsified", KARATE, "--metric",
          "community", "--labels", "{labels}"],
         "node id 2 appears in more than one community"),
+    "community id listed twice on one line": (
+        {"labels.txt": "0 1 2 0\n3 4\n"},
+        ["evaluate", "--dataset", KARATE, "--sparsified", KARATE, "--metric",
+         "community", "--labels", "{labels}"],
+        "labels.txt:1: node id 0 is listed twice on this line"),
     "non-integer community id": (
         {"labels.txt": "0 1\n2 x3\n"},
         ["evaluate", "--dataset", KARATE, "--sparsified", KARATE, "--metric",
@@ -349,17 +355,57 @@ DATA_ERRORS = {
         ["compare", "--config", "{config}", "--out", "{out}"],
         "config.yaml: not valid YAML"),
     "zero louvain_runs in config": (
-        {"config.yaml": eval_config(louvain_runs=0)},
+        {"config.yaml": section_config("evaluation", louvain_runs=0)},
         ["compare", "--config", "{config}", "--out", "{out}"],
         "evaluation louvain_runs must be >= 1, got 0"),
     "zero spsp_pairs in config": (
-        {"config.yaml": eval_config(spsp_pairs=0)},
+        {"config.yaml": section_config("evaluation", spsp_pairs=0)},
         ["compare", "--config", "{config}", "--out", "{out}"],
         "evaluation spsp_pairs must be >= 1, got 0"),
     "negative eval_subgraph_len in config": (
-        {"config.yaml": eval_config(eval_subgraph_len=-1)},
+        {"config.yaml": section_config("evaluation", eval_subgraph_len=-1)},
         ["compare", "--config", "{config}", "--out", "{out}"],
         "evaluation eval_subgraph_len must be >= 1, got -1"),
+    "zero batch_size in config": (
+        {"config.yaml": section_config("agent", batch_size=0)},
+        TRAIN,
+        "batch_size must be an integer >= 1, got 0"),
+    "zero emb_dim in config": (
+        {"config.yaml": section_config("agent", emb_dim=0)},
+        TRAIN,
+        "emb_dim must be an integer >= 1, got 0"),
+    "zero t_max in config": (
+        {"config.yaml": section_config("agent", t_max=0)},
+        TRAIN,
+        "t_max must be an integer >= 1, got 0"),
+    "zero train_subgraph_len in config": (
+        {"config.yaml": section_config("agent", train_subgraph_len=0)},
+        TRAIN,
+        "train_subgraph_len must be an integer >= 1, got 0"),
+    "zero buffer_capacity in config": (
+        {"config.yaml": section_config("agent", buffer_capacity=0)},
+        TRAIN,
+        "buffer_capacity must be an integer >= 1, got 0"),
+    "non-number lr in config": (
+        {"config.yaml": section_config("agent", lr="abc")},
+        TRAIN,
+        "lr must be a finite number, got 'abc'"),
+    "gamma above 1 in config": (
+        {"config.yaml": section_config("agent", gamma=1.5)},
+        TRAIN,
+        "gamma must be in (0, 1), got 1.5"),
+    "non-number episodes in config": (
+        {"config.yaml": section_config("train", episodes="ten")},
+        TRAIN,
+        "episodes must be a finite number, got 'ten'"),
+    "negative episodes in config": (
+        {"config.yaml": section_config("train", episodes=-3)},
+        TRAIN,
+        "episodes must be an integer >= 1, got -3"),
+    "negative checkpoint_every in config": (
+        {"config.yaml": section_config("train", checkpoint_every=-1)},
+        TRAIN,
+        "checkpoint_every must be an integer >= 0, got -1"),
     "sparsified line with no dataset edge": (
         {"sparse.txt": "0 1\n2 30\n"},
         ["evaluate", "--dataset", KARATE, "--sparsified", "{sparse}", "--metric", "pagerank"],
@@ -630,16 +676,15 @@ class TestSpannerCompare:
         out = tmp_path / "spanner.csv"
         rc = cli.main(["spanner-compare", "--dataset", KARATE,
                        "--checkpoint", str(trained["checkpoint"]),
-                       "--stretch", "3", "--runs", "2", "--spsp-pairs", "32",
+                       "--stretch", "3", "5", "7", "--runs", "2", "--spsp-pairs", "32",
                        "--eval-subgraph-len", "8", "--out", str(out)])
         assert rc == cli.EXIT_OK
         rows = read_csv(out)
-        assert len(rows) == 1
-        row = rows[0]
-        assert int(row["t"]) == 3
-        assert 0.0 < float(row["mean_ratio"]) <= 1.0
-        assert float(row["spanner_rspsp"]) >= 0.0
-        assert float(row["agent_rspsp"]) >= 0.0
+        assert [int(row["t"]) for row in rows] == [3, 5, 7]
+        for row in rows:
+            assert 0.0 < float(row["mean_ratio"]) <= 1.0
+            assert float(row["spanner_rspsp"]) >= 0.0
+            assert float(row["agent_rspsp"]) >= 0.0
 
 
 class TestHSweep:

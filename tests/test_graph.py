@@ -209,8 +209,8 @@ class TestPruning:
     def test_copy_is_independent(self, karate):
         clone = karate.copy()
         clone.prune_edge(0)
-        assert karate.is_alive(0)
-        assert not clone.is_alive(0)
+        assert karate.alive[0]
+        assert not clone.alive[0]
 
 
 class TestRandomPrune:
@@ -388,7 +388,7 @@ class TestSampleSubgraph:
             sub = karate.sample_subgraph(16, rng)
             eids = sub.eids.tolist()
             assert len(set(eids)) == len(eids)
-            assert all(karate.is_alive(eid) for eid in eids)
+            assert karate.alive[eids].all()
 
     def test_zero_live_edges_rejected(self, rng):
         g = make_graph(2, [(0, 1)])

@@ -1,7 +1,7 @@
 """The array kernels in metrics and baselines, and the list Louvain, against
 the pure-Python oracles they replaced (tests/oracles.py), on randomly pruned
 graphs: the small random suites, directed graphs, a ~2k-node undirected graph
-and a 300-node directed one."""
+and a 300-node directed one; the spanner on its own suite of small graphs."""
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from prunerl.rewards import PagerankReward
 from conftest import random_connected_graph, random_sparse_graph
 from oracles import (
     adjacency,
+    baswana_sen_spanner_oracle,
     batch_spsp_oracle,
     bfs_distances_oracle,
     jaccard_closed,
@@ -186,3 +187,22 @@ def test_kept_sets_are_equal_at_every_probed_exponent(method, oracle, undirected
             assert set(out.live_edge_ids().tolist()) == kept_at(x)
         for x in (0.25, 1.0):
             assert set(method(g, 0.5, x).live_edge_ids().tolist()) == kept_at(x)
+
+
+@pytest.mark.parametrize("t", [1, 3, 5, 7])
+def test_spanner_matches_oracle(t):
+    """200 random graphs on 3-60 nodes: sparse ones leave vertices isolated,
+    and every third one is pre-pruned before the spanner runs."""
+    rng = np.random.default_rng(43 + t)
+    isolated = 0
+    for i in range(200):
+        n = int(rng.integers(3, 61))
+        g = random_sparse_graph(n, int(rng.integers(1, min(n * (n - 1) // 2, 4 * n) + 1)), rng)
+        if i % 3 == 0:
+            pruned(g, rng, rng.random())
+        isolated += bool((g.deg[:, 0] == 0).any())
+        seed = int(rng.integers(2**31))
+        got = baselines.baswana_sen_spanner(g, t, np.random.default_rng(seed))
+        want = baswana_sen_spanner_oracle(g, t, np.random.default_rng(seed))
+        assert np.array_equal(got.live_edge_ids(), want)
+    assert isolated >= 50
