@@ -5,8 +5,6 @@ random-start pruning, and greedy evaluation-time sparsification.
 
 import csv
 import json
-import math
-import numbers
 import os
 import zipfile
 from dataclasses import dataclass, field, asdict
@@ -14,6 +12,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import nnet
+from .config import AgentConfig, build
 from .errors import ConfigError, DataError, PruneRLError
 from .nnet import Adam
 from .qmodel import QModel
@@ -21,47 +20,6 @@ from .replay import ReplayBuffer, Transition
 
 LOG_FIELDS = ["episode", "step", "epsilon", "loss", "mean_reward", "buffer_size"]
 MODEL_FIELDS = ("node_count", "directed", "emb_dim", "hidden_dim")  # a checkpoint's "model" header
-
-
-@dataclass
-class AgentConfig:
-    gamma: float = 0.95
-    eps_start: float = 0.99
-    eps_end: float = 0.05
-    eps_decay_steps: int = 10_000
-    soft_update_rate: float = 0.001  # Polyak rate toward the policy net
-    t_max: int = 8
-    train_subgraph_len: int = 32
-    lr: float = 0.0002
-    buffer_capacity: int = 100_000
-    batch_size: int = 32
-    replay_alpha: float = 0.6
-    replay_beta: float = 0.4
-    priority_floor: float = 1e-3
-    emb_dim: int = 64
-    hidden_dim: int = 128
-    seed: int = 0
-
-    def __post_init__(self):
-        sizes = ("t_max", "train_subgraph_len", "buffer_capacity", "batch_size", "emb_dim",
-                 "hidden_dim")
-        require_numbers(self, {**dict.fromkeys(sizes, 1), "eps_decay_steps": 0})
-        for name in ("gamma", "eps_start", "eps_end", "soft_update_rate"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ConfigError(f"{name} must be in (0, 1), got {v}")
-
-
-def require_numbers(config, at_least):
-    """Raise ConfigError unless every field of the dataclass `config` is a
-    finite number, and each field that `at_least` names is an integer no
-    smaller than the minimum it maps to."""
-    for name in config.__dataclass_fields__:
-        v = getattr(config, name)
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-            raise ConfigError(f"{name} must be a finite number, got {v!r}")
-        if name in at_least and not (isinstance(v, numbers.Integral) and v >= at_least[name]):
-            raise ConfigError(f"{name} must be an integer >= {at_least[name]}, got {v!r}")
 
 
 def epsilon_at(config, step):
@@ -271,9 +229,9 @@ class Agent:
         require_fields(path, "agent_state", header["agent_state"], ("update_steps", "episodes_done"))
         require_fields(path, "optimizer", header.get("optimizer"), ("step_count",))
         try:
-            config = AgentConfig(**header["extra"]["agent_config"])
-        except (TypeError, ConfigError) as exc:  # an unknown key or a bad value
-            raise ConfigError(f"{path}: not a prunerl checkpoint (agent_config: {exc})") from None
+            config = build(AgentConfig, header["extra"]["agent_config"], "agent_config")
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: not a prunerl checkpoint ({exc})") from None
         agent = cls(graph, config=config)
         for name, own in agent._arrays().items():
             require_fields(path, "checkpoint", arrays, (name,))

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 runtime failure.
 
 import argparse
 import csv
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import baselines
 from .agent import Agent, train_loop
-from .config import load_run_config, rng_streams
+from .config import COUNT, RATIO, SEED, load_run_config, rng_streams
 from .errors import ConfigError, DataError, PruneRLError
 from .graph import load_communities, load_edge_list
 from .metrics import pagerank  # noqa: F401  perfbench/test_perfbench.py reads cli.pagerank
@@ -33,11 +34,16 @@ def _load_labels_if(path, graph):
     return load_communities(path, graph) if path else None
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _flag(rule, parse=int):
+    """An argparse type: the text parsed and held to a config rule (a usage error if broken)."""
+    def convert(text):
+        try:
+            if rule.ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule.text}, got {text}")
+    return convert
 
 
 def _run_method(method, graph, ratio, seed, agent, eval_h):
@@ -155,42 +161,24 @@ def cmd_compare(args):
     methods = list(BASELINE_METHODS)
     if agent is not None:
         methods.append("agent")
-    cells = [
-        (method, ratio, seed)
-        for method in methods
-        for ratio in cfg.evaluation.ratios
-        for seed in range(cfg.evaluation.seeds)
-    ]
-
-    def run_cell(cell):
-        method, ratio, seed = cell
-        try:
-            sp = _run_method(method, graph, ratio, seed, agent,
-                             cfg.evaluation.eval_subgraph_len)
-            value = objective.evaluate(
-                sp, np.random.default_rng(seed),
-                louvain_runs=cfg.evaluation.louvain_runs,
-                spsp_pairs=cfg.evaluation.spsp_pairs,
-            )
-            return {"method": method, "ratio": ratio, "seed": seed,
-                    "achieved_edges": sp.edge_count, "value": value, "error": ""}
-        except PruneRLError as exc:  # isolate per-cell failures
-            return {"method": method, "ratio": ratio, "seed": seed,
-                    "achieved_edges": "", "value": float("nan"), "error": str(exc)}
-
-    results = [run_cell(cell) for cell in cells]
-
-    per_seed_rows = [
-        {"dataset": cfg.dataset, "method": r["method"], "edge_kept_ratio": r["ratio"],
-         "achieved_edges": r["achieved_edges"], "metric": metric, "seed": r["seed"],
-         "value": r["value"], "error": r["error"]}
-        for r in results
-    ]
+    ev = cfg.evaluation
+    cells = []
+    for method, ratio, seed in itertools.product(methods, ev.ratios, range(ev.seeds)):
+        cell = {"dataset": cfg.dataset, "method": method, "edge_kept_ratio": ratio,
+                "achieved_edges": "", "metric": metric, "seed": seed,
+                "value": float("nan"), "error": ""}
+        try:  # a failing cell is reported in its row, and the grid goes on
+            sp = _run_method(method, graph, ratio, seed, agent, ev.eval_subgraph_len)
+            value = objective.evaluate(sp, np.random.default_rng(seed),
+                                       louvain_runs=ev.louvain_runs, spsp_pairs=ev.spsp_pairs)
+            cell.update(achieved_edges=sp.edge_count, value=value)
+        except PruneRLError as exc:
+            cell["error"] = str(exc)
+        cells.append(cell)
     agg = {}
-    for r in results:
-        if r["error"]:
-            continue
-        agg.setdefault((r["method"], r["ratio"]), []).append(r["value"])
+    for c in cells:
+        if not c["error"]:
+            agg.setdefault((c["method"], c["edge_kept_ratio"]), []).append(c["value"])
     best = {}
     for (method, ratio), vals in agg.items():
         m = float(np.mean(vals))
@@ -205,7 +193,7 @@ def cmd_compare(args):
     ]
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "compare_cells.csv", per_seed_rows,
+    _write_csv(out_dir / "compare_cells.csv", cells,
                ["dataset", "method", "edge_kept_ratio", "achieved_edges", "metric", "seed",
                 "value", "error"])
     _write_csv(out_dir / "compare_table.csv", table_rows,
@@ -275,7 +263,7 @@ def build_parser():
 
     t = sub.add_parser("train", help="train an agent from a run config")
     t.add_argument("--config", required=True)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=_flag(SEED), default=None)
     t.add_argument("--out", default=None)
     t.add_argument("--resume", action="store_true")
     t.set_defaults(func=cmd_train)
@@ -284,10 +272,10 @@ def build_parser():
     s.add_argument("--dataset", required=True)
     s.add_argument("--method", required=True,
                    choices=list(BASELINE_METHODS) + ["agent"])
-    s.add_argument("--ratio", type=float, required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--ratio", type=_flag(RATIO, float), required=True)
+    s.add_argument("--seed", type=_flag(SEED), default=0)
     s.add_argument("--checkpoint", default=None)
-    s.add_argument("--eval-subgraph-len", dest="eval_subgraph_len", type=_positive_int, default=32)
+    s.add_argument("--eval-subgraph-len", dest="eval_subgraph_len", type=_flag(COUNT), default=32)
     s.add_argument("--directed", action="store_true")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sparsify)
@@ -298,9 +286,9 @@ def build_parser():
     e.add_argument("--metric", required=True,
                    choices=list(OBJECTIVES))
     e.add_argument("--labels", default=None)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--spsp-pairs", dest="spsp_pairs", type=_positive_int, default=8196)
-    e.add_argument("--louvain-runs", dest="louvain_runs", type=_positive_int, default=8)
+    e.add_argument("--seed", type=_flag(SEED), default=0)
+    e.add_argument("--spsp-pairs", dest="spsp_pairs", type=_flag(COUNT), default=8196)
+    e.add_argument("--louvain-runs", dest="louvain_runs", type=_flag(COUNT), default=8)
     e.add_argument("--directed", action="store_true")
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_evaluate)
@@ -308,7 +296,7 @@ def build_parser():
     c = sub.add_parser("compare", help="full method x ratio x seed grid")
     c.add_argument("--config", required=True)
     c.add_argument("--checkpoint", default=None)
-    c.add_argument("--workers", type=_positive_int, default=1,
+    c.add_argument("--workers", type=_flag(COUNT), default=1,
                    help="accepted for compatibility; cells run in one thread")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_compare)
@@ -316,11 +304,11 @@ def build_parser():
     sc = sub.add_parser("spanner-compare", help="match the agent against the spanner")
     sc.add_argument("--dataset", required=True)
     sc.add_argument("--checkpoint", required=True)
-    sc.add_argument("--stretch", type=_positive_int, nargs="+", default=[3, 5, 7])
-    sc.add_argument("--runs", type=_positive_int, default=16)
-    sc.add_argument("--seed", type=int, default=0)
-    sc.add_argument("--spsp-pairs", dest="spsp_pairs", type=_positive_int, default=512)
-    sc.add_argument("--eval-subgraph-len", dest="eval_subgraph_len", type=_positive_int, default=32)
+    sc.add_argument("--stretch", type=_flag(COUNT), nargs="+", default=[3, 5, 7])
+    sc.add_argument("--runs", type=_flag(COUNT), default=16)
+    sc.add_argument("--seed", type=_flag(SEED), default=0)
+    sc.add_argument("--spsp-pairs", dest="spsp_pairs", type=_flag(COUNT), default=512)
+    sc.add_argument("--eval-subgraph-len", dest="eval_subgraph_len", type=_flag(COUNT), default=32)
     sc.add_argument("--directed", action="store_true")
     sc.add_argument("--out", default=None)
     sc.set_defaults(func=cmd_spanner_compare)
@@ -328,13 +316,13 @@ def build_parser():
     h = sub.add_parser("h-sweep", help="time/performance sweep over |H|")
     h.add_argument("--dataset", required=True)
     h.add_argument("--checkpoint", required=True)
-    h.add_argument("--ratio", type=float, required=True)
+    h.add_argument("--ratio", type=_flag(RATIO, float), required=True)
     h.add_argument("--metric", default="pagerank", choices=list(OBJECTIVES))
-    h.add_argument("--subgraph-lens", dest="subgraph_lens", type=_positive_int, nargs="+",
+    h.add_argument("--subgraph-lens", dest="subgraph_lens", type=_flag(COUNT), nargs="+",
                    default=[8, 16, 32, 64])
-    h.add_argument("--seeds", type=_positive_int, default=3)
+    h.add_argument("--seeds", type=_flag(COUNT), default=3)
     h.add_argument("--labels", default=None)
-    h.add_argument("--louvain-runs", dest="louvain_runs", type=_positive_int, default=8)
+    h.add_argument("--louvain-runs", dest="louvain_runs", type=_flag(COUNT), default=8)
     h.add_argument("--directed", action="store_true")
     h.add_argument("--out", default=None)
     h.set_defaults(func=cmd_h_sweep)

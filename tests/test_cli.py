@@ -204,18 +204,47 @@ class TestExitCodes:
             "spanner-eval-subgraph-len", "subgraph-lens", "stretch-0", "stretch-negative"])
     def test_nonpositive_count_is_usage(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_USAGE
-        assert "must be a positive integer" in capsys.readouterr().err
+        assert_one_usage_error(capsys.readouterr().err, "must be an integer >= 1, got ")
 
-    def test_bad_ratio_is_runtime_error(self, tmp_path):
-        rc = cli.main(["sparsify", "--dataset", KARATE, "--method",
-                       "random_edge", "--ratio", "2.0",
-                       "--out", str(tmp_path / "o.txt")])
-        assert rc == cli.EXIT_RUNTIME
+    @pytest.mark.parametrize("command", [
+        ["sparsify", "--dataset", KARATE, "--method", "random_edge", "--out", "o.txt"],
+        ["h-sweep", "--dataset", KARATE, "--checkpoint", "c.npz"],
+    ], ids=["sparsify", "h-sweep"])
+    @pytest.mark.parametrize("ratio", ["2.0", "0", "-0.5", "nan", "abc"])
+    def test_bad_ratio_is_usage(self, command, ratio, capsys):
+        assert cli.main(command + ["--ratio", ratio]) == cli.EXIT_USAGE
+        assert_one_usage_error(capsys.readouterr().err,
+                               f"argument --ratio: must be in (0, 1], got {ratio}")
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "c.yaml"],
+        ["sparsify", "--dataset", KARATE, "--method", "random_edge", "--ratio", "0.5",
+         "--out", "o.txt"],
+        ["evaluate", "--dataset", KARATE, "--sparsified", KARATE, "--metric", "pagerank"],
+        ["spanner-compare", "--dataset", KARATE, "--checkpoint", "c.npz"],
+    ], ids=["train", "sparsify", "evaluate", "spanner-compare"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "abc"])
+    def test_bad_seed_is_usage(self, argv, seed, capsys):
+        assert cli.main(argv + ["--seed", seed]) == cli.EXIT_USAGE
+        assert_one_usage_error(capsys.readouterr().err,
+                               f"argument --seed: must be an integer >= 0, got {seed}")
+
+
+def assert_one_usage_error(err, message):
+    """argparse's usage text, then one error line that holds `message`."""
+    assert err.startswith("usage: ") and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0], err
+
+
+def karate_config(**values):
+    """Config text for karate with the given top-level values."""
+    return yaml.safe_dump({"schema_version": 1, "dataset": KARATE, **values})
 
 
 def section_config(section, **values):
     """Config text for karate with the given values in one section."""
-    return yaml.safe_dump({"schema_version": 1, "dataset": KARATE, section: values})
+    return karate_config(**{section: values})
 
 
 def bad_input(tmp_path, name, content, checkpoint):
@@ -303,7 +332,7 @@ DATA_ERRORS = {
     "checkpoint agent_config with an unknown key": (
         {"broken.npz": edited_checkpoint(lambda h, a: h["extra"]["agent_config"].update(bogus=1))},
         SPARSIFY_BROKEN,
-        "__init__() got an unexpected keyword argument 'bogus')"),
+        "broken.npz: not a prunerl checkpoint (agent_config: unknown key(s): ['bogus'])"),
     "checkpoint agent_config with a value out of range": (
         {"broken.npz": edited_checkpoint(lambda h, a: h["extra"]["agent_config"].update(gamma=2.0))},
         SPARSIFY_BROKEN,
@@ -357,15 +386,15 @@ DATA_ERRORS = {
     "zero louvain_runs in config": (
         {"config.yaml": section_config("evaluation", louvain_runs=0)},
         ["compare", "--config", "{config}", "--out", "{out}"],
-        "evaluation louvain_runs must be >= 1, got 0"),
+        "evaluation: louvain_runs must be an integer >= 1, got 0"),
     "zero spsp_pairs in config": (
         {"config.yaml": section_config("evaluation", spsp_pairs=0)},
         ["compare", "--config", "{config}", "--out", "{out}"],
-        "evaluation spsp_pairs must be >= 1, got 0"),
+        "evaluation: spsp_pairs must be an integer >= 1, got 0"),
     "negative eval_subgraph_len in config": (
         {"config.yaml": section_config("evaluation", eval_subgraph_len=-1)},
         ["compare", "--config", "{config}", "--out", "{out}"],
-        "evaluation eval_subgraph_len must be >= 1, got -1"),
+        "evaluation: eval_subgraph_len must be an integer >= 1, got -1"),
     "zero batch_size in config": (
         {"config.yaml": section_config("agent", batch_size=0)},
         TRAIN,
@@ -397,7 +426,7 @@ DATA_ERRORS = {
     "non-number episodes in config": (
         {"config.yaml": section_config("train", episodes="ten")},
         TRAIN,
-        "episodes must be a finite number, got 'ten'"),
+        "train: episodes must be an integer >= 1, got 'ten'"),
     "negative episodes in config": (
         {"config.yaml": section_config("train", episodes=-3)},
         TRAIN,
@@ -406,6 +435,79 @@ DATA_ERRORS = {
         {"config.yaml": section_config("train", checkpoint_every=-1)},
         TRAIN,
         "checkpoint_every must be an integer >= 0, got -1"),
+    "non-number seed in config": (
+        {"config.yaml": karate_config(seed="abc")},
+        TRAIN,
+        "config.yaml: seed must be an integer >= 0, got 'abc'"),
+    "negative seed in config": (
+        {"config.yaml": karate_config(seed=-1)},
+        TRAIN,
+        "config.yaml: seed must be an integer >= 0, got -1"),
+    "fractional seed in config": (
+        {"config.yaml": karate_config(seed=1.5)},
+        TRAIN,
+        "config.yaml: seed must be an integer >= 0, got 1.5"),
+    "fractional agent seed in config": (
+        {"config.yaml": section_config("agent", seed=1.5)},
+        TRAIN,
+        "config.yaml: agent: seed must be an integer >= 0, got 1.5"),
+    "negative agent seed in config": (
+        {"config.yaml": section_config("agent", seed=-4)},
+        TRAIN,
+        "config.yaml: agent: seed must be an integer >= 0, got -4"),
+    "integer dataset in config": (
+        {"config.yaml": karate_config(dataset=5)},
+        TRAIN,
+        "config.yaml: dataset must be a non-empty path string, got 5"),
+    "config without a dataset": (
+        {"config.yaml": "schema_version: 1\n"},
+        TRAIN,
+        "config.yaml: dataset must be a non-empty path string, got None"),
+    "integer labels_path in config": (
+        {"config.yaml": section_config("objective", labels_path=7)},
+        TRAIN,
+        "config.yaml: objective: labels_path must be a non-empty path string or none, got 7"),
+    "non-boolean directed in config": (
+        {"config.yaml": karate_config(directed="maybe")},
+        TRAIN,
+        "config.yaml: directed must be true or false, got 'maybe'"),
+    "zero pairs_per_endpoint in config": (
+        {"config.yaml": section_config("objective", kind="spsp", pairs_per_endpoint=0)},
+        TRAIN,
+        "config.yaml: objective: pairs_per_endpoint must be an integer >= 1, got 0"),
+    "non-number label_sign in config": (
+        {"config.yaml": section_config("objective", label_sign="abc")},
+        TRAIN,
+        "config.yaml: objective: label_sign must be a finite number, got 'abc'"),
+    "unknown objective kind in config": (
+        {"config.yaml": section_config("objective", kind="pagerankk")},
+        TRAIN,
+        "config.yaml: objective: kind must be one of ['pagerank', 'community', 'spsp', "
+        "'modularity'], got 'pagerankk'"),
+    "unknown key in a config section": (
+        {"config.yaml": section_config("train", episode=3)},
+        TRAIN,
+        "config.yaml: train: unknown key(s): ['episode']"),
+    "config section that is not a mapping": (
+        {"config.yaml": karate_config(agent=5)},
+        TRAIN,
+        "config.yaml: agent: must be a mapping, got 5"),
+    "non-number evaluation seeds in config": (
+        {"config.yaml": section_config("evaluation", seeds="ten")},
+        ["compare", "--config", "{config}", "--out", "{out}"],
+        "config.yaml: evaluation: seeds must be an integer >= 1, got 'ten'"),
+    "single ratio in config": (
+        {"config.yaml": section_config("evaluation", ratios=0.5)},
+        ["compare", "--config", "{config}", "--out", "{out}"],
+        "config.yaml: evaluation: ratios must be a non-empty list of ratios in (0, 1], got 0.5"),
+    "non-number ratio in config": (
+        {"config.yaml": section_config("evaluation", ratios=["abc"])},
+        ["compare", "--config", "{config}", "--out", "{out}"],
+        "evaluation: ratios must be a non-empty list of ratios in (0, 1], got ['abc']"),
+    "empty ratio list in config": (
+        {"config.yaml": section_config("evaluation", ratios=[])},
+        ["compare", "--config", "{config}", "--out", "{out}"],
+        "evaluation: ratios must be a non-empty list of ratios in (0, 1], got []"),
     "sparsified line with no dataset edge": (
         {"sparse.txt": "0 1\n2 30\n"},
         ["evaluate", "--dataset", KARATE, "--sparsified", "{sparse}", "--metric", "pagerank"],
