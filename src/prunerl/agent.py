@@ -200,8 +200,8 @@ class Agent:
     @classmethod
     def load(cls, path, graph):
         """The agent `save` wrote, rebuilt on `graph`. Raises ConfigError for a
-        file that is not a checkpoint and DataError for an array or counter
-        that does not fit the agent its config builds."""
+        file that is not a checkpoint and DataError for a version, model field,
+        array or counter that does not fit the agent its config builds."""
         try:
             z = np.load(path)
         except (ValueError, EOFError, zipfile.BadZipFile):  # ValueError: would need pickle
@@ -221,8 +221,8 @@ class Agent:
             raise ConfigError(f"{path}: not a prunerl checkpoint (header is not JSON: {exc})") from None
         if not isinstance(header, dict):
             raise ConfigError(f"{path}: not a prunerl checkpoint (header is not a JSON object)")
-        if header.get("format_version") != 1:
-            raise DataError(f"unsupported checkpoint version {header.get('format_version')}")
+        if type(version := header.get("format_version")) is not int or version != 1:  # not true, 1.0
+            raise DataError(f"{path}: unsupported checkpoint version {version!r}")
         require_fields(path, "header", header, ("agent_state", "extra", "model"))
         require_fields(path, "model", header["model"], MODEL_FIELDS)
         require_fields(path, "header extra", header["extra"], ("agent_config",))
@@ -244,6 +244,10 @@ class Agent:
             if name.startswith("opt_v_") and (data < 0).any():  # a mean of squared gradients
                 raise DataError(f"{path}: checkpoint array {name} has a negative entry")
             own[...] = data
+        for name in MODEL_FIELDS:  # the header must be the one save writes for this agent
+            got, own = header["model"][name], getattr(agent.policy, name)
+            if type(got) is not type(own) or got != own:
+                raise DataError(f"{path}: checkpoint model.{name} is {got!r}, but its agent has {own!r}")
         agent.optimizer.step_count = require_count(path, header, "optimizer", "step_count")
         agent.update_steps = require_count(path, header, "agent_state", "update_steps")
         agent.episodes_done = require_count(path, header, "agent_state", "episodes_done")

@@ -64,12 +64,7 @@ def _run_method(method, graph, ratio, seed, agent, eval_h):
 
 
 def _load_agent_if(path, graph):
-    if not path:
-        return None
-    try:
-        return Agent.load(path, graph)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{path}: cannot read checkpoint: {exc}") from None
+    return Agent.load(path, graph) if path else None
 
 
 def _write_csv(path, rows, fieldnames):
@@ -158,6 +153,8 @@ def cmd_compare(args):
     objective = make_reward_spec(
         metric, graph, labels=_load_labels_if(cfg.objective.labels_path, graph))
     agent = _load_agent_if(args.checkpoint, graph)
+    out_dir = Path(args.out or cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the grid, so a bad --out costs no cells
     methods = list(BASELINE_METHODS)
     if agent is not None:
         methods.append("agent")
@@ -191,8 +188,6 @@ def cmd_compare(args):
          "best": int(best[ratio][0] == method)}
         for (method, ratio), vals in sorted(agg.items())
     ]
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "compare_cells.csv", cells,
                ["dataset", "method", "edge_kept_ratio", "achieved_edges", "metric", "seed",
                 "value", "error"])
@@ -338,7 +333,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:  # OSError: an input or output path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except PruneRLError as exc:

@@ -17,6 +17,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
+from .graph import read_text
 from .rewards import OBJECTIVES
 
 SCHEMA_VERSION = 1
@@ -152,11 +153,10 @@ class RunConfig(Section):
 
 
 def load_run_config(path):
-    with open(path) as f:
-        try:
-            data = yaml.safe_load(f)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from None
+    try:
+        data = yaml.safe_load(read_text(path))
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     version = data.pop("schema_version", None)

@@ -242,7 +242,7 @@ class Graph:
 
     def save_edge_list(self, path, header_lines=()):
         """Write the live edges in edge-id order using original node ids."""
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:  # read back as UTF-8 text, whatever the locale
             f.writelines(f"# {line}\n" for line in header_lines)
             f.writelines(f"{u} {v}\n" for u, v in self._live_original_edges())
 
@@ -273,20 +273,31 @@ class Graph:
         return self.copy_keeping(eids)
 
 
+def read_text(path):
+    """A text input, read whole as UTF-8; DataError names the first byte that is not."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _text_lines(path):
+    """(line number, line) for each line of a text input that is not blank or a '#' comment."""
+    return [(line_no, line) for line_no, line in enumerate(read_text(path).split("\n"), start=1)
+            if line.lstrip()[:1] not in ("", "#")]
+
+
 def _edge_lines(path):
     """(line number, u, v) for each "u v" line of an edge-list file. Blank and
     '#' lines are skipped; any other line raises EdgeListParseError."""
-    with open(path) as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                a, b = line.split()
-                u, v = int(a), int(b)
-            except ValueError:
-                raise EdgeListParseError(path, line_no, raw.rstrip("\n")) from None
-            yield line_no, u, v
+    for line_no, line in _text_lines(path):
+        try:
+            a, b = line.split()
+            u, v = int(a), int(b)
+        except ValueError:
+            raise EdgeListParseError(path, line_no, line) from None
+        yield line_no, u, v
 
 
 def load_edge_list(path, directed=False):
@@ -323,28 +334,18 @@ def load_communities(path, graph):
     listed id must exist in the graph.
     """
     labels = np.full(graph.node_count, -1, dtype=np.int64)
-    with open(path) as f:
-        idx = 0
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            for tok in line.split():
-                try:
-                    node = int(tok)
-                except ValueError:
-                    raise CommunityFileError(
-                        f"{path}:{line_no}: node id {tok!r} is not an integer") from None
-                if node not in graph.id_map:
-                    raise CommunityFileError(f"{path}: node id {node} not in graph")
-                cid = graph.id_map[node]
-                if labels[cid] == idx:
-                    raise CommunityFileError(
-                        f"{path}:{line_no}: node id {node} is listed twice on this line")
-                if labels[cid] >= 0:
-                    raise CommunityFileError(
-                        f"{path}: node id {node} appears in more than one community"
-                    )
-                labels[cid] = idx
-            idx += 1
+    for idx, (line_no, line) in enumerate(_text_lines(path)):
+        at = f"{path}:{line_no}: node id"
+        for tok in line.split():
+            try:
+                node = int(tok)
+            except ValueError:
+                raise CommunityFileError(f"{at} {tok!r} is not an integer") from None
+            if (cid := graph.id_map.get(node, -1)) < 0:
+                raise CommunityFileError(f"{at} {node} is not in the dataset")
+            if labels[cid] == idx:
+                raise CommunityFileError(f"{at} {node} is listed twice on this line")
+            if labels[cid] >= 0:
+                raise CommunityFileError(f"{at} {node} appears in more than one community")
+            labels[cid] = idx
     return labels

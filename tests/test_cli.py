@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -278,9 +279,31 @@ def corrupted_checkpoint(path, checkpoint):
     path.write_bytes(bytes(data))
 
 
+def directory(path, checkpoint):
+    path.mkdir()
+
+
+def not_utf8(path, checkpoint):
+    path.write_bytes(b"0 1\n\xff 2\n")  # byte 4 starts no UTF-8 character
+
+
 TRAIN = ["train", "--config", "{config}", "--out", "{out}"]
 SPARSIFY_BROKEN = ["sparsify", "--dataset", KARATE, "--method", "agent", "--checkpoint",
                    "{broken}", "--ratio", "0.5", "--out", "{out}"]
+
+
+def sparsify(dataset="{dataset}", out="{out}"):
+    return ["sparsify", "--dataset", dataset, "--method", "random_edge", "--ratio", "0.5",
+            "--out", out]
+
+
+def evaluate(sparsified=KARATE, labels=KARATE_LABELS, out="{out}"):
+    return ["evaluate", "--dataset", KARATE, "--sparsified", sparsified, "--metric", "community",
+            "--labels", labels, "--out", out]
+
+
+SMALL_GRID = section_config("evaluation", ratios=[0.5], seeds=1, louvain_runs=1)
+NOT_UTF8 = "{}: not UTF-8 text (invalid start byte at byte 4)"
 
 
 # each case: (files to write, argv, text the one-line message must contain)
@@ -520,6 +543,60 @@ DATA_ERRORS = {
         {"sparse.txt": "0 1\n2 x3\n"},
         ["evaluate", "--dataset", KARATE, "--sparsified", "{sparse}", "--metric", "pagerank"],
         "sparse.txt:2: malformed edge-list line: '2 x3'"),
+    "community id the dataset lacks": (
+        {"labels.txt": "0 1\n2 99\n"}, evaluate(labels="{labels}"),
+        "labels.txt:2: node id 99 is not in the dataset"),
+    "community id in two communities, after a comment and a blank line": (
+        {"labels.txt": "0 1\n# comment\n\n1 2\n"}, evaluate(labels="{labels}"),
+        "labels.txt:4: node id 1 appears in more than one community"),
+    "checkpoint format_version true": (
+        {"broken.npz": edited_checkpoint(lambda h, a: h.update(format_version=True))},
+        SPARSIFY_BROKEN,
+        "broken.npz: unsupported checkpoint version True"),
+    "checkpoint format_version 1.0": (
+        {"broken.npz": edited_checkpoint(lambda h, a: h.update(format_version=1.0))},
+        SPARSIFY_BROKEN,
+        "broken.npz: unsupported checkpoint version 1.0"),
+    "checkpoint model node_count of another graph": (
+        {"broken.npz": edited_checkpoint(lambda h, a: h["model"].update(node_count=999))},
+        SPARSIFY_BROKEN,
+        "broken.npz: checkpoint model.node_count is 999, but its agent has 34"),
+    "checkpoint model emb_dim that is not a number": (
+        {"broken.npz": edited_checkpoint(lambda h, a: h["model"].update(emb_dim="x"))},
+        SPARSIFY_BROKEN,
+        "broken.npz: checkpoint model.emb_dim is 'x', but its agent has 8"),
+    "checkpoint model directed 0": (
+        {"broken.npz": edited_checkpoint(lambda h, a: h["model"].update(directed=0))},
+        SPARSIFY_BROKEN,
+        "broken.npz: checkpoint model.directed is 0, but its agent has False"),
+    # inputs that cannot be read as text, and outputs that cannot be written
+    "directory as dataset": ({"dataset": directory}, sparsify(), "Is a directory: '{dataset}'"),
+    "non-UTF-8 dataset": ({"dataset.txt": not_utf8}, sparsify(), NOT_UTF8.format("{dataset}")),
+    "directory as sparsified list": (
+        {"sparse": directory}, evaluate(sparsified="{sparse}"), "Is a directory: '{sparse}'"),
+    "non-UTF-8 sparsified list": (
+        {"sparse.txt": not_utf8}, evaluate(sparsified="{sparse}"), NOT_UTF8.format("{sparse}")),
+    "directory as labels": (
+        {"labels": directory}, evaluate(labels="{labels}"), "Is a directory: '{labels}'"),
+    "non-UTF-8 labels": (
+        {"labels.txt": not_utf8}, evaluate(labels="{labels}"), NOT_UTF8.format("{labels}")),
+    "directory as train config": ({"config": directory}, TRAIN, "Is a directory: '{config}'"),
+    "non-UTF-8 train config": ({"config.yaml": not_utf8}, TRAIN, NOT_UTF8.format("{config}")),
+    "directory as compare config": (
+        {"config": directory}, ["compare", "--config", "{config}", "--out", "{out}"],
+        "Is a directory: '{config}'"),
+    "non-UTF-8 compare config": (
+        {"config.yaml": not_utf8}, ["compare", "--config", "{config}", "--out", "{out}"],
+        NOT_UTF8.format("{config}")),
+    "directory as checkpoint": (
+        {"broken": directory}, SPARSIFY_BROKEN, "Is a directory: '{broken}'"),
+    "directory as sparsify output": (
+        {"taken": directory}, sparsify(dataset=KARATE, out="{taken}"), "Is a directory: '{taken}'"),
+    "directory as evaluate output": (
+        {"taken": directory}, evaluate(out="{taken}"), "Is a directory: '{taken}'"),
+    "file as compare output directory": (
+        {"config.yaml": SMALL_GRID, "taken.txt": "x\n"},
+        ["compare", "--config", "{config}", "--out", "{taken}"], "File exists: '{taken}'"),
 }
 
 
@@ -533,7 +610,17 @@ def test_data_errors_exit_2_with_one_line(case, trained, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == cli.EXIT_DATA, err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
+    assert message.format(**paths) in err
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file whatever its mode")
+def test_unreadable_dataset_exits_2(tmp_path, capsys):
+    dataset = tmp_path / "karate.txt"
+    dataset.write_text("0 1\n1 2\n")
+    dataset.chmod(0)
+    rc = cli.main(sparsify(dataset=str(dataset), out=str(tmp_path / "out")))
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{dataset}'\n"
 
 
 # each case: (sparsified file, --directed, kept edge count or the message naming
