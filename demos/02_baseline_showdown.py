@@ -18,16 +18,9 @@ rng = np.random.default_rng(0)
 queries = PathQuerySet.sample(g, 200, np.random.default_rng(1))
 pr = pagerank(g)
 
-methods = {
-    "random_edge": lambda: baselines.random_edge(g, ratio, rng),
-    "local_degree": lambda: baselines.local_degree(g, r=ratio),
-    "edge_forest_fire": lambda: baselines.edge_forest_fire(g, ratio, 0.95, rng),
-    "l_spar": lambda: baselines.l_spar(g, r=ratio),
-}
-
 print(f"{'method':>18} {'kept':>5} {'pagerank rho':>13} {'spsp penalty':>13}")
-for name, run in methods.items():
-    sp = run()
+for name, run in baselines.AT_RATIO.items():
+    sp = run(g, ratio, rng)
     rho = spearman_rho(pr, pagerank(sp))
     spsp = spsp_penalty(sp, queries)
     print(f"{name:>18} {sp.edge_count:>5} {rho:>13.4f} {spsp:>13.4f}")

@@ -5,7 +5,6 @@ random-start pruning, and greedy evaluation-time sparsification.
 
 import csv
 import json
-import os
 import zipfile
 from dataclasses import dataclass, field, asdict
 
@@ -14,6 +13,7 @@ import numpy as np
 from . import nnet
 from .config import AgentConfig, build
 from .errors import ConfigError, DataError, PruneRLError
+from .graph import open_output
 from .nnet import Adam
 from .qmodel import QModel
 from .replay import ReplayBuffer, Transition
@@ -280,7 +280,7 @@ def train_loop(agent, reward_spec, episodes, rng, log_path=None,
     (episode, step, epsilon, loss, mean_reward, buffer_size).
     """
     rows = []
-    with open(log_path or os.devnull, "w", newline="") as log:
+    with open_output(log_path) as log:
         writer = csv.DictWriter(log, fieldnames=LOG_FIELDS)
         writer.writeheader()
         log.flush()

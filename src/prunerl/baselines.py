@@ -175,6 +175,15 @@ def edge_forest_fire(g, r, p, rng):
     return out
 
 
+# fn(g, r, rng) per classical baseline; each looks its function up per call, as tracers wrap it
+AT_RATIO = {
+    "random_edge": lambda g, r, rng: random_edge(g, r, rng),
+    "local_degree": lambda g, r, rng: local_degree(g, r=r),
+    "edge_forest_fire": lambda g, r, rng: edge_forest_fire(g, r, 0.95, rng),
+    "l_spar": lambda g, r, rng: l_spar(g, r=r),
+}
+
+
 def baswana_sen_spanner(g, t_stretch, rng):
     """Randomized (2k-1)-spanner via k rounds of cluster sampling.
 

@@ -18,7 +18,7 @@ from . import baselines
 from .agent import Agent, train_loop
 from .config import COUNT, RATIO, SEED, load_run_config, rng_streams
 from .errors import ConfigError, DataError, PruneRLError
-from .graph import load_communities, load_edge_list
+from .graph import load_communities, load_edge_list, open_output
 from .metrics import pagerank  # noqa: F401  perfbench/test_perfbench.py reads cli.pagerank
 from .rewards import OBJECTIVES, make_reward_spec
 
@@ -27,7 +27,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
-BASELINE_METHODS = ("random_edge", "local_degree", "edge_forest_fire", "l_spar")
+BASELINE_METHODS = tuple(baselines.AT_RATIO)
 
 
 def _load_labels_if(path, graph):
@@ -48,30 +48,21 @@ def _flag(rule, parse=int):
 
 def _run_method(method, graph, ratio, seed, agent, eval_h):
     rng = np.random.default_rng(seed)
-    if method == "random_edge":
-        return baselines.random_edge(graph, ratio, rng)
-    if method == "local_degree":
-        return baselines.local_degree(graph, r=ratio)
-    if method == "edge_forest_fire":
-        return baselines.edge_forest_fire(graph, ratio, 0.95, rng)
-    if method == "l_spar":
-        return baselines.l_spar(graph, r=ratio)
-    if method == "agent":
-        if agent is None:
-            raise ConfigError("method 'agent' requires a checkpoint")
-        return agent.sparsify(graph, ratio, eval_h, rng)
-    raise ConfigError(f"unknown method {method!r}")
+    if method != "agent":
+        return baselines.AT_RATIO[method](graph, ratio, rng)
+    if agent is None:
+        raise ConfigError("method 'agent' requires a checkpoint")
+    return agent.sparsify(graph, ratio, eval_h, rng)
 
 
 def _load_agent_if(path, graph):
     return Agent.load(path, graph) if path else None
 
 
-def _write_csv(path, rows, fieldnames):
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+def _write_csv(f, rows, fieldnames):
+    writer = csv.DictWriter(f, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 # ------------------------------------------------------------------- commands
@@ -109,18 +100,16 @@ def cmd_train(args):
 
 def cmd_sparsify(args):
     graph = load_edge_list(args.dataset, directed=args.directed)
-    sparsified = _run_method(
-        args.method, graph, args.ratio, args.seed,
-        _load_agent_if(args.checkpoint, graph), args.eval_subgraph_len,
-    )
-    header = [
-        f"method={args.method} ratio={args.ratio} seed={args.seed}",
-        f"dataset={args.dataset}",
-    ]
-    params = getattr(sparsified, "method_params", None)
-    if params:
-        header.append(f"params={params}")
-    sparsified.save_edge_list(args.out, header_lines=header)
+    agent = _load_agent_if(args.checkpoint, graph)
+    with open_output(args.out) as f:
+        sparsified = _run_method(args.method, graph, args.ratio, args.seed, agent,
+                                 args.eval_subgraph_len)
+        header = [f"method={args.method} ratio={args.ratio} seed={args.seed}",
+                  f"dataset={args.dataset}"]
+        params = getattr(sparsified, "method_params", None)
+        if params:
+            header.append(f"params={params}")
+        sparsified.save_edge_list(f, header_lines=header)
     print(f"wrote {sparsified.edge_count} live edges to {args.out}")
     return EXIT_OK
 
@@ -130,18 +119,13 @@ def cmd_evaluate(args):
     sparsified = graph.copy_listed(args.sparsified)
     objective = make_reward_spec(args.metric, graph,
                                  labels=_load_labels_if(args.labels, graph))
-    value = objective.evaluate(sparsified, np.random.default_rng(args.seed),
-                               louvain_runs=args.louvain_runs, spsp_pairs=args.spsp_pairs)
-    row = {
-        "dataset": args.dataset,
-        "method": "file",
-        "edge_kept_ratio": sparsified.edge_kept_ratio(),
-        "metric": args.metric,
-        "seed": args.seed,
-        "value": value,
-    }
-    if args.out:
-        _write_csv(args.out, [row], list(row.keys()))
+    with open_output(args.out) as f:
+        value = objective.evaluate(sparsified, np.random.default_rng(args.seed),
+                                   louvain_runs=args.louvain_runs, spsp_pairs=args.spsp_pairs)
+        row = {"dataset": args.dataset, "method": "file",
+               "edge_kept_ratio": sparsified.edge_kept_ratio(), "metric": args.metric,
+               "seed": args.seed, "value": value}
+        _write_csv(f, [row], list(row.keys()))
     print(f"{args.metric} = {value}")
     return EXIT_OK
 
@@ -154,45 +138,47 @@ def cmd_compare(args):
         metric, graph, labels=_load_labels_if(cfg.objective.labels_path, graph))
     agent = _load_agent_if(args.checkpoint, graph)
     out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)  # before the grid, so a bad --out costs no cells
+    out_dir.mkdir(parents=True, exist_ok=True)
     methods = list(BASELINE_METHODS)
     if agent is not None:
         methods.append("agent")
     ev = cfg.evaluation
     cells = []
-    for method, ratio, seed in itertools.product(methods, ev.ratios, range(ev.seeds)):
-        cell = {"dataset": cfg.dataset, "method": method, "edge_kept_ratio": ratio,
-                "achieved_edges": "", "metric": metric, "seed": seed,
-                "value": float("nan"), "error": ""}
-        try:  # a failing cell is reported in its row, and the grid goes on
-            sp = _run_method(method, graph, ratio, seed, agent, ev.eval_subgraph_len)
-            value = objective.evaluate(sp, np.random.default_rng(seed),
-                                       louvain_runs=ev.louvain_runs, spsp_pairs=ev.spsp_pairs)
-            cell.update(achieved_edges=sp.edge_count, value=value)
-        except PruneRLError as exc:
-            cell["error"] = str(exc)
-        cells.append(cell)
-    agg = {}
-    for c in cells:
-        if not c["error"]:
-            agg.setdefault((c["method"], c["edge_kept_ratio"]), []).append(c["value"])
-    best = {}
-    for (method, ratio), vals in agg.items():
-        m = float(np.mean(vals))
-        score = m if objective.higher_is_better else -m
-        if ratio not in best or score > best[ratio][1]:
-            best[ratio] = (method, score)
-    table_rows = [
-        {"dataset": cfg.dataset, "method": method, "ratio": ratio,
-         "metric": metric, "mean": float(np.mean(vals)), "n_seeds": len(vals),
-         "best": int(best[ratio][0] == method)}
-        for (method, ratio), vals in sorted(agg.items())
-    ]
-    _write_csv(out_dir / "compare_cells.csv", cells,
-               ["dataset", "method", "edge_kept_ratio", "achieved_edges", "metric", "seed",
-                "value", "error"])
-    _write_csv(out_dir / "compare_table.csv", table_rows,
-               ["dataset", "method", "ratio", "metric", "mean", "n_seeds", "best"])
+    # opened before the grid, so a bad --out costs no cells
+    with (open_output(out_dir / "compare_cells.csv") as cells_f,
+          open_output(out_dir / "compare_table.csv") as table_f):
+        for method, ratio, seed in itertools.product(methods, ev.ratios, range(ev.seeds)):
+            cell = {"dataset": cfg.dataset, "method": method, "edge_kept_ratio": ratio,
+                    "achieved_edges": "", "metric": metric, "seed": seed,
+                    "value": float("nan"), "error": ""}
+            try:  # a failing cell is reported in its row, and the grid goes on
+                sp = _run_method(method, graph, ratio, seed, agent, ev.eval_subgraph_len)
+                value = objective.evaluate(sp, np.random.default_rng(seed),
+                                           louvain_runs=ev.louvain_runs, spsp_pairs=ev.spsp_pairs)
+                cell.update(achieved_edges=sp.edge_count, value=value)
+            except PruneRLError as exc:
+                cell["error"] = str(exc)
+            cells.append(cell)
+        agg = {}
+        for c in cells:
+            if not c["error"]:
+                agg.setdefault((c["method"], c["edge_kept_ratio"]), []).append(c["value"])
+        best = {}
+        for (method, ratio), vals in agg.items():
+            m = float(np.mean(vals))
+            score = m if objective.higher_is_better else -m
+            if ratio not in best or score > best[ratio][1]:
+                best[ratio] = (method, score)
+        table_rows = [
+            {"dataset": cfg.dataset, "method": method, "ratio": ratio,
+             "metric": metric, "mean": float(np.mean(vals)), "n_seeds": len(vals),
+             "best": int(best[ratio][0] == method)}
+            for (method, ratio), vals in sorted(agg.items())
+        ]
+        _write_csv(cells_f, cells, ["dataset", "method", "edge_kept_ratio", "achieved_edges",
+                                    "metric", "seed", "value", "error"])
+        _write_csv(table_f, table_rows,
+                   ["dataset", "method", "ratio", "metric", "mean", "n_seeds", "best"])
     for row in table_rows:
         flag = " *" if row["best"] else ""
         print(f"{row['method']:>18} r={row['ratio']:<4} {metric}={row['mean']:.4f}{flag}")
@@ -200,7 +186,7 @@ def cmd_compare(args):
 
 
 def cmd_spanner_compare(args):
-    graph = load_edge_list(args.dataset, directed=args.directed)
+    graph = load_edge_list(args.dataset)  # the spanner is defined for undirected graphs
     agent = _load_agent_if(args.checkpoint, graph)
     rng = np.random.default_rng(args.seed)
 
@@ -208,12 +194,12 @@ def cmd_spanner_compare(args):
         ratio = edge_count / graph.original_edge_count
         return agent.sparsify(graph, ratio, args.eval_subgraph_len, rng_)
 
-    rows = baselines.spanner_comparison_protocol(
-        graph, args.stretch, sparsify_to_count, rng, runs=args.runs,
-        n_pairs=args.spsp_pairs,
-    )
-    if args.out:
-        _write_csv(args.out, rows, ["t", "mean_ratio", "spanner_rspsp", "agent_rspsp"])
+    with open_output(args.out) as f:
+        rows = baselines.spanner_comparison_protocol(
+            graph, args.stretch, sparsify_to_count, rng, runs=args.runs,
+            n_pairs=args.spsp_pairs,
+        )
+        _write_csv(f, rows, ["t", "mean_ratio", "spanner_rspsp", "agent_rspsp"])
     for r in rows:
         print(f"t={r['t']} kept={r['mean_ratio']:.4f} "
               f"spanner={r['spanner_rspsp']:.4f} agent={r['agent_rspsp']:.4f}")
@@ -226,22 +212,21 @@ def cmd_h_sweep(args):
     objective = make_reward_spec(args.metric, graph,
                                  labels=_load_labels_if(args.labels, graph))
     series = [[None] * args.seeds for _ in args.subgraph_lens]
-    # seed-major, so that host drift over the run lands on every |H| alike
-    for seed in range(args.seeds):
-        for runs, h in zip(series, args.subgraph_lens):
-            rng = np.random.default_rng(seed)
-            t0 = time.perf_counter()
-            sp = agent.sparsify(graph, args.ratio, h, rng)
-            elapsed = time.perf_counter() - t0
-            value = objective.evaluate(sp, np.random.default_rng(seed),
-                                       louvain_runs=args.louvain_runs)
-            runs[seed] = {"subgraph_len": h, "ratio": args.ratio,
-                          "metric": args.metric, "seed": seed, "value": value,
-                          "wall_time_s": elapsed}
-    rows = [row for runs in series for row in runs]
-    if args.out:
-        _write_csv(args.out, rows,
-                   ["subgraph_len", "ratio", "metric", "seed", "value", "wall_time_s"])
+    with open_output(args.out) as f:
+        # seed-major, so that host drift over the run lands on every |H| alike
+        for seed in range(args.seeds):
+            for runs, h in zip(series, args.subgraph_lens):
+                rng = np.random.default_rng(seed)
+                t0 = time.perf_counter()
+                sp = agent.sparsify(graph, args.ratio, h, rng)
+                elapsed = time.perf_counter() - t0
+                value = objective.evaluate(sp, np.random.default_rng(seed),
+                                           louvain_runs=args.louvain_runs)
+                runs[seed] = {"subgraph_len": h, "ratio": args.ratio,
+                              "metric": args.metric, "seed": seed, "value": value,
+                              "wall_time_s": elapsed}
+        rows = [row for runs in series for row in runs]
+        _write_csv(f, rows, ["subgraph_len", "ratio", "metric", "seed", "value", "wall_time_s"])
     for h in args.subgraph_lens:
         sub = [r for r in rows if r["subgraph_len"] == h]
         print(f"|H|={h}: mean {args.metric}={np.mean([r['value'] for r in sub]):.4f} "
@@ -304,7 +289,6 @@ def build_parser():
     sc.add_argument("--seed", type=_flag(SEED), default=0)
     sc.add_argument("--spsp-pairs", dest="spsp_pairs", type=_flag(COUNT), default=512)
     sc.add_argument("--eval-subgraph-len", dest="eval_subgraph_len", type=_flag(COUNT), default=32)
-    sc.add_argument("--directed", action="store_true")
     sc.add_argument("--out", default=None)
     sc.set_defaults(func=cmd_spanner_compare)
 

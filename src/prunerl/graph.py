@@ -6,6 +6,7 @@ is shared by every copy, and an edge id held by a stored candidate snapshot
 still names the same endpoints long after the edge is gone.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,11 +241,10 @@ class Graph:
         ids, eids = self.original_ids, self.live_edge_ids()
         return [(ids[u], ids[v]) for u, v in zip(self.src[eids].tolist(), self.dst[eids].tolist())]
 
-    def save_edge_list(self, path, header_lines=()):
-        """Write the live edges in edge-id order using original node ids."""
-        with open(path, "w", encoding="utf-8") as f:  # read back as UTF-8 text, whatever the locale
-            f.writelines(f"# {line}\n" for line in header_lines)
-            f.writelines(f"{u} {v}\n" for u, v in self._live_original_edges())
+    def save_edge_list(self, f, header_lines=()):
+        """Write '#' header lines, then the live edges in edge-id order using original node ids."""
+        f.writelines(f"# {line}\n" for line in header_lines)
+        f.writelines(f"{u} {v}\n" for u, v in self._live_original_edges())
 
     def live_edge_set(self):
         """Frozenset of live edges in original ids (canonical order if undirected)."""
@@ -280,6 +280,13 @@ def read_text(path):
             return f.read()
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def open_output(path=None):
+    """A text output (os.devnull without a path), written as UTF-8 whatever the locale; text
+    UTF-8 cannot hold is backslash-escaped, so the file reads back through `read_text`."""
+    return open(os.devnull if path is None else path, "w", encoding="utf-8",
+                errors="backslashreplace", newline="")
 
 
 def _text_lines(path):

@@ -19,7 +19,7 @@ import scipy.stats
 from prunerl import baselines, cli, nnet
 from prunerl.agent import Agent, AgentConfig, epsilon_at, train_loop
 from prunerl.errors import PruneRLError
-from prunerl.graph import Graph, load_communities, load_edge_list
+from prunerl.graph import Graph, load_communities, load_edge_list, open_output
 from prunerl.metrics import (
     PathQuerySet,
     adjusted_rand_index,
@@ -376,7 +376,8 @@ class TestDeterminismAndPersistence:
         g = load_edge_list(KARATE)
         sp = baselines.random_edge(g, 0.5, np.random.default_rng(4))
         out = tmp_path / "sparse.txt"
-        sp.save_edge_list(out, header_lines=["determinism check"])
+        with open_output(out) as f:
+            sp.save_edge_list(f, header_lines=["determinism check"])
         reloaded = load_edge_list(out)
         assert reloaded.live_edge_set() == sp.live_edge_set()
 

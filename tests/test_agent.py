@@ -673,14 +673,10 @@ class TestSparsify:
     @pytest.mark.parametrize("ratio", [0.0, -0.25, 1.5])
     def test_bad_ratio_message_is_the_baselines(self, karate, rng, ratio):
         agent = Agent(karate, AgentConfig(**SMALL), rng=rng)
-        runs = [lambda: agent.sparsify(karate, ratio, 8, rng),
-                lambda: baselines.random_edge(karate, ratio, rng),
-                lambda: baselines.edge_forest_fire(karate, ratio, 0.95, rng),
-                lambda: baselines.local_degree(karate, r=ratio),
-                lambda: baselines.l_spar(karate, r=ratio)]
+        runs = [lambda g, r, rng: agent.sparsify(g, r, 8, rng), *baselines.AT_RATIO.values()]
         for run in runs:
             with pytest.raises(PruneRLError) as exc:
-                run()
+                run(karate, ratio, rng)
             assert str(exc.value) == f"edge-kept ratio must be in (0, 1], got {ratio}"
 
 

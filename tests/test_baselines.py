@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from prunerl.baselines import (
+    AT_RATIO,
     baswana_sen_spanner,
     edge_forest_fire,
     jaccard_scores,
@@ -239,22 +240,14 @@ class TestPrunedInput:
         karate.random_prune(40, np.random.default_rng(1))
         return karate
 
-    @pytest.mark.parametrize("method", [
-        lambda g, r, rng: random_edge(g, r, rng),
-        lambda g, r, rng: edge_forest_fire(g, r, 0.95, rng),
-        lambda g, r, rng: local_degree(g, r=r),
-        lambda g, r, rng: l_spar(g, r=r),
-    ], ids=["random_edge", "edge_forest_fire", "local_degree", "l_spar"])
+    @pytest.mark.parametrize("method", list(AT_RATIO))
     def test_target_above_live_rejected(self, karate_38, method):
         with pytest.raises(PruneRLError, match="target of 58 edges exceeds the 38 still live"):
-            method(karate_38, 0.75, np.random.default_rng(0))
+            AT_RATIO[method](karate_38, 0.75, np.random.default_rng(0))
         assert karate_38.edge_count == 38
 
-    @pytest.mark.parametrize("method", [
-        lambda g, r, rng: random_edge(g, r, rng),
-        lambda g, r, rng: edge_forest_fire(g, r, 0.95, rng),
-    ], ids=["random_edge", "edge_forest_fire"])
+    @pytest.mark.parametrize("method", ["random_edge", "edge_forest_fire"])
     def test_target_below_live_reached(self, karate_38, method):
-        out = method(karate_38, 0.25, np.random.default_rng(0))
+        out = AT_RATIO[method](karate_38, 0.25, np.random.default_rng(0))
         assert out.edge_count == 20
         assert out.live_edge_set() <= karate_38.live_edge_set()

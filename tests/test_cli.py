@@ -1,14 +1,18 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from prunerl import cli
-from prunerl.graph import load_edge_list
+from prunerl import baselines, cli
+from prunerl.agent import Agent
+from prunerl.graph import load_edge_list, read_text
+from prunerl.rewards import OBJECTIVES, RewardSpec
 
 from conftest import DATA_DIR
 
@@ -594,14 +598,42 @@ DATA_ERRORS = {
         {"taken": directory}, sparsify(dataset=KARATE, out="{taken}"), "Is a directory: '{taken}'"),
     "directory as evaluate output": (
         {"taken": directory}, evaluate(out="{taken}"), "Is a directory: '{taken}'"),
+    "directory as spanner-compare output": (
+        {"taken": directory},
+        ["spanner-compare", "--dataset", KARATE, "--checkpoint", "{checkpoint}", "--runs", "2",
+         "--spsp-pairs", "32", "--eval-subgraph-len", "8", "--out", "{taken}"],
+        "Is a directory: '{taken}'"),
+    "directory as h-sweep output": (
+        {"taken": directory},
+        ["h-sweep", "--dataset", KARATE, "--checkpoint", "{checkpoint}", "--ratio", "0.5",
+         "--subgraph-lens", "8", "--seeds", "1", "--out", "{taken}"],
+        "Is a directory: '{taken}'"),
     "file as compare output directory": (
         {"config.yaml": SMALL_GRID, "taken.txt": "x\n"},
         ["compare", "--config", "{config}", "--out", "{taken}"], "File exists: '{taken}'"),
 }
 
 
+@pytest.fixture
+def work_calls(monkeypatch):
+    """The names of the sparsify and score calls made while a test runs."""
+    calls = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
+
+    for name in (*baselines.AT_RATIO, "baswana_sen_spanner"):
+        count(baselines, name)
+    count(Agent, "sparsify")
+    for cls in (RewardSpec, *OBJECTIVES.values()):
+        if "evaluate" in vars(cls):
+            count(cls, "evaluate")
+    return calls
+
+
 @pytest.mark.parametrize("case", sorted(DATA_ERRORS))
-def test_data_errors_exit_2_with_one_line(case, trained, tmp_path, capsys):
+def test_data_errors_exit_2_with_one_line(case, trained, tmp_path, capsys, work_calls):
     files, argv, message = DATA_ERRORS[case]
     paths = {Path(name).stem: bad_input(tmp_path, name, content, trained["checkpoint"])
              for name, content in files.items()}
@@ -611,6 +643,39 @@ def test_data_errors_exit_2_with_one_line(case, trained, tmp_path, capsys):
     assert rc == cli.EXIT_DATA, err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message.format(**paths) in err
+    # every input is read and every output opened before the first sparsify or score
+    assert work_calls == []
+
+
+def test_work_calls_are_counted(work_calls, tmp_path):
+    """The counter sees each call the CLI makes: `baselines.AT_RATIO` looks a
+    baseline up on the module when called, as a wrapper set there needs."""
+    assert cli.main(sparsify(dataset=KARATE, out=str(tmp_path / "o.txt"))) == cli.EXIT_OK
+    assert cli.main(evaluate(sparsified=str(tmp_path / "o.txt"),
+                             out=str(tmp_path / "o.csv"))) == cli.EXIT_OK
+    assert work_calls == ["random_edge", "evaluate"]
+
+
+def test_outputs_are_utf8_under_the_c_locale(tmp_path):
+    """Under the C locale, the UTF-8 bytes of "é" in a path argument reach the
+    program undecoded; the sparsified header and the evaluate row hold them as
+    backslash escapes, and the sparsified file reads back."""
+    dataset = os.path.join(os.fsencode(tmp_path), "karaté.txt".encode())  # bytes, any locale
+    with open(dataset, "wb") as f:
+        f.write(Path(KARATE).read_bytes())
+    sparse, scored = tmp_path / "sparse.txt", tmp_path / "eval.csv"
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for argv in (sparsify(dataset=dataset, out=str(sparse)),
+                 ["evaluate", "--dataset", dataset, "--sparsified", str(sparse),
+                  "--metric", "pagerank", "--out", str(scored)]):
+        proc = subprocess.run([sys.executable, "-m", "prunerl.cli", *argv], env=env,
+                              capture_output=True)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+    escaped = "karat\\udcc3\\udca9.txt"
+    assert f"# dataset={tmp_path}/{escaped}\n" in read_text(sparse)
+    assert load_edge_list(sparse).edge_count == 39
+    assert read_csv(scored)[0]["dataset"].endswith(escaped)
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file whatever its mode")

@@ -100,7 +100,7 @@ def test_agent_config_has_one_home():
 
 
 def test_readme_table_lists_every_field_in_order():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     listed = re.findall(r"^\| `([a-z_.]+)` \|", readme, flags=re.M)
     assert listed == [f.name if where is None else f"{where}.{f.name}"
                       for where, f in field_cases() if "section" not in f.metadata]

@@ -6,7 +6,7 @@ import pytest
 
 from prunerl.errors import (CommunityFileError, DataError, DeadEdgeError, EdgeListParseError,
                             PruneRLError)
-from prunerl.graph import CandidateSubgraph, Graph, load_communities, load_edge_list
+from prunerl.graph import CandidateSubgraph, Graph, load_communities, load_edge_list, open_output
 
 from conftest import (complete_graph, degree_of, edge_id, make_graph, neighbors, path_graph,
                       random_sparse_graph, shortest_path_distance)
@@ -63,7 +63,8 @@ class TestLoadEdgeList:
     def test_round_trip_identity(self, tmp_path, karate, rng):
         karate.random_prune(20, rng)
         out = tmp_path / "sparse_karate.txt"
-        karate.save_edge_list(out, header_lines=["provenance test"])
+        with open_output(out) as f:
+            karate.save_edge_list(f, header_lines=["provenance test"])
         again = load_edge_list(out)
         assert again.live_edge_set() == karate.live_edge_set()
 
@@ -74,7 +75,8 @@ class TestLoadEdgeList:
         g = load_edge_list(p)
         g.prune_edge(edge_id(g, g.id_map[5], g.id_map[big]))
         out = tmp_path / "again.txt"
-        g.save_edge_list(out)
+        with open_output(out) as f:
+            g.save_edge_list(f)
         again = load_edge_list(out)
         assert again.live_edge_set() == g.live_edge_set() == {
             (big, big + 1), (-big, big + 1), (-big, 5)}
