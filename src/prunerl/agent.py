@@ -277,8 +277,12 @@ def train_loop(agent, reward_spec, episodes, rng, log_path=None,
 
     Writes one CSV log row per episode, flushed as the episode ends, so a
     crash keeps the rows of the episodes before it:
-    (episode, step, epsilon, loss, mean_reward, buffer_size).
+    (episode, step, epsilon, loss, mean_reward, buffer_size). The
+    checkpoint is also written before the first episode, so a path that
+    cannot be written fails before any training.
     """
+    if checkpoint_path:
+        agent.save(checkpoint_path)
     rows = []
     with open_output(log_path) as log:
         writer = csv.DictWriter(log, fieldnames=LOG_FIELDS)

@@ -215,21 +215,21 @@ class Graph:
             raise PruneRLError("subgraph size must be >= 1")
         if self.edge_count == 0:
             raise PruneRLError("cannot sample a subgraph from an edgeless graph")
-        k = min(size, self.edge_count)
-        picked = rng.choice(self._live_ids[: self.edge_count], size=k, replace=False)
-        pairs = np.stack([self.src[picked], self.dst[picked]], axis=1)
-        nodes = np.unique(pairs)
-        degs = self.deg.take(nodes, axis=0)  # deg[nodes], without fancy indexing's set-up
+        picked = rng.choice(self._live_ids[: self.edge_count], min(size, self.edge_count), replace=False)
+        pairs = np.stack([self.src.take(picked), self.dst.take(picked)], axis=1)
+        ends = np.sort(pairs, axis=None)  # np.unique(pairs) below, minus numpy 2's hash table
+        nodes = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]
+        degs = self.deg.take(nodes, axis=0)  # `take`: a gather without fancy indexing's set-up
         # the nodes' CSR rows read in neighbour order, so their live entries
         # come out sorted; a hood is its node, then a live (out-)degree of them
-        starts = self.indptr[nodes]
-        pos = self.nbr_order[concat_ranges(starts, self.indptr[nodes + 1] - starts)]
+        starts = self.indptr.take(nodes)
+        pos = self.nbr_order.take(concat_ranges(starts, self.indptr.take(nodes + 1) - starts))
         hood_ptr = np.concatenate(([0], np.cumsum(degs[:, -1] + 1)))
         hood = np.empty(hood_ptr[-1], dtype=np.int64)
         hood[hood_ptr[:-1]] = nodes
         is_nbr = np.ones(hood.size, dtype=bool)
         is_nbr[hood_ptr[:-1]] = False
-        hood[is_nbr] = self.nbrs[pos[self.alive[self.eids[pos]]]]
+        hood[is_nbr] = self.nbrs.take(pos[self.alive.take(self.eids.take(pos))])
         return CandidateSubgraph(eids=picked, ends=np.searchsorted(nodes, pairs), hood_ptr=hood_ptr,
                                  hood=hood, node_degrees=degs,
                                  edge_ratio=np.full((nodes.size, 1), self.edge_kept_ratio()))

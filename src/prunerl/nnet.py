@@ -118,7 +118,7 @@ def concat_features(a, features, grad=True):
 def pair_rows(a, ends, side_by_side, grad=True):
     """Rows ends[:, 0] and ends[:, 1] of a 2-D tensor, side by side or summed."""
     data = value(a)
-    u, v = data[ends[:, 0]], data[ends[:, 1]]
+    u, v = data.take(ends[:, 0], axis=0), data.take(ends[:, 1], axis=0)
     out = np.concatenate([u, v], axis=1) if side_by_side else u + v
     if not grad:
         return out
@@ -185,17 +185,17 @@ def graph_attention(table, proj, score, ptr, hood, slope, grad=True):
     uniq = np.flatnonzero(seen)
     remap = np.empty(len(seen), dtype=np.intp)
     remap[uniq] = np.arange(len(uniq))
-    rows = remap[hood]
-    center = np.repeat(rows[ptr[:-1]], lens)
+    rows = remap.take(hood)
+    center = np.repeat(rows.take(ptr[:-1]), lens)
     W, d, k = score.W.data, proj.W.data.shape[1], len(uniq)
-    gathered = table.data[uniq]
+    gathered = table.data.take(uniq, axis=0)
     p_uniq = gathered @ proj.W.data
-    # the score of a [center, entry] row is one dot product per half of
-    # score.W: take both per distinct node, then gather
-    s_center, s_nbr = p_uniq @ W[:d], p_uniq @ W[d:]
-    s = s_center[center] + s_nbr[rows]
+    # the score of a [center, entry] row is one dot product per half of score.W:
+    # take both per distinct node, then gather them (`take` skips fancy indexing's set-up)
+    s_center, s_nbr = (p_uniq @ W[:d]).ravel(), (p_uniq @ W[d:]).ravel()
+    s = s_center.take(center) + s_nbr.take(rows)
     s += score.b.data
-    s = _leaky_relu_(s.reshape(-1), slope)
+    s = _leaky_relu_(s, slope)
     e = np.exp(s - np.repeat(np.maximum.reduceat(s, ptr[:-1]), lens))
     att = e / np.repeat(np.bincount(segments, weights=e, minlength=count), lens)
     # the weighted sums csr_matrix((att, rows, ptr)) @ p_uniq, by scipy's kernel itself without
@@ -208,9 +208,9 @@ def graph_attention(table, proj, score, ptr, hood, slope, grad=True):
         return out
 
     def backward(g):
-        d_att = (g[segments] * p_uniq[rows]).sum(axis=1)
+        d_att = (g.take(segments, axis=0) * p_uniq.take(rows, axis=0)).sum(axis=1)
         dot = np.bincount(segments, weights=d_att * att, minlength=count)
-        d_s = _leaky_grad(att * (d_att - dot[segments]), s, slope).reshape(-1, 1)
+        d_s = _leaky_grad(att * (d_att - dot.take(segments)), s, slope).reshape(-1, 1)
         score.b._accum(d_s.sum(axis=0))
         d_center = _scatter_rows(center, d_s[:, 0], k)[:, None]
         d_nbr = _scatter_rows(rows, d_s[:, 0], k)[:, None]

@@ -24,10 +24,11 @@ from prunerl.replay import ReplayBuffer, SnapshotStore, Transition
 from prunerl.rewards import PagerankReward, SpspReward
 
 import oracles
-from conftest import complete_graph
+from conftest import complete_graph, random_sparse_graph
 from gradcheck import grad_check, mul, sum_all
 from oracles import (concat_oracle, double_dqn_target_oracle, keep_transitions,
-                     q_forward_batch_oracle, q_forward_oracle, train_step_oracle)
+                     q_forward_batch_oracle, q_forward_oracle, sample_subgraph_oracle,
+                     train_step_oracle)
 
 SMALL = dict(emb_dim=8, hidden_dim=16, train_subgraph_len=8, batch_size=8)
 # Agent.save of a karate agent (emb 4, hidden 8, seed 3) after 6 PageRank
@@ -678,6 +679,55 @@ class TestSparsify:
             with pytest.raises(PruneRLError) as exc:
                 run(karate, ratio, rng)
             assert str(exc.value) == f"edge-kept ratio must be in (0, 1], got {ratio}"
+
+
+@pytest.fixture(scope="module")
+def benchmark_scale():
+    """A seeded 2,000-node, 10,000-edge graph, the size of the planted
+    benchmark graph, whole and with 3,000 edges pruned."""
+    g = random_sparse_graph(2000, 10000, np.random.default_rng(11))
+    pruned = g.copy()
+    pruned.random_prune(3000, np.random.default_rng(12))
+    return {"whole": g, "pruned": pruned}
+
+
+class TestInferenceAtBenchmarkScale:
+    """At |H| = 128 a sample has ~240 endpoints and 2,100-2,800 hood entries
+    over 1,200-1,400 distinct nodes, sizes the karate tests never reach."""
+
+    @pytest.mark.parametrize("which", ["whole", "pruned"])
+    def test_sample_equals_oracle(self, benchmark_scale, which):
+        g = benchmark_scale[which]
+        for size in (8, 32, 128):
+            sub = g.sample_subgraph(size, np.random.default_rng(size))
+            want = sample_subgraph_oracle(g, size, np.random.default_rng(size))
+            for f in fields(CandidateSubgraph):
+                got = getattr(sub, f.name)
+                np.testing.assert_array_equal(got, getattr(want, f.name), f.name)
+                assert got.dtype == getattr(want, f.name).dtype, f.name
+
+    @pytest.mark.parametrize("which", ["whole", "pruned"])
+    def test_sparsify_equals_oracle_loop(self, benchmark_scale, which, monkeypatch):
+        """32 greedy prunes at each |H| keep the edges, and score them with
+        the Q-values, of the op-by-op sample, score, argmax and prune loop."""
+        g = benchmark_scale[which]
+        agent = Agent(g, AgentConfig(emb_dim=16, hidden_dim=32), rng=np.random.default_rng(13))
+        scored = []
+        q_forward = agent.policy.q_forward
+        monkeypatch.setattr(agent.policy, "q_forward",
+                            lambda sub, grad=True: scored.append(q_forward(sub, grad)) or scored[-1])
+        ratio = (g.edge_count - 32) / g.original_edge_count
+        for size in (8, 32, 128):
+            scored.clear()
+            out = agent.sparsify(g, ratio, size, np.random.default_rng(size))
+            want, rng = g.copy(), np.random.default_rng(size)
+            for q in scored:
+                sub = sample_subgraph_oracle(want, size, rng)
+                q_want = q_forward_batch_oracle(agent.policy, [sub])[0].data
+                assert np.array_equal(q.data, q_want)
+                want.prune_edge(int(sub.eids[np.argmax(q_want)]))
+            assert len(scored) == 32 and out.edge_count == g.edge_count - 32
+            assert np.array_equal(out.live_edge_ids(), want.live_edge_ids())
 
 
 class TestPersistence:

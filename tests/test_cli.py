@@ -287,6 +287,11 @@ def directory(path, checkpoint):
     path.mkdir()
 
 
+def checkpoint_directory(path, checkpoint):
+    """A train output directory whose checkpoint.npz is a directory."""
+    (path / "checkpoint.npz").mkdir(parents=True)
+
+
 def not_utf8(path, checkpoint):
     path.write_bytes(b"0 1\n\xff 2\n")  # byte 4 starts no UTF-8 character
 
@@ -586,6 +591,10 @@ DATA_ERRORS = {
         {"labels.txt": not_utf8}, evaluate(labels="{labels}"), NOT_UTF8.format("{labels}")),
     "directory as train config": ({"config": directory}, TRAIN, "Is a directory: '{config}'"),
     "non-UTF-8 train config": ({"config.yaml": not_utf8}, TRAIN, NOT_UTF8.format("{config}")),
+    "directory as train checkpoint": (
+        {"config.yaml": karate_config(train={"episodes": 40}), "run": checkpoint_directory},
+        ["train", "--config", "{config}", "--out", "{run}"],
+        "Is a directory: '{run}/checkpoint.npz'"),
     "directory as compare config": (
         {"config": directory}, ["compare", "--config", "{config}", "--out", "{out}"],
         "Is a directory: '{config}'"),
@@ -616,7 +625,7 @@ DATA_ERRORS = {
 
 @pytest.fixture
 def work_calls(monkeypatch):
-    """The names of the sparsify and score calls made while a test runs."""
+    """The names of the episode, sparsify and score calls made while a test runs."""
     calls = []
 
     def count(owner, name):
@@ -625,6 +634,7 @@ def work_calls(monkeypatch):
 
     for name in (*baselines.AT_RATIO, "baswana_sen_spanner"):
         count(baselines, name)
+    count(Agent, "run_episode")
     count(Agent, "sparsify")
     for cls in (RewardSpec, *OBJECTIVES.values()):
         if "evaluate" in vars(cls):
@@ -643,7 +653,7 @@ def test_data_errors_exit_2_with_one_line(case, trained, tmp_path, capsys, work_
     assert rc == cli.EXIT_DATA, err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message.format(**paths) in err
-    # every input is read and every output opened before the first sparsify or score
+    # every input is read and every output opened before the first episode, sparsify or score
     assert work_calls == []
 
 
@@ -653,7 +663,9 @@ def test_work_calls_are_counted(work_calls, tmp_path):
     assert cli.main(sparsify(dataset=KARATE, out=str(tmp_path / "o.txt"))) == cli.EXIT_OK
     assert cli.main(evaluate(sparsified=str(tmp_path / "o.txt"),
                              out=str(tmp_path / "o.csv"))) == cli.EXIT_OK
-    assert work_calls == ["random_edge", "evaluate"]
+    config = write_config(tmp_path / "config.yaml", train={"episodes": 2, "checkpoint_every": 0})
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+    assert work_calls == ["random_edge", "evaluate", "run_episode", "run_episode"]
 
 
 def test_outputs_are_utf8_under_the_c_locale(tmp_path):
