@@ -28,12 +28,8 @@ agent = Agent(g, cfg, rng=rng)
 print("training 150 episodes on the shortest-path objective...")
 train_loop(agent, SpspReward(g, pairs_per_endpoint=8), 150, rng)
 
-
-def sparsify_to_count(edge_count, rng_):
-    return agent.sparsify(g, edge_count / g.original_edge_count, 32, rng_)
-
-
-rows = spanner_comparison_protocol(g, [3, 5, 7], sparsify_to_count,
+rows = spanner_comparison_protocol(g, [3, 5, 7],
+                                   lambda g_, r, rng_: agent.sparsify(g_, r, 32, rng_),
                                    np.random.default_rng(1), runs=8,
                                    n_pairs=256)
 print(f"\n{'t':>3} {'kept ratio':>11} {'spanner spsp':>13} {'learned spsp':>13}")

@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end pipeline through the command-line interface: train an agent,
-# sparsify with it and with a baseline, score both, and sweep |H|.
+# sparsify with it and with a baseline, score both, sweep |H|, and resume
+# training on a copy of the run.
 # Run from the repository root. Takes a couple of minutes.
 set -e
 
@@ -50,3 +51,13 @@ cat "$OUT/cmp/compare_table.csv"
 python3 -m prunerl.cli h-sweep --dataset data/karate.txt \
     --checkpoint "$OUT/run/checkpoint.npz" --ratio 0.5 \
     --subgraph-lens 8 16 32 64 --seeds 2
+
+# resume a copy of the run for 5 more episodes: the log keeps the first
+# run's 100 rows under its one header and appends the new ones
+cp -r "$OUT/run" "$OUT/resumed"
+sed 's/^  episodes: 100$/  episodes: 5/' "$OUT/config.yaml" > "$OUT/resume.yaml"
+python3 -m prunerl.cli train --config "$OUT/resume.yaml" --out "$OUT/resumed" --resume
+LOG="$OUT/resumed/training_log.csv"
+test "$(grep -c '^episode,' "$LOG")" -eq 1
+test "$(wc -l < "$LOG")" -eq 106
+echo "resumed log: 1 header, 105 episode rows"

@@ -38,6 +38,7 @@ from .replay import ReplayBuffer, Transition
 from .rewards import (
     OBJECTIVES,
     CommunityReward,
+    LouvainReward,
     ModularityReward,
     PagerankReward,
     RewardSpec,

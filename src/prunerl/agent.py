@@ -132,7 +132,7 @@ class Agent:
         t_steps = int(rng.integers(1, cfg.t_max + 1))
         t_pre = int(rng.integers(1, g.edge_count - t_steps + 1))
         g.random_prune(t_pre, rng)
-        reward_spec.on_episode_start(self.graph, g, rng)
+        reward_spec.on_episode_start(g, rng)
 
         record = EpisodeRecord()
         state = g.sample_subgraph(cfg.train_subgraph_len, rng)
@@ -272,21 +272,22 @@ def require_count(path, header, section, name):
 
 
 def train_loop(agent, reward_spec, episodes, rng, log_path=None,
-               checkpoint_path=None, checkpoint_every=0):
+               checkpoint_path=None, checkpoint_every=0, kept_rows=()):
     """Run `episodes` episodes.
 
     Writes one CSV log row per episode, flushed as the episode ends, so a
     crash keeps the rows of the episodes before it:
-    (episode, step, epsilon, loss, mean_reward, buffer_size). The
-    checkpoint is also written before the first episode, so a path that
-    cannot be written fails before any training.
+    (episode, step, epsilon, loss, mean_reward, buffer_size). The log
+    starts with `kept_rows`, field lists of earlier episodes a resumed run
+    keeps. The checkpoint is also written before the first episode, so a
+    path that cannot be written fails before any training.
     """
     if checkpoint_path:
         agent.save(checkpoint_path)
     rows = []
     with open_output(log_path) as log:
-        writer = csv.DictWriter(log, fieldnames=LOG_FIELDS)
-        writer.writeheader()
+        writer = csv.writer(log)
+        writer.writerows([LOG_FIELDS, *kept_rows])
         log.flush()
         for _ in range(episodes):
             rec = agent.run_episode(reward_spec, rng)
@@ -301,7 +302,7 @@ def train_loop(agent, reward_spec, episodes, rng, log_path=None,
                 "buffer_size": len(agent.buffer),
             }
             rows.append(row)
-            writer.writerow(row)
+            writer.writerow(row.values())
             log.flush()
             if checkpoint_path and checkpoint_every and agent.episodes_done % checkpoint_every == 0:
                 agent.save(checkpoint_path)

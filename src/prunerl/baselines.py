@@ -255,14 +255,13 @@ def baswana_sen_spanner(g, t_stretch, rng):
     return out
 
 
-def spanner_comparison_protocol(g, stretch_values, sparsify_to_count, rng,
-                                runs=16, n_pairs=512):
+def spanner_comparison_protocol(g, stretch_values, sparsify, rng, runs=16, n_pairs=512):
     """Match a learned sparsifier against the spanner at equal edge budgets.
 
     For each stretch t: run the spanner `runs` times, average its kept-edge
     count and mean shortest-path increase over a fixed query set, then call
-    ``sparsify_to_count(edge_count, rng)`` to produce a learned sparsified
-    graph of the same mean size and score it on the same queries. Even t is
+    ``sparsify(g, r, rng)``, a method of `AT_RATIO`'s form, at the ratio r of
+    that mean count to |E|, and score its graph on the same queries. Even t is
     mapped down to the nearest valid odd stretch (logged).
 
     Returns rows (t, mean_ratio, spanner_rspsp, agent_rspsp).
@@ -279,7 +278,7 @@ def spanner_comparison_protocol(g, stretch_values, sparsify_to_count, rng,
             counts.append(sp.edge_count)
             penalties.append(spsp_penalty(sp, queries))
         mean_count = int(round(float(np.mean(counts))))
-        learned = sparsify_to_count(mean_count, rng)
+        learned = sparsify(g, mean_count / g.original_edge_count, rng)
         rows.append(
             {
                 "t": t,

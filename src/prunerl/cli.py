@@ -18,7 +18,7 @@ from . import baselines
 from .agent import Agent, train_loop
 from .config import COUNT, RATIO, SEED, load_run_config, rng_streams
 from .errors import ConfigError, DataError, PruneRLError
-from .graph import load_communities, load_edge_list, open_output
+from .graph import load_communities, load_edge_list, open_output, read_text
 from .metrics import pagerank  # noqa: F401  perfbench/test_perfbench.py reads cli.pagerank
 from .rewards import OBJECTIVES, make_reward_spec
 
@@ -46,17 +46,12 @@ def _flag(rule, parse=int):
     return convert
 
 
-def _run_method(method, graph, ratio, seed, agent, eval_h):
-    rng = np.random.default_rng(seed)
-    if method != "agent":
-        return baselines.AT_RATIO[method](graph, ratio, rng)
-    if agent is None:
-        raise ConfigError("method 'agent' requires a checkpoint")
-    return agent.sparsify(graph, ratio, eval_h, rng)
-
-
-def _load_agent_if(path, graph):
-    return Agent.load(path, graph) if path else None
+def _methods(checkpoint, graph, eval_h):
+    """fn(g, r, rng) per method name: each classical baseline, and the agent a checkpoint holds."""
+    if not checkpoint:
+        return baselines.AT_RATIO
+    agent = Agent.load(checkpoint, graph)
+    return {**baselines.AT_RATIO, "agent": lambda g, r, rng: agent.sparsify(g, r, eval_h, rng)}
 
 
 def _write_csv(f, rows, fieldnames):
@@ -79,9 +74,12 @@ def cmd_train(args):
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     streams = rng_streams(args.seed if args.seed is not None else cfg.seed)
-    ckpt = out_dir / "checkpoint.npz"
+    ckpt, log_path = out_dir / "checkpoint.npz", out_dir / "training_log.csv"
+    kept_rows = []
     if args.resume and ckpt.exists():
-        agent = _load_agent_if(ckpt, graph)
+        agent = Agent.load(ckpt, graph)
+        if log_path.exists():  # the checkpoint's episodes; rows logged after it are dropped
+            kept_rows = list(csv.reader(read_text(log_path).splitlines()))[1:][:agent.episodes_done]
     else:
         agent = Agent(graph, cfg.agent, rng=streams["init"])
     train_loop(
@@ -89,9 +87,10 @@ def cmd_train(args):
         reward,
         cfg.train.episodes,
         streams["exploration"],
-        log_path=out_dir / "training_log.csv",
+        log_path=log_path,
         checkpoint_path=ckpt,
         checkpoint_every=cfg.train.checkpoint_every,
+        kept_rows=kept_rows,
     )
     print(f"trained {agent.episodes_done} episodes, {agent.update_steps} update steps")
     print(f"checkpoint: {ckpt}")
@@ -100,10 +99,11 @@ def cmd_train(args):
 
 def cmd_sparsify(args):
     graph = load_edge_list(args.dataset, directed=args.directed)
-    agent = _load_agent_if(args.checkpoint, graph)
+    methods = _methods(args.checkpoint, graph, args.eval_subgraph_len)
+    if args.method not in methods:
+        raise ConfigError("method 'agent' requires a checkpoint")
     with open_output(args.out) as f:
-        sparsified = _run_method(args.method, graph, args.ratio, args.seed, agent,
-                                 args.eval_subgraph_len)
+        sparsified = methods[args.method](graph, args.ratio, np.random.default_rng(args.seed))
         header = [f"method={args.method} ratio={args.ratio} seed={args.seed}",
                   f"dataset={args.dataset}"]
         params = getattr(sparsified, "method_params", None)
@@ -117,11 +117,10 @@ def cmd_sparsify(args):
 def cmd_evaluate(args):
     graph = load_edge_list(args.dataset, directed=args.directed)
     sparsified = graph.copy_listed(args.sparsified)
-    objective = make_reward_spec(args.metric, graph,
-                                 labels=_load_labels_if(args.labels, graph))
+    objective = make_reward_spec(args.metric, graph, labels=_load_labels_if(args.labels, graph),
+                                 louvain_runs=args.louvain_runs, spsp_pairs=args.spsp_pairs)
     with open_output(args.out) as f:
-        value = objective.evaluate(sparsified, np.random.default_rng(args.seed),
-                                   louvain_runs=args.louvain_runs, spsp_pairs=args.spsp_pairs)
+        value = objective.evaluate(sparsified, np.random.default_rng(args.seed))
         row = {"dataset": args.dataset, "method": "file",
                "edge_kept_ratio": sparsified.edge_kept_ratio(), "metric": args.metric,
                "seed": args.seed, "value": value}
@@ -133,28 +132,25 @@ def cmd_evaluate(args):
 def cmd_compare(args):
     cfg = load_run_config(args.config)
     graph = load_edge_list(cfg.dataset, directed=cfg.directed)
-    metric = cfg.objective.kind
+    metric, ev = cfg.objective.kind, cfg.evaluation
     objective = make_reward_spec(
-        metric, graph, labels=_load_labels_if(cfg.objective.labels_path, graph))
-    agent = _load_agent_if(args.checkpoint, graph)
+        metric, graph, labels=_load_labels_if(cfg.objective.labels_path, graph),
+        louvain_runs=ev.louvain_runs, spsp_pairs=ev.spsp_pairs)
+    methods = _methods(args.checkpoint, graph, ev.eval_subgraph_len)
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    methods = list(BASELINE_METHODS)
-    if agent is not None:
-        methods.append("agent")
-    ev = cfg.evaluation
     cells = []
     # opened before the grid, so a bad --out costs no cells
     with (open_output(out_dir / "compare_cells.csv") as cells_f,
           open_output(out_dir / "compare_table.csv") as table_f):
-        for method, ratio, seed in itertools.product(methods, ev.ratios, range(ev.seeds)):
+        for (method, fn), ratio, seed in itertools.product(methods.items(), ev.ratios,
+                                                           range(ev.seeds)):
             cell = {"dataset": cfg.dataset, "method": method, "edge_kept_ratio": ratio,
                     "achieved_edges": "", "metric": metric, "seed": seed,
                     "value": float("nan"), "error": ""}
             try:  # a failing cell is reported in its row, and the grid goes on
-                sp = _run_method(method, graph, ratio, seed, agent, ev.eval_subgraph_len)
-                value = objective.evaluate(sp, np.random.default_rng(seed),
-                                           louvain_runs=ev.louvain_runs, spsp_pairs=ev.spsp_pairs)
+                sp = fn(graph, ratio, np.random.default_rng(seed))
+                value = objective.evaluate(sp, np.random.default_rng(seed))
                 cell.update(achieved_edges=sp.edge_count, value=value)
             except PruneRLError as exc:
                 cell["error"] = str(exc)
@@ -187,16 +183,10 @@ def cmd_compare(args):
 
 def cmd_spanner_compare(args):
     graph = load_edge_list(args.dataset)  # the spanner is defined for undirected graphs
-    agent = _load_agent_if(args.checkpoint, graph)
-    rng = np.random.default_rng(args.seed)
-
-    def sparsify_to_count(edge_count, rng_):
-        ratio = edge_count / graph.original_edge_count
-        return agent.sparsify(graph, ratio, args.eval_subgraph_len, rng_)
-
+    agent = _methods(args.checkpoint, graph, args.eval_subgraph_len)["agent"]
     with open_output(args.out) as f:
         rows = baselines.spanner_comparison_protocol(
-            graph, args.stretch, sparsify_to_count, rng, runs=args.runs,
+            graph, args.stretch, agent, np.random.default_rng(args.seed), runs=args.runs,
             n_pairs=args.spsp_pairs,
         )
         _write_csv(f, rows, ["t", "mean_ratio", "spanner_rspsp", "agent_rspsp"])
@@ -208,9 +198,9 @@ def cmd_spanner_compare(args):
 
 def cmd_h_sweep(args):
     graph = load_edge_list(args.dataset, directed=args.directed)
-    agent = _load_agent_if(args.checkpoint, graph)
-    objective = make_reward_spec(args.metric, graph,
-                                 labels=_load_labels_if(args.labels, graph))
+    agent = Agent.load(args.checkpoint, graph)
+    objective = make_reward_spec(args.metric, graph, labels=_load_labels_if(args.labels, graph),
+                                 louvain_runs=args.louvain_runs)
     series = [[None] * args.seeds for _ in args.subgraph_lens]
     with open_output(args.out) as f:
         # seed-major, so that host drift over the run lands on every |H| alike
@@ -220,8 +210,7 @@ def cmd_h_sweep(args):
                 t0 = time.perf_counter()
                 sp = agent.sparsify(graph, args.ratio, h, rng)
                 elapsed = time.perf_counter() - t0
-                value = objective.evaluate(sp, np.random.default_rng(seed),
-                                           louvain_runs=args.louvain_runs)
+                value = objective.evaluate(sp, np.random.default_rng(seed))
                 runs[seed] = {"subgraph_len": h, "ratio": args.ratio,
                               "metric": args.metric, "seed": seed, "value": value,
                               "wall_time_s": elapsed}
@@ -251,7 +240,7 @@ def build_parser():
     s = sub.add_parser("sparsify", help="sparsify a dataset with any method")
     s.add_argument("--dataset", required=True)
     s.add_argument("--method", required=True,
-                   choices=list(BASELINE_METHODS) + ["agent"])
+                   choices=[*BASELINE_METHODS, "agent"])
     s.add_argument("--ratio", type=_flag(RATIO, float), required=True)
     s.add_argument("--seed", type=_flag(SEED), default=0)
     s.add_argument("--checkpoint", default=None)

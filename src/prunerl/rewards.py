@@ -58,22 +58,39 @@ def sample_training_pairs(gp, eid, k, rng):
 
 
 class RewardSpec:
-    """An objective on one original graph: ``evaluate`` scores a sparsified
-    graph, and the before_prune/after_prune pair pays the agent inside
-    episodes. The defaults fit a Louvain-based ``score(gp, rng)``: evaluation
-    averages it over ``louvain_runs`` runs on the caller's rng, and training
-    fixes one Louvain seed per episode. The original graph's score is taken
-    on seed 0, which is also the episode seed until an episode draws one."""
+    """An objective on one original graph, ``graph``: ``evaluate(gp, rng)``
+    scores a sparsified graph, and the before_prune/after_prune pair pays the
+    agent inside episodes. ``on_episode_start(g_working, rng)`` sees each
+    episode's graph once its random pre-pruning is done. Evaluation budgets
+    are constructor arguments, so every objective evaluates alike."""
 
     higher_is_better = True
 
     def __init__(self, g):
         self.graph = g
+
+    def on_episode_start(self, g_working, rng):
+        return None
+
+    def before_prune(self, g, eid, rng):
+        return None
+
+
+class LouvainReward(RewardSpec):
+    """An objective scored on a Louvain partition, ``score(gp, rng)``.
+    Evaluation averages it over ``louvain_runs`` runs on the caller's rng, and
+    training fixes one Louvain seed per episode. The original graph's score
+    is taken on seed 0, which is also the episode seed until an episode draws
+    one."""
+
+    def __init__(self, g, louvain_runs=8):
+        super().__init__(g)
+        self.louvain_runs = louvain_runs
         self._episode_seed = 0
         self._base = None
 
-    def evaluate(self, gp, rng, louvain_runs=8, spsp_pairs=8196):
-        return float(np.mean([self.score(gp, rng) for _ in range(louvain_runs)]))
+    def evaluate(self, gp, rng):
+        return float(np.mean([self.score(gp, rng) for _ in range(self.louvain_runs)]))
 
     def _training_score(self, gp):
         """Score on this episode's Louvain seed, minus the same score on the
@@ -82,15 +99,9 @@ class RewardSpec:
             self._base = self.score(self.graph, np.random.default_rng(0))
         return self.score(gp, np.random.default_rng(self._episode_seed)) - self._base
 
-    def on_episode_start(self, g_original, g_working, rng):
+    def on_episode_start(self, g_working, rng):
         # fixed per episode to cut reward variance between steps
         self._episode_seed = int(rng.integers(1 << 31))
-
-    def before_prune(self, g, eid, rng):
-        return None
-
-    def after_prune(self, g, eid, ctx, rng):
-        raise NotImplementedError
 
 
 class PagerankReward(RewardSpec):
@@ -99,34 +110,32 @@ class PagerankReward(RewardSpec):
     graph scores 0, and maps degenerate ranks to -1."""
 
     def __init__(self, g):
+        super().__init__(g)
         self._base_ranks = centered_ranks(pagerank(g))
 
-    def score(self, gp):
+    def _rho(self, gp):
         return spearman_rho_ranked(self._base_ranks, pagerank(gp))
 
-    def evaluate(self, gp, rng, louvain_runs=8, spsp_pairs=8196):
-        return self.score(gp)
-
-    def on_episode_start(self, g_original, g_working, rng):
-        pass  # deterministic: no Louvain seed to draw
+    def evaluate(self, gp, rng):
+        return self._rho(gp)
 
     def after_prune(self, g, eid, ctx, rng):
         # heavy episode pre-pruning can leave a graph whose PageRank is
         # uniform; that ranking carries no information, so score rho as 0
         # rather than aborting the episode
         try:
-            return self.score(g) - 1.0
+            return self._rho(g) - 1.0
         except PruneRLError:
             return -1.0
 
 
-class CommunityReward(RewardSpec):
+class CommunityReward(LouvainReward):
     """ARI between Louvain(G') and the ground-truth labels, the (|V|,) array
     `load_communities` returns (a negative entry: a node no community lists).
     The training reward is ARI(G') - ARI(G) plus the label term: +label_sign
     when the pruned edge joins two same-label nodes, -label_sign otherwise."""
 
-    def __init__(self, g, labels=None, label_sign=1.0):
+    def __init__(self, g, labels=None, label_sign=1.0, louvain_runs=8):
         if labels is None:
             raise ConfigError("community objective requires ground-truth labels "
                               "(labels_path / --labels)")
@@ -137,7 +146,7 @@ class CommunityReward(RewardSpec):
         if missing.size:
             raise ConfigError(f"labels missing for {missing.size} nodes "
                               f"(e.g. {g.original_ids[missing[0]]})")
-        super().__init__(g)
+        super().__init__(g, louvain_runs)
         self.labels = labels
         self.label_sign = label_sign
 
@@ -158,20 +167,18 @@ class SpspReward(RewardSpec):
 
     higher_is_better = False
 
-    def __init__(self, g, pairs_per_endpoint=16):
-        self.graph = g
+    def __init__(self, g, pairs_per_endpoint=16, spsp_pairs=8196):
+        super().__init__(g)
         self.pairs_per_endpoint = pairs_per_endpoint
+        self.spsp_pairs = spsp_pairs
         self.queries = {}  # drawn pairs' bytes -> their PathQuerySet, searched once
 
-    def evaluate(self, gp, rng, louvain_runs=8, spsp_pairs=8196):
-        pairs = sample_pairs(self.graph, spsp_pairs, rng)
+    def evaluate(self, gp, rng):
+        pairs = sample_pairs(self.graph, self.spsp_pairs, rng)
         key = pairs.tobytes()
         if key not in self.queries:
             self.queries[key] = PathQuerySet.from_graph(self.graph, pairs)
         return spsp_penalty(gp, self.queries[key])
-
-    def on_episode_start(self, g_original, g_working, rng):
-        pass  # no Louvain seed to draw
 
     def before_prune(self, g, eid, rng):
         return sample_training_pairs(g, eid, self.pairs_per_endpoint, rng)
@@ -180,7 +187,7 @@ class SpspReward(RewardSpec):
         return -spsp_penalty(g, queries)
 
 
-class ModularityReward(RewardSpec):
+class ModularityReward(LouvainReward):
     """Louvain modularity of G'. The training reward is Q(G') - Q(G)."""
 
     def score(self, gp, rng):
@@ -200,7 +207,7 @@ OBJECTIVES = {
 
 def make_reward_spec(name, g, **context):
     """Build an objective by name. Context the objective's constructor does
-    not take (labels for PageRank, say) is ignored."""
+    not take (labels or louvain_runs for PageRank, say) is ignored."""
     if name not in OBJECTIVES:
         raise ConfigError(f"unknown objective {name!r}")
     cls = OBJECTIVES[name]

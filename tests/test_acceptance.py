@@ -267,13 +267,12 @@ class TestSpanner:
         rng = np.random.default_rng(5)
         requested = []
 
-        def sparsify_to_count(edge_count, rng_):
-            requested.append(edge_count)
-            return baselines.random_edge(g, edge_count / g.original_edge_count,
-                                         rng_)
+        def sparsify(g_, r, rng_):
+            requested.append(g_.edge_budget(r))
+            return baselines.random_edge(g_, r, rng_)
 
         rows = baselines.spanner_comparison_protocol(
-            g, [3, 5], sparsify_to_count, rng, runs=4, n_pairs=64)
+            g, [3, 5], sparsify, rng, runs=4, n_pairs=64)
         assert [set(r) for r in rows] == [
             {"t", "mean_ratio", "spanner_rspsp", "agent_rspsp"}] * 2
         for row, count in zip(rows, requested):

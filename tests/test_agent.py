@@ -631,7 +631,7 @@ class TestEpisodes:
         class FailsInThirdEpisode(PagerankReward):
             started = 0
 
-            def on_episode_start(self, g_original, g_working, rng):
+            def on_episode_start(self, g_working, rng):
                 self.started += 1
                 if self.started == 3:
                     self.on_disk = log.read_text()  # while the log is still open

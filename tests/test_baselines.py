@@ -186,15 +186,15 @@ class TestSpannerProtocol:
     def test_row_schema_and_even_mapping(self, rng, caplog):
         g = random_connected_graph(14, rng)
 
-        def sparsify_to_count(count, rng_):
-            out = g.copy()
-            out.random_prune(out.edge_count - count, rng_)
+        def sparsify(g_, r, rng_):
+            out = g_.copy()
+            out.random_prune(out.edge_count - g_.edge_budget(r), rng_)
             return out
 
         import logging
 
         with caplog.at_level(logging.INFO):
-            rows = spanner_comparison_protocol(g, [3, 4], sparsify_to_count, rng,
+            rows = spanner_comparison_protocol(g, [3, 4], sparsify, rng,
                                                runs=2, n_pairs=30)
         assert [set(r) for r in rows] == [
             {"t", "mean_ratio", "spanner_rspsp", "agent_rspsp"}
@@ -207,12 +207,12 @@ class TestSpannerProtocol:
     def test_single_run_degenerates(self, rng):
         g = random_connected_graph(10, rng)
 
-        def sparsify_to_count(count, rng_):
-            out = g.copy()
-            out.random_prune(out.edge_count - count, rng_)
+        def sparsify(g_, r, rng_):
+            out = g_.copy()
+            out.random_prune(out.edge_count - g_.edge_budget(r), rng_)
             return out
 
-        rows = spanner_comparison_protocol(g, [3], sparsify_to_count, rng,
+        rows = spanner_comparison_protocol(g, [3], sparsify, rng,
                                            runs=1, n_pairs=10)
         assert len(rows) == 1
 

@@ -11,8 +11,9 @@ import yaml
 
 from prunerl import baselines, cli
 from prunerl.agent import Agent
+from prunerl.errors import PruneRLError
 from prunerl.graph import load_edge_list, read_text
-from prunerl.rewards import OBJECTIVES, RewardSpec
+from prunerl.rewards import OBJECTIVES
 
 from conftest import DATA_DIR
 
@@ -69,6 +70,23 @@ class TestTrain:
         assert log, "training log is empty"
         assert set(log[0]) == {"episode", "step", "epsilon", "loss",
                                "mean_reward", "buffer_size"}
+
+    def test_resume_keeps_the_log_of_the_checkpointed_episodes(self, tmp_path):
+        """A resumed run appends its rows to the log. Rows logged after the
+        checkpoint it resumes from, by a run that stopped before saving
+        again, are dropped."""
+        config = write_config(tmp_path / "config.yaml",
+                              train={"episodes": 3, "checkpoint_every": 0})
+        run = tmp_path / "run"
+        log, ckpt = run / "training_log.csv", run / "checkpoint.npz"
+        argv = ["train", "--config", str(config), "--out", str(run)]
+        assert cli.main(argv) == cli.EXIT_OK
+        first, after_three = log.read_bytes(), ckpt.read_bytes()
+        for _ in range(2):  # the second time, from the 3-episode checkpoint under a 6-row log
+            assert cli.main(argv + ["--resume"]) == cli.EXIT_OK
+            assert log.read_bytes().startswith(first)
+            assert [row["episode"] for row in read_csv(log)] == ["1", "2", "3", "4", "5", "6"]
+            ckpt.write_bytes(after_three)
 
 
 class TestSparsify:
@@ -183,6 +201,18 @@ class TestExitCodes:
 
     def test_missing_required_flag_is_usage(self):
         assert cli.main(["sparsify", "--dataset", KARATE]) == cli.EXIT_USAGE
+
+    def test_runtime_failure_exits_3_with_one_line(self, trained, tmp_path, capsys,
+                                                   monkeypatch):
+        def fail(*args):
+            raise PruneRLError("no live candidate")
+
+        monkeypatch.setattr(Agent, "sparsify", fail)
+        rc = cli.main(["sparsify", "--dataset", KARATE, "--method", "agent", "--checkpoint",
+                       str(trained["checkpoint"]), "--ratio", "0.5",
+                       "--out", str(tmp_path / "o.txt")])
+        assert rc == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: no live candidate\n"
 
     def test_missing_dataset_file_is_data_error(self, tmp_path):
         rc = cli.main(["sparsify", "--dataset", str(tmp_path / "no.txt"),
@@ -317,6 +347,10 @@ NOT_UTF8 = "{}: not UTF-8 text (invalid start byte at byte 4)"
 
 # each case: (files to write, argv, text the one-line message must contain)
 DATA_ERRORS = {
+    "agent method without a checkpoint": (
+        {}, ["sparsify", "--dataset", KARATE, "--method", "agent", "--ratio", "0.5",
+             "--out", "{out}"],
+        "method 'agent' requires a checkpoint"),
     "malformed dataset line": (
         {"bad.txt": "0 1\nnot-an-edge\n"},
         ["sparsify", "--dataset", "{bad}", "--method", "random_edge",
@@ -636,7 +670,7 @@ def work_calls(monkeypatch):
         count(baselines, name)
     count(Agent, "run_episode")
     count(Agent, "sparsify")
-    for cls in (RewardSpec, *OBJECTIVES.values()):
+    for cls in {base for cls in OBJECTIVES.values() for base in cls.__mro__}:
         if "evaluate" in vars(cls):
             count(cls, "evaluate")
     return calls
@@ -655,6 +689,7 @@ def test_data_errors_exit_2_with_one_line(case, trained, tmp_path, capsys, work_
     assert message.format(**paths) in err
     # every input is read and every output opened before the first episode, sparsify or score
     assert work_calls == []
+    assert not os.path.exists(paths["out"])
 
 
 def test_work_calls_are_counted(work_calls, tmp_path):
@@ -779,6 +814,20 @@ class TestCompare:
         cells = read_csv(out_dir / "compare_cells.csv")
         assert all(c["error"] == "" for c in cells)
         assert cells == read_csv(run(1) / "compare_cells.csv")
+
+    def test_cells_of_undirected_only_methods_fail_on_a_directed_graph(self, tmp_path):
+        # karate's edge list read as arcs from each line's first node to its second
+        config = write_config(tmp_path / "config.yaml", directed=True)
+        rc = cli.main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp")])
+        assert rc == cli.EXIT_OK
+        for c in read_csv(tmp_path / "cmp" / "compare_cells.csv"):
+            if c["method"] in ("local_degree", "l_spar"):
+                assert c["error"] == f"{c['method']} is defined for undirected graphs"
+                assert c["value"] == "nan" and c["achieved_edges"] == ""
+            else:
+                assert c["error"] == "" and int(c["achieved_edges"]) == 39
+        table = read_csv(tmp_path / "cmp" / "compare_table.csv")
+        assert [r["method"] for r in table] == ["edge_forest_fire", "random_edge"]
 
     @pytest.mark.parametrize("content", [
         None, "not a checkpoint",

@@ -145,8 +145,8 @@ class TestRewardCommunity:
         gp.prune_edge(inter)
         r = training_reward(CommunityReward(g, labels), gp, inter)
         assert r == pytest.approx(1.0 - base_ari(g, labels) - 1.0)
-        assert CommunityReward(g, labels).evaluate(
-            gp, np.random.default_rng(0), louvain_runs=3) == pytest.approx(1.0)
+        assert CommunityReward(g, labels, louvain_runs=3).evaluate(
+            gp, np.random.default_rng(0)) == pytest.approx(1.0)
 
     def test_spec_requires_full_label_coverage(self):
         g, _ = bridged_triangles()
@@ -271,8 +271,8 @@ class TestRewardModularity:
         gp.random_prune(20, rng)
         runs = np.random.default_rng(3)
         expected = np.mean([louvain(gp, runs).modularity for _ in range(4)])
-        got = ModularityReward(karate).evaluate(
-            gp, np.random.default_rng(3), louvain_runs=4)
+        got = ModularityReward(karate, louvain_runs=4).evaluate(
+            gp, np.random.default_rng(3))
         assert got == expected
 
 
@@ -306,12 +306,12 @@ class TestRewardSpecs:
                                                     karate_labels_path,
                                                     monkeypatch):
         labels = load_communities(karate_labels_path, karate)
-        spec = make_reward_spec(name, karate, labels=labels)
+        spec = make_reward_spec(name, karate, labels=labels, louvain_runs=3)
         calls = []
         real = rewards.louvain
         monkeypatch.setattr(rewards, "louvain",
                             lambda g, rng: calls.append(g) or real(g, rng))
-        spec.evaluate(karate, np.random.default_rng(0), louvain_runs=3)
+        spec.evaluate(karate, np.random.default_rng(0))
         assert len(calls) == 3
         # the first training step adds the baseline run on the original graph
         spec.after_prune(karate, 0, None, None)
@@ -320,7 +320,7 @@ class TestRewardSpecs:
     def test_spsp_spec_negates_penalty(self, karate, rng):
         spec = SpspReward(karate, pairs_per_endpoint=4)
         g = karate.copy()
-        spec.on_episode_start(karate, g, rng)
+        spec.on_episode_start(g, rng)
         edge = int(g.live_edge_ids()[0])
         ctx = spec.before_prune(g, edge, rng)
         g.prune_edge(edge)
