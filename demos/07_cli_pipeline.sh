@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end pipeline through the command-line interface: train an agent,
 # sparsify with it and with a baseline, score both, sweep |H|, and resume
-# training on a copy of the run.
+# training on two copies of the run.
 # Run from the repository root. Takes a couple of minutes.
 set -e
 
@@ -52,12 +52,19 @@ python3 -m prunerl.cli h-sweep --dataset data/karate.txt \
     --checkpoint "$OUT/run/checkpoint.npz" --ratio 0.5 \
     --subgraph-lens 8 16 32 64 --seeds 2
 
-# resume a copy of the run for 5 more episodes: the log keeps the first
-# run's 100 rows under its one header and appends the new ones
+# resume two copies of the run for 5 more episodes each: the log keeps the
+# first run's 100 rows under its one header and appends the new ones, and a
+# resume depends on the checkpoint and the seed alone, so both copies end equal
 cp -r "$OUT/run" "$OUT/resumed"
+cp -r "$OUT/run" "$OUT/resumed_again"
 sed 's/^  episodes: 100$/  episodes: 5/' "$OUT/config.yaml" > "$OUT/resume.yaml"
-python3 -m prunerl.cli train --config "$OUT/resume.yaml" --out "$OUT/resumed" --resume
+for RUN in resumed resumed_again; do
+    python3 -m prunerl.cli train --config "$OUT/resume.yaml" --out "$OUT/$RUN" --resume
+done
 LOG="$OUT/resumed/training_log.csv"
 test "$(grep -c '^episode,' "$LOG")" -eq 1
 test "$(wc -l < "$LOG")" -eq 106
 echo "resumed log: 1 header, 105 episode rows"
+cmp "$LOG" "$OUT/resumed_again/training_log.csv"
+cmp "$OUT/resumed/checkpoint.npz" "$OUT/resumed_again/checkpoint.npz"
+echo "the second copy's resume wrote the same log and checkpoint"

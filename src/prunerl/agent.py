@@ -81,7 +81,7 @@ class Agent:
             for _ in range(2)
         )
         self.target.flat[...] = self.policy.flat
-        self.optimizer = Adam(self.policy.parameters(), lr=self.config.lr)
+        self.optimizer = Adam(self.policy.parameters(), self.policy.flat, self.config.lr)
         self.buffer = ReplayBuffer(
             self.config.buffer_capacity,
             alpha=self.config.replay_alpha,

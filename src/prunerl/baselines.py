@@ -10,10 +10,9 @@ import math
 from collections import deque
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import PruneRLError
-from .metrics import PathQuerySet
+from .metrics import PathQuerySet, live_matrix
 from .rewards import spsp_penalty
 
 log = logging.getLogger(__name__)
@@ -100,8 +99,7 @@ def jaccard_scores(g):
     """Jaccard similarity of the closed neighborhoods N(u)+{u}, N(v)+{v} of
     every live edge (u, v), indexed by edge id; nan for pruned edges."""
     indptr, nbrs, _ = g.live_csr()
-    n = g.node_count
-    adj = csr_matrix((np.ones(nbrs.size, dtype=np.int64), nbrs, indptr), shape=(n, n))
+    adj = live_matrix(g.node_count, indptr, nbrs)
     eids = g.live_edge_ids()
     u, v = g.src[eids], g.dst[eids]
     common = np.asarray((adj @ adj)[u, v]).ravel()  # open common neighbors
@@ -255,7 +253,7 @@ def baswana_sen_spanner(g, t_stretch, rng):
     return out
 
 
-def spanner_comparison_protocol(g, stretch_values, sparsify, rng, runs=16, n_pairs=512):
+def spanner_comparison_protocol(g, stretch_values, sparsify, rng, runs, n_pairs):
     """Match a learned sparsifier against the spanner at equal edge budgets.
 
     For each stretch t: run the spanner `runs` times, average its kept-edge

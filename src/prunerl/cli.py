@@ -16,7 +16,7 @@ import numpy as np
 
 from . import baselines
 from .agent import Agent, train_loop
-from .config import COUNT, RATIO, SEED, load_run_config, rng_streams
+from .config import COUNT, RATIO, SEED, EvalConfig, load_run_config, rng_streams
 from .errors import ConfigError, DataError, PruneRLError
 from .graph import load_communities, load_edge_list, open_output, read_text
 from .metrics import pagerank  # noqa: F401  perfbench/test_perfbench.py reads cli.pagerank
@@ -82,11 +82,13 @@ def cmd_train(args):
             kept_rows = list(csv.reader(read_text(log_path).splitlines()))[1:][:agent.episodes_done]
     else:
         agent = Agent(graph, cfg.agent, rng=streams["init"])
+    # one jump per episode done: a resume does not replay earlier draws; jumped(0) is the identity
+    exploration = streams["exploration"].bit_generator.jumped(agent.episodes_done)
     train_loop(
         agent,
         reward,
         cfg.train.episodes,
-        streams["exploration"],
+        np.random.Generator(exploration),
         log_path=log_path,
         checkpoint_path=ckpt,
         checkpoint_every=cfg.train.checkpoint_every,
@@ -244,7 +246,7 @@ def build_parser():
     s.add_argument("--ratio", type=_flag(RATIO, float), required=True)
     s.add_argument("--seed", type=_flag(SEED), default=0)
     s.add_argument("--checkpoint", default=None)
-    s.add_argument("--eval-subgraph-len", dest="eval_subgraph_len", type=_flag(COUNT), default=32)
+    s.add_argument("--eval-subgraph-len", type=_flag(COUNT), default=EvalConfig.eval_subgraph_len)
     s.add_argument("--directed", action="store_true")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sparsify)
@@ -256,8 +258,8 @@ def build_parser():
                    choices=list(OBJECTIVES))
     e.add_argument("--labels", default=None)
     e.add_argument("--seed", type=_flag(SEED), default=0)
-    e.add_argument("--spsp-pairs", dest="spsp_pairs", type=_flag(COUNT), default=8196)
-    e.add_argument("--louvain-runs", dest="louvain_runs", type=_flag(COUNT), default=8)
+    e.add_argument("--spsp-pairs", type=_flag(COUNT), default=EvalConfig.spsp_pairs)
+    e.add_argument("--louvain-runs", type=_flag(COUNT), default=EvalConfig.louvain_runs)
     e.add_argument("--directed", action="store_true")
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_evaluate)
@@ -276,8 +278,8 @@ def build_parser():
     sc.add_argument("--stretch", type=_flag(COUNT), nargs="+", default=[3, 5, 7])
     sc.add_argument("--runs", type=_flag(COUNT), default=16)
     sc.add_argument("--seed", type=_flag(SEED), default=0)
-    sc.add_argument("--spsp-pairs", dest="spsp_pairs", type=_flag(COUNT), default=512)
-    sc.add_argument("--eval-subgraph-len", dest="eval_subgraph_len", type=_flag(COUNT), default=32)
+    sc.add_argument("--spsp-pairs", type=_flag(COUNT), default=512)
+    sc.add_argument("--eval-subgraph-len", type=_flag(COUNT), default=EvalConfig.eval_subgraph_len)
     sc.add_argument("--out", default=None)
     sc.set_defaults(func=cmd_spanner_compare)
 
@@ -286,11 +288,10 @@ def build_parser():
     h.add_argument("--checkpoint", required=True)
     h.add_argument("--ratio", type=_flag(RATIO, float), required=True)
     h.add_argument("--metric", default="pagerank", choices=list(OBJECTIVES))
-    h.add_argument("--subgraph-lens", dest="subgraph_lens", type=_flag(COUNT), nargs="+",
-                   default=[8, 16, 32, 64])
+    h.add_argument("--subgraph-lens", type=_flag(COUNT), nargs="+", default=[8, 16, 32, 64])
     h.add_argument("--seeds", type=_flag(COUNT), default=3)
     h.add_argument("--labels", default=None)
-    h.add_argument("--louvain-runs", dest="louvain_runs", type=_flag(COUNT), default=8)
+    h.add_argument("--louvain-runs", type=_flag(COUNT), default=EvalConfig.louvain_runs)
     h.add_argument("--directed", action="store_true")
     h.add_argument("--out", default=None)
     h.set_defaults(func=cmd_h_sweep)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConvergenceError, PruneRLError
@@ -92,8 +92,8 @@ def pagerank(g, damping=0.85, tol=1e-10, max_iter=200):
         a[nbrs, sources] = -damping / out_deg[sources]  # no duplicate edges to add up
         a.flat[:: n + 1] += 1.0
         return np.linalg.solve(a, np.full(n, (1.0 - damping) / n))
-    # column u is u's live out-neighbours by edge id (a loop's summation order), int32 as scipy keeps it
-    push = csc_matrix((np.ones(nbrs.size), nbrs.astype(np.int32), indptr.astype(np.int32)), shape=(n, n))
+    # column u is u's live out-neighbours by edge id (a loop's summation order)
+    push = live_matrix(n, indptr, nbrs).T
     x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
         nxt = push @ (x / np.maximum(out_deg, 1))
@@ -278,16 +278,20 @@ def adjusted_rand_index(a, b):
 # ---------------------------------------------------------------------- paths
 
 
+def live_matrix(n, indptr, nbrs):
+    """The unit-weight n x n CSR of `Graph.live_csr` rows, int32-indexed as scipy keeps
+    it (it would copy int64 indices); its `.T` is the CSC over the same arrays."""
+    return csr_matrix((np.ones(nbrs.size), nbrs.astype(np.int32), indptr.astype(np.int32)),
+                      shape=(n, n))
+
+
 def _hop_distances(g, sources):
     """Rows of hop distances from each source (inf where unreachable)."""
     indptr, nbrs, _ = g.live_csr()
-    n = g.node_count
-    # int32 index arrays, which csr_matrix would otherwise copy them into
-    live = csr_matrix((np.ones(nbrs.size), nbrs.astype(np.int32), indptr.astype(np.int32)),
-                      shape=(n, n))
     # the CSR holds both directions of an undirected edge already; dijkstra
     # is what shortest_path dispatches to here, without its ~40 us of checks
-    return dijkstra(live, directed=True, unweighted=True, indices=sources)
+    return dijkstra(live_matrix(g.node_count, indptr, nbrs), directed=True, unweighted=True,
+                    indices=sources)
 
 
 def bfs_distances(g, source):

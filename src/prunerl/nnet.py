@@ -198,7 +198,7 @@ def graph_attention(table, proj, score, ptr, hood, slope, grad=True):
     s = _leaky_relu_(s, slope)
     e = np.exp(s - np.repeat(np.maximum.reduceat(s, ptr[:-1]), lens))
     att = e / np.repeat(np.bincount(segments, weights=e, minlength=count), lens)
-    # the weighted sums csr_matrix((att, rows, ptr)) @ p_uniq, by scipy's kernel itself without
+    # the weighted sums, the CSR matrix (att, rows, ptr) @ p_uniq, by scipy's kernel itself without
     # the matrix's per-call checks: it adds each att * p_uniq row to a zeroed row in entry order,
     # as a bincount over the products would; it reads int32 indices and flat C-order arrays
     rows32, ptr32 = rows.astype(np.int32), ptr.astype(np.int32)
@@ -245,20 +245,20 @@ def weighted_mse(pred, targets, weights):
 
 # ------------------------------------------------------------------ optimizer
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's published defaults (ICLR 2015)
+
 
 class Adam:
-    """Adaptive-moment optimizer; clears gradients after each step; m, v view flat_m, flat_v."""
+    """Adaptive-moment optimizer over `params`, whose data are views of the
+    vector `flat`; clears gradients after each step; m, v view flat_m, flat_v."""
 
-    def __init__(self, params, lr=0.0002, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, flat, lr):
         self.params = list(params)
+        self.flat = flat
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.flat_m, self.m = flat_views([np.zeros_like(p.data) for p in self.params])
         self.flat_v, self.v = flat_views([np.zeros_like(p.data) for p in self.params])
-        self._step, self._steps = flat_views([np.zeros_like(p.data) for p in self.params])
 
     def step(self):
         """One update; raises before moving any parameter if a gradient is
@@ -271,14 +271,11 @@ class Adam:
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise PruneRLError(f"non-finite gradient for parameter {bad.name}")
         self.step_count += 1
-        b1c = 1.0 - self.beta1 ** self.step_count
-        b2c = 1.0 - self.beta2 ** self.step_count
+        b1c, b2c = 1.0 - BETA1 ** self.step_count, 1.0 - BETA2 ** self.step_count
         # the per-parameter update's operations, in its order, on whole vectors
-        np.add(self.beta1 * self.flat_m, (1.0 - self.beta1) * g, out=self.flat_m)
-        np.add(self.beta2 * self.flat_v, (1.0 - self.beta2) * g ** 2, out=self.flat_v)
-        np.divide(self.lr * (self.flat_m / b1c), np.sqrt(self.flat_v / b2c) + self.eps, out=self._step)
-        for p, s in zip(self.params, self._steps):
-            p.data -= s
+        np.add(BETA1 * self.flat_m, (1.0 - BETA1) * g, out=self.flat_m)
+        np.add(BETA2 * self.flat_v, (1.0 - BETA2) * g ** 2, out=self.flat_v)
+        self.flat -= self.lr * (self.flat_m / b1c) / (np.sqrt(self.flat_v / b2c) + EPS)
         self.zero_grad()
 
     def zero_grad(self):

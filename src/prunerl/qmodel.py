@@ -24,7 +24,7 @@ class QModel:
     it was trained on (transductive).
     """
 
-    def __init__(self, node_count, rng, directed=False, emb_dim=64, hidden_dim=128):
+    def __init__(self, node_count, rng, emb_dim, hidden_dim, directed=False):
         self.node_count = node_count
         self.directed = directed
         self.emb_dim = emb_dim

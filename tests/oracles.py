@@ -59,7 +59,7 @@ import numpy as np
 from prunerl.errors import DataError, PruneRLError, ShapeError
 from prunerl.graph import CandidateSubgraph, concat_ranges
 from prunerl.metrics import Partition, modularity
-from prunerl.nnet import Tensor, _scatter_rows
+from prunerl.nnet import BETA1, BETA2, EPS, Tensor, _scatter_rows
 from prunerl.qmodel import ATTENTION_SLOPE, HIDDEN_SLOPE
 
 from conftest import edge_id
@@ -388,12 +388,12 @@ def adam_step_oracle(opt):
         if not np.isfinite(p.grad).all():
             raise PruneRLError(f"non-finite gradient for parameter {p.name}")
     opt.step_count += 1
-    b1c = 1.0 - opt.beta1 ** opt.step_count
-    b2c = 1.0 - opt.beta2 ** opt.step_count
+    b1c = 1.0 - BETA1 ** opt.step_count
+    b2c = 1.0 - BETA2 ** opt.step_count
     for p, m, v in zip(opt.params, opt.m, opt.v):
-        m[...] = opt.beta1 * m + (1.0 - opt.beta1) * p.grad
-        v[...] = opt.beta2 * v + (1.0 - opt.beta2) * p.grad ** 2
-        p.data -= opt.lr * (m / b1c) / (np.sqrt(v / b2c) + opt.eps)
+        m[...] = BETA1 * m + (1.0 - BETA1) * p.grad
+        v[...] = BETA2 * v + (1.0 - BETA2) * p.grad ** 2
+        p.data -= opt.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
     opt.zero_grad()
 
 

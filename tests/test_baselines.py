@@ -97,6 +97,16 @@ class TestEdgeForestFire:
         out = edge_forest_fire(karate, 0.5, 0.95, rng)
         assert out.edge_count == 39
 
+    def test_zero_burn_probability_stops_after_the_first_fire(self, karate):
+        """At p = 0 no fire spreads and every count stays 0, so one fire is lit
+        and the edges are pruned in the order of one jitter draw."""
+        out = edge_forest_fire(karate, 0.5, 0.0, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        rng.integers(karate.node_count)  # the one fire's start
+        live = karate.live_edge_ids()
+        pruned = live[np.argsort(rng.random(live.size))[:karate.edge_count - 39]]
+        assert np.array_equal(np.flatnonzero(~out.alive), np.sort(pruned))
+
     def test_p_near_zero_behaves_like_random(self, rng):
         # with p -> 0 no edges are traversed, so the kept set is rng jitter:
         # every edge of K4 should survive with roughly equal frequency

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import yaml
 from prunerl import baselines, cli
 from prunerl.agent import Agent
 from prunerl.errors import PruneRLError
-from prunerl.graph import load_edge_list, read_text
+from prunerl.graph import Graph, load_edge_list, read_text
 from prunerl.rewards import OBJECTIVES
 
 from conftest import DATA_DIR
@@ -87,6 +88,28 @@ class TestTrain:
             assert log.read_bytes().startswith(first)
             assert [row["episode"] for row in read_csv(log)] == ["1", "2", "3", "4", "5", "6"]
             ckpt.write_bytes(after_three)
+
+    def test_resume_draws_new_episodes_from_the_checkpoint_alone(self, tmp_path, monkeypatch):
+        """A resumed run's exploration stream starts past the draws of the
+        episodes its checkpoint holds, so episodes 4-6 pre-prune other edge
+        counts than episodes 1-3. Two resumes of copies of a run write the
+        same log and checkpoint."""
+        pre_pruned, real = [], Graph.random_prune
+        monkeypatch.setattr(Graph, "random_prune",
+                            lambda g, count, rng: pre_pruned.append(count) or real(g, count, rng))
+        config = write_config(tmp_path / "config.yaml",
+                              train={"episodes": 3, "checkpoint_every": 0})
+        runs = [tmp_path / "run", tmp_path / "copy"]
+        argv = ["train", "--config", str(config), "--out"]
+        assert cli.main(argv + [str(runs[0])]) == cli.EXIT_OK
+        shutil.copytree(runs[0], runs[1])
+        first = pre_pruned.copy()
+        for run in runs:
+            pre_pruned.clear()
+            assert cli.main(argv + [str(run), "--resume"]) == cli.EXIT_OK
+            assert len(pre_pruned) == 3 and pre_pruned != first
+        for name in ("training_log.csv", "checkpoint.npz"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
 class TestSparsify:
@@ -445,6 +468,14 @@ DATA_ERRORS = {
             lambda h, a: [a.pop(k) for k in list(a) if k.startswith("target_")])},
         SPARSIFY_BROKEN,
         "broken.npz: not a prunerl checkpoint (checkpoint lacks target_param_0_embeddings)"),
+    "config that is a list": (
+        {"config.yaml": "- schema_version: 1\n"}, TRAIN, "config.yaml: config must be a mapping"),
+    "config without a schema_version": (
+        {"config.yaml": yaml.safe_dump({"dataset": KARATE})}, TRAIN,
+        "config.yaml: schema_version must be 1, got None"),
+    "config with schema_version 2": (
+        {"config.yaml": yaml.safe_dump({"schema_version": 2, "dataset": KARATE})}, TRAIN,
+        "config.yaml: schema_version must be 1, got 2"),
     "malformed YAML config": (
         {"config.yaml": "schema_version: 1\ndataset: [unclosed\n"},
         ["compare", "--config", "{config}", "--out", "{out}"],
@@ -733,6 +764,36 @@ def test_unreadable_dataset_exits_2(tmp_path, capsys):
     rc = cli.main(sparsify(dataset=str(dataset), out=str(tmp_path / "out")))
     assert rc == cli.EXIT_DATA
     assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{dataset}'\n"
+
+
+def triangle_config(path, checkpoint):
+    """A config that trains episodes of up to 8 steps on a 3-edge triangle."""
+    (path.parent / "tri.txt").write_text("0 1\n1 2\n2 0\n")
+    path.write_text(karate_config(dataset=str(path.parent / "tri.txt"), agent={"t_max": 8}))
+
+
+# each case: (files to write, argv, the whole message of the one error line)
+RUNTIME_ERRORS = {
+    "train on a graph with fewer edges than t_max": (
+        {"config.yaml": triangle_config}, TRAIN,
+        "graph too small for the configured episode length"),
+    "modularity of a directed graph": (
+        {}, ["evaluate", "--dataset", KARATE, "--sparsified", KARATE, "--metric", "modularity",
+             "--directed"],
+        "louvain requires an undirected graph"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNTIME_ERRORS))
+def test_runtime_errors_exit_3_with_one_line(case, tmp_path, capsys):
+    files, argv, message = RUNTIME_ERRORS[case]
+    paths = {Path(name).stem: bad_input(tmp_path, name, content, None)
+             for name, content in files.items()}
+    paths.update(out=str(tmp_path / "out"))
+    rc = cli.main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_RUNTIME, err
+    assert err == f"error: {message}\n"
 
 
 # each case: (sparsified file, --directed, kept edge count or the message naming

@@ -189,6 +189,10 @@ class TestARI:
     def test_identical(self):
         assert adjusted_rand_index([0, 0, 1, 1], [5, 5, 9, 9]) == pytest.approx(1.0)
 
+    def test_one_community_each(self):
+        # no pair is split on either side, so the index is 0/0: defined as 1
+        assert adjusted_rand_index([0, 0, 0], [7, 7, 7]) == 1.0
+
     def test_crossed_two_by_two(self):
         # all 6 pairs counted by hand: ARI = -0.5
         a = [0, 0, 1, 1]

@@ -205,15 +205,24 @@ class TestFusedLayers:
         assert np.isnan(out.data).all()
 
 
+def packed_adam(params, lr):
+    """An Adam over `params`, their data first moved into views of one
+    vector, as `QModel` lays out its parameters."""
+    flat, views = nnet.flat_views([p.data for p in params])
+    for p, view in zip(params, views):
+        p.data = view
+    return Adam(params, flat, lr)
+
+
 class TestOptimizers:
     def test_missing_gradient_rejected(self, rng):
         w = Tensor(rng.random(3), name="w")
         with pytest.raises(PruneRLError, match="missing gradient"):
-            Adam([w], lr=0.1).step()
+            packed_adam([w], lr=0.1).step()
 
     def test_nonfinite_gradient_moves_no_parameter(self, rng):
         w1, w2 = Tensor(rng.random(3), name="w1"), Tensor(rng.random(2), name="w2")
-        opt = Adam([w1, w2], lr=0.1)
+        opt = packed_adam([w1, w2], lr=0.1)
         w1.grad, w2.grad = np.ones(3), np.array([1.0, np.nan])
         before = [w1.data.copy(), w2.data.copy()]
         with pytest.raises(PruneRLError, match="non-finite gradient for parameter w2"):
@@ -243,7 +252,7 @@ class TestOptimizers:
         X = Tensor(rng.standard_normal((16, 4)))
         y = Tensor(-rng.standard_normal((16, 1)))
         w = Tensor(rng.standard_normal((4, 1)), name="w")
-        opt = Adam([w], lr=0.05)
+        opt = packed_adam([w], lr=0.05)
         losses = []
         for _ in range(20):
             diff = add(matmul(X, w), y)
@@ -256,14 +265,14 @@ class TestOptimizers:
 
     def test_adam_state_round_trip(self, rng):
         w = Tensor(rng.random((2, 2)), name="w")
-        opt = Adam([w], lr=0.01)
+        opt = packed_adam([w], lr=0.01)
         for _ in range(3):
             loss = sum_all(mul(w, w))
             opt.zero_grad()
             loss.backward()
             opt.step()
         w2 = Tensor(w.data.copy(), name="w")
-        opt2 = Adam([w2], lr=0.01)
+        opt2 = packed_adam([w2], lr=0.01)
         # the optimizer's whole state: what `Agent.save` writes and `Agent.load` restores
         opt2.step_count = opt.step_count
         # into the existing views: rebinding the lists would detach them from
