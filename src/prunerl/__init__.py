@@ -34,7 +34,7 @@ from .metrics import (
     spearman_rho,
 )
 from .qmodel import QModel
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer
 from .rewards import (
     OBJECTIVES,
     CommunityReward,

@@ -16,7 +16,7 @@ from .errors import ConfigError, DataError, PruneRLError
 from .graph import open_output
 from .nnet import Adam
 from .qmodel import QModel
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer
 
 LOG_FIELDS = ["episode", "step", "epsilon", "loss", "mean_reward", "buffer_size"]
 MODEL_FIELDS = ("node_count", "directed", "emb_dim", "hidden_dim")  # a checkpoint's "model" header
@@ -150,7 +150,7 @@ class Agent:
             exhausted = g.edge_count == 0
             done = exhausted  # time-limit truncation still bootstraps
             next_state = state if exhausted else g.sample_subgraph(cfg.train_subgraph_len, rng)
-            self.buffer.add(Transition(state, action, reward, next_state, done))
+            self.buffer.add(state, action, reward, next_state, done)
             if len(self.buffer) >= cfg.batch_size:
                 loss, _ = self.train_step(rng)
                 record.losses.append(loss)

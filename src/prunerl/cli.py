@@ -10,6 +10,7 @@ import csv
 import itertools
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,13 @@ def cmd_train(args):
     kept_rows = []
     if args.resume and ckpt.exists():
         agent = Agent.load(ckpt, graph)
+        # the checkpoint's weights, moments and counters belong to its own agent settings
+        saved, asked = asdict(agent.config), asdict(cfg.agent)
+        changed = [k for k in saved if saved[k] != asked[k]]
+        if changed:
+            k = changed[0]
+            raise ConfigError(f"{args.config}: agent: {k} is {asked[k]!r}, but {ckpt} was trained "
+                              f"with {saved[k]!r}; agent settings cannot change on resume")
         if log_path.exists():  # the checkpoint's episodes; rows logged after it are dropped
             kept_rows = list(csv.reader(read_text(log_path).splitlines()))[1:][:agent.episodes_done]
     else:

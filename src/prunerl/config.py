@@ -46,6 +46,7 @@ def at_least(low):
 
 COUNT, SEED = at_least(1), at_least(0)
 FINITE = _number("a finite number", math.isfinite)
+POSITIVE = _number("a positive finite number", lambda v: 0 < v < math.inf)
 UNIT = _number("in (0, 1)", lambda v: 0 < v < 1)
 RATIO = _number("in (0, 1]", lambda v: 0 < v <= 1)
 RATIOS = Rule("a non-empty list of ratios in (0, 1]",
@@ -106,12 +107,12 @@ class AgentConfig(Section):
     soft_update_rate: float = ruled(UNIT, 0.001)  # Polyak rate toward the policy net
     t_max: int = ruled(COUNT, 8)
     train_subgraph_len: int = ruled(COUNT, 32)
-    lr: float = ruled(FINITE, 0.0002)
+    lr: float = ruled(POSITIVE, 0.0002)
     buffer_capacity: int = ruled(COUNT, 100_000)
     batch_size: int = ruled(COUNT, 32)
     replay_alpha: float = ruled(FINITE, 0.6)
     replay_beta: float = ruled(FINITE, 0.4)
-    priority_floor: float = ruled(FINITE, 1e-3)
+    priority_floor: float = ruled(POSITIVE, 1e-3)
     emb_dim: int = ruled(COUNT, 64)
     hidden_dim: int = ruled(COUNT, 128)
     seed: int = ruled(SEED, 0)  # seeds only an Agent built without an rng

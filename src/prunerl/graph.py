@@ -25,8 +25,9 @@ class CandidateSubgraph:
     Candidate edge j is edge id `eids[j]` with endpoints
     `nodes[ends[j]]` (source first). Node row i's closed neighborhood,
     `hood[hood_ptr[i]:hood_ptr[i + 1]]`, is the node itself and then its
-    sorted live (out-)neighbors. A sample lists each endpoint once, sorted;
-    a gather of several may list a node in several rows.
+    sorted live (out-)neighbors, so its length is `node_degrees[i, -1] + 1`
+    (the replay store keeps no other record of it). A sample lists each
+    endpoint once, sorted; a gather of several may list a node in several rows.
     """
 
     eids: np.ndarray  # (k,) candidate edge ids

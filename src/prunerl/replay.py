@@ -9,7 +9,6 @@ every slot anyway and a sum tree's O(log N) draws would save nothing.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,35 +20,22 @@ from .graph import CandidateSubgraph, concat_ranges
 Batch = namedtuple("Batch", "store states next_states actions rewards done")
 
 
-@dataclass
-class Transition:
-    """One agent step: state, chosen edge index, reward, next state."""
-
-    state: CandidateSubgraph
-    action: int
-    reward: float
-    next_state: CandidateSubgraph  # ignored when done
-    done: bool
-
-    def __post_init__(self):
-        if not (0 <= self.action < len(self.state)):
-            raise PruneRLError(
-                f"action index {self.action} out of range for state of length {len(self.state)}"
-            )
-
-
 class SnapshotStore:
     """Sampled snapshots packed into flat arrays that grow on demand, one
-    record each. Record r, row r of `rec` (edge, node row and hood starts,
-    then their counts), spans rows of the edge arrays (`eids`, and `ends` as
-    store node rows), of the node-row arrays (`deg`, `ratio`, and
-    `hood_start` and `hood_len` into `hood`) and of `hood`.
+    record each, and the records of each replay slot: slot s holds records
+    `recs[s]`, its state's and its next state's (the state's again when
+    done). Record r, row r of `rec` (edge, node row and hood starts, then
+    the edge and node row counts), spans rows of the edge arrays (`eids`,
+    and `ends` as store node rows), of the node-row arrays (`deg`, `ratio`
+    and `hood_start` into `hood`) and of `hood`. A node row's hood is its
+    last degree column plus one entries long, as a sample lays it out.
     """
 
-    SPACES = (("rec",), ("eids", "ends"), ("deg", "ratio", "hood_start", "hood_len"), ("hood",))
+    SPACES = (("rec",), ("eids", "ends"), ("deg", "ratio", "hood_start"), ("hood",))
     REC, EDGE, NODE, HOOD = range(4)  # the index spaces, whose arrays SPACES names
 
-    def __init__(self):
+    def __init__(self, capacity):
+        self.recs = np.zeros((capacity, 2), dtype=np.int64)  # 0 while a slot is unwritten
         self.used = [0] * len(self.SPACES)  # rows per space
         self.room = [0] * len(self.SPACES)  # rows the arrays of each space hold
         self._last = None  # the snapshot the last record holds
@@ -57,9 +43,9 @@ class SnapshotStore:
     def _grow(self, sub):
         """At least double the rows of each space short of room, so appends
         cost O(1) amortized; the first snapshot sets dtypes and widths."""
-        first = dict(rec=np.zeros((0, 6), dtype=np.int64), eids=sub.eids, ends=sub.ends,
+        first = dict(rec=np.zeros((0, 5), dtype=np.int64), eids=sub.eids, ends=sub.ends,
                      deg=sub.node_degrees, ratio=sub.edge_ratio, hood_start=sub.hood_ptr,
-                     hood_len=sub.hood_ptr, hood=sub.hood)
+                     hood=sub.hood)
         for space, names in enumerate(self.SPACES):
             room, need = self.room[space], self.used[space]
             if need > room:
@@ -70,33 +56,41 @@ class SnapshotStore:
                     arr[:room] = old[:room]
                     setattr(self, name, arr)
 
-    def add(self, sub):
+    def _add(self, sub):
         """Append a sampled snapshot, unless it is the last one added (the
         same object, as an episode hands a next state on); returns its record."""
         if sub is not self._last:
-            self._last, ptr = sub, sub.hood_ptr
+            self._last = sub
             r, e0, n0, h0 = self.used
-            e, n, h = len(sub.eids), len(ptr) - 1, len(sub.hood)
+            e, n, h = len(sub.eids), len(sub.node_degrees), len(sub.hood)
             self.used[:] = r + 1, e0 + e, n0 + n, h0 + h
             if any(map(int.__gt__, self.used, self.room)):
                 self._grow(sub)
-            self.rec[r] = e0, n0, h0, e, n, h
+            self.rec[r] = e0, n0, h0, e, n
             self.eids[e0:e0 + e] = sub.eids
             np.add(sub.ends, n0, out=self.ends[e0:e0 + e])
             self.deg[n0:n0 + n] = sub.node_degrees
             self.ratio[n0:n0 + n] = sub.edge_ratio
-            np.add(ptr[:-1], h0, out=self.hood_start[n0:n0 + n])
-            np.subtract(ptr[1:], ptr[:-1], out=self.hood_len[n0:n0 + n])
+            np.add(sub.hood_ptr[:-1], h0, out=self.hood_start[n0:n0 + n])
             self.hood[h0:h0 + h] = sub.hood
         return self.used[self.REC] - 1
 
-    def drop_before(self, first):
-        """Drop the records before `first`, which nothing refers to, once
-        they fill more than half of some space, and renumber the rest from
-        0: the store never holds more than twice what its live records need."""
+    def put(self, slot, state, next_state, done):
+        """Pack a step's snapshots as slot `slot`'s records (`next_state` only
+        when not done), then drop the records no slot refers to any more."""
+        rec = self._add(state)
+        self.recs[slot] = rec, rec if done else self._add(next_state)
+        # the oldest slot's state is the first record a slot refers to
+        self._drop_before(self.recs[(slot + 1) % len(self.recs), 0])
+
+    def _drop_before(self, first):
+        """Drop the records before `first` once they fill more than half of
+        some space, and renumber the rest from 0: the store never holds more
+        than twice what its live records need. Only a full ring drops any (an
+        unwritten oldest slot gives `first` 0), so every slot is renumbered."""
         lo = [int(first), *self.rec[first, :3].tolist()]
         if all(2 * a <= n for a, n in zip(lo, self.used)):
-            return False
+            return
         self.used[:] = [n - a for a, n in zip(lo, self.used)]
         for names, a, n in zip(self.SPACES, lo, self.used):
             for name in names:
@@ -105,26 +99,25 @@ class SnapshotStore:
         self.rec[:self.used[self.REC], :3] -= lo[1:]
         self.ends[:self.used[self.EDGE]] -= lo[self.NODE]
         self.hood_start[:self.used[self.NODE]] -= lo[self.HOOD]
-        return True
+        self.recs -= first
 
-    def _snapshot(self, eids, ends, nrows, hood):
-        """Candidates `eids`, `ends` over store node rows `nrows`, whose
-        neighborhoods `hood` holds."""
-        hood_ptr = np.concatenate(([0], np.cumsum(self.hood_len.take(nrows))))
-        return CandidateSubgraph(eids=eids, ends=ends, hood_ptr=hood_ptr, hood=hood,
-                                 node_degrees=self.deg.take(nrows, axis=0),
-                                 edge_ratio=self.ratio.take(nrows, axis=0))
+    def _snapshot(self, eids, ends, nrows):
+        """Candidates `eids`, `ends` over store node rows `nrows`, with those
+        rows' neighborhoods."""
+        deg = self.deg.take(nrows, axis=0)
+        lens = deg[:, -1] + 1
+        hood = self.hood.take(concat_ranges(self.hood_start.take(nrows), lens))
+        return CandidateSubgraph(eids=eids, ends=ends, hood_ptr=np.concatenate(([0], np.cumsum(lens))),
+                                 hood=hood, node_degrees=deg, edge_ratio=self.ratio.take(nrows, axis=0))
 
     def candidates(self, recs):
         """Every candidate of records `recs`, laid out as their snapshots'
         concatenation: item after item, each item's endpoint rows shifted past
         the node rows before it; also each item's first candidate and count."""
-        e0, n0, h0, edges, nodes, hoods = self.rec.take(recs, axis=0).T
+        e0, n0, _, edges, nodes = self.rec.take(recs, axis=0).T
         erows, nrows = concat_ranges(e0, edges), concat_ranges(n0, nodes)
         ends = self.ends.take(erows, axis=0) - np.repeat(n0 - np.cumsum(nodes) + nodes, edges)[:, None]
-        hood = self.hood.take(concat_ranges(h0, hoods))  # a record's hoods lie together
-        sub = self._snapshot(self.eids.take(erows), ends, nrows, hood)
-        return sub, np.cumsum(edges) - edges, edges
+        return self._snapshot(self.eids.take(erows), ends, nrows), np.cumsum(edges) - edges, edges
 
     def rows(self, recs, rows):
         """Candidate rows[i] of record recs[i] alone, item i's node rows 2i
@@ -132,14 +125,13 @@ class SnapshotStore:
         training bit-identical to its op-by-op oracle."""
         erows = self.rec.take(recs, axis=0)[:, 0] + rows
         nrows = self.ends.take(erows, axis=0).reshape(-1)
-        hood = self.hood.take(concat_ranges(self.hood_start.take(nrows), self.hood_len.take(nrows)))
-        return self._snapshot(self.eids.take(erows), np.arange(len(nrows)).reshape(-1, 2), nrows, hood)
+        return self._snapshot(self.eids.take(erows), np.arange(len(nrows)).reshape(-1, 2), nrows)
 
 
 class ReplayBuffer:
-    """Ring buffer of transitions with proportional prioritized sampling. A
-    slot keeps its action, reward and done flag, and its state's and next
-    state's records in `store`."""
+    """Ring buffer of agent steps with proportional prioritized sampling. A
+    slot keeps its action, reward and done flag, and `store` its state's and
+    next state's snapshots."""
 
     def __init__(self, capacity, alpha=0.6, beta=0.4, priority_floor=1e-3):
         if capacity < 1:
@@ -148,8 +140,7 @@ class ReplayBuffer:
         self.alpha = alpha
         self.beta = beta
         self.priority_floor = priority_floor
-        self.store = SnapshotStore()
-        self.recs = np.zeros((capacity, 2), dtype=np.int64)
+        self.store = SnapshotStore(capacity)
         self.action = np.zeros(capacity, dtype=np.int64)
         self.reward = np.zeros(capacity)
         self.done = np.zeros(capacity, dtype=bool)
@@ -161,29 +152,26 @@ class ReplayBuffer:
     def __len__(self):
         return self.size
 
-    def add(self, transition, priority=None):
-        """Insert with the given raw priority (defaults to the current max,
-        so fresh transitions are sampled at least once soon)."""
+    def add(self, state, action, reward, next_state, done, priority=None):
+        """Insert one step, candidate `action` of `state` taken (`next_state`
+        is ignored when done), with the given raw priority (defaults to the
+        current max, so fresh steps are sampled at least once soon)."""
+        if not (0 <= action < len(state)):
+            raise PruneRLError(f"action index {action} out of range for state of length {len(state)}")
         p = self.max_priority if priority is None else priority
         if p <= 0:
             raise PruneRLError("transition priority must be positive")
-        tr, w = transition, self.write
-        state = self.store.add(tr.state)
-        self.recs[w] = state, state if tr.done else self.store.add(tr.next_state)
-        self.action[w], self.reward[w], self.done[w] = tr.action, tr.reward, tr.done
+        w = self.write
+        self.store.put(w, state, next_state, done)
+        self.action[w], self.reward[w], self.done[w] = action, reward, done
         self.weight[w] = p ** self.alpha
         self.write = (w + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
         self.max_priority = max(self.max_priority, p)
-        # the oldest slot's state is the first record a slot refers to (0
-        # while the slot is unwritten)
-        first = self.recs[self.write, 0]
-        if self.store.drop_before(first):
-            self.recs[:self.size] -= first
 
     def batch(self, slots):
         """The items in `slots`, repeats allowed."""
-        return Batch(self.store, *self.recs[slots].T, self.action[slots], self.reward[slots],
+        return Batch(self.store, *self.store.recs[slots].T, self.action[slots], self.reward[slots],
                      self.done[slots])
 
     def sample(self, batch_size, rng):

@@ -6,10 +6,10 @@ On it, `gat_encode_oracle` is the op-by-op form of `nnet.graph_attention`,
 and `q_forward_batch_oracle` and `train_step_oracle` those of
 `QModel.q_forward` over `concat_oracle` of a list of candidate
 subgraphs and of `Agent.train_step`; they must agree with them bit for bit.
-`train_step_oracle` reads the transitions a replay buffer was given, kept
-per slot by `keep_transitions`, and scores the edges a step reads through
-one-edge views (`edge_views`), built here one `CandidateSubgraph` per edge,
-which `pick_oracle` gathers as index arrays. It updates the parameters with
+`train_step_oracle` reads the steps a replay buffer was given, kept per
+slot as `Transition`s by `keep_transitions`, and scores the edges a step
+reads through one-edge views (`edge_views`), built here one
+`CandidateSubgraph` per edge, which `pick_oracle` gathers as index arrays. It updates the parameters with
 `adam_step_oracle` and `soft_update_oracle`, the per-parameter forms of
 `Adam.step` and `QModel.soft_update_from`, which update one flat vector each;
 `taken_q_all_candidates_oracle` scores every candidate of the batch, and
@@ -53,6 +53,7 @@ they pick the same indices but agree on the weights only to rounding.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -338,14 +339,18 @@ def taken_q_all_candidates_oracle(model, batch):
     return gather_rows(q, offsets[:-1] + [tr.action for tr in batch])
 
 
+# one agent step as `ReplayBuffer.add` takes it: `buffer.add(*transition)`
+Transition = namedtuple("Transition", "state action reward next_state done")
+
+
 def keep_transitions(buffer):
-    """A list that keeps, by slot, each transition `buffer.add` stores from
-    here on: the objects the store packed."""
+    """A list that keeps, by slot, each step `buffer.add` stores from here
+    on, as a `Transition` of the objects the store packed."""
     slots, add = [None] * buffer.capacity, buffer.add
 
-    def keeping(transition, priority=None):
-        slots[buffer.write] = transition
-        add(transition, priority)
+    def keeping(*step, priority=None):
+        slots[buffer.write] = Transition(*step)
+        add(*step, priority=priority)
 
     buffer.add = keeping
     return slots

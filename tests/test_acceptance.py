@@ -29,7 +29,7 @@ from prunerl.metrics import (
     pagerank,
 )
 from prunerl.qmodel import QModel
-from prunerl.replay import ReplayBuffer, Transition
+from prunerl.replay import ReplayBuffer
 from prunerl.rewards import CommunityReward, SpspReward
 
 from conftest import (
@@ -150,7 +150,7 @@ class TestStochasticLaws:
         sub = g.sample_subgraph(4, rng)
         buf = ReplayBuffer(capacity=16, alpha=0.6, beta=0.4)
         for p in range(1, 11):
-            buf.add(Transition(sub, 0, 0.0, sub, True), priority=float(p))
+            buf.add(sub, 0, 0.0, sub, True, priority=float(p))
         draws = 100_000
         counts = np.zeros(10, dtype=np.int64)
         for _ in range(200):

@@ -20,13 +20,13 @@ from prunerl.errors import DataError, PruneRLError
 from prunerl.graph import CandidateSubgraph, Graph, load_edge_list
 from prunerl.nnet import Tensor
 from prunerl.qmodel import QModel
-from prunerl.replay import ReplayBuffer, SnapshotStore, Transition
+from prunerl.replay import ReplayBuffer, SnapshotStore
 from prunerl.rewards import PagerankReward, SpspReward
 
 import oracles
 from conftest import complete_graph, random_sparse_graph
 from gradcheck import grad_check, mul, sum_all
-from oracles import (concat_oracle, double_dqn_target_oracle, keep_transitions,
+from oracles import (Transition, concat_oracle, double_dqn_target_oracle, keep_transitions,
                      q_forward_batch_oracle, q_forward_oracle, sample_subgraph_oracle,
                      train_step_oracle)
 
@@ -191,7 +191,7 @@ def as_batch(transitions):
     """The replay batch of `transitions`, in order."""
     buf = ReplayBuffer(len(transitions))
     for tr in transitions:
-        buf.add(tr)
+        buf.add(*tr)
     return buf.batch(np.arange(len(transitions)))
 
 
@@ -577,7 +577,7 @@ class TestTrainStep:
         agent = Agent(g, cfg, rng=rng)
         t = Transition(state=g.sample_subgraph(4, rng), action=1, reward=1.0,
                        next_state=g.sample_subgraph(4, rng), done=True)
-        agent.buffer.add(t, priority=1.0)
+        agent.buffer.add(*t, priority=1.0)
 
         def td_error():
             q = agent.policy.q_forward(t.state).data[t.action]

@@ -111,6 +111,25 @@ class TestTrain:
         for name in ("training_log.csv", "checkpoint.npz"):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
+    def test_resume_refuses_changed_agent_settings(self, tmp_path, capsys):
+        """The checkpoint's arrays and counters belong to the agent settings it
+        was trained with; a resume that asks for others exits 2 naming the
+        first changed field, and leaves the run as it was."""
+        run = tmp_path / "run"
+        config = write_config(tmp_path / "config.yaml", train={"episodes": 2, "checkpoint_every": 0})
+        assert cli.main(["train", "--config", str(config), "--out", str(run)]) == cli.EXIT_OK
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        changed = yaml.safe_load(config.read_text())
+        changed["agent"].update(hidden_dim=64, lr=0.5)
+        config.write_text(yaml.safe_dump(changed))
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", str(config), "--out", str(run), "--resume"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA
+        assert err == (f"error: {config}: agent: lr is 0.5, but {run / 'checkpoint.npz'} was "
+                       "trained with 0.0002; agent settings cannot change on resume\n")
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
 
 class TestSparsify:
     def test_random_edge_exact_count(self, tmp_path):
@@ -515,7 +534,11 @@ DATA_ERRORS = {
     "non-number lr in config": (
         {"config.yaml": section_config("agent", lr="abc")},
         TRAIN,
-        "lr must be a finite number, got 'abc'"),
+        "lr must be a positive finite number, got 'abc'"),
+    "negative priority_floor in config": (
+        {"config.yaml": section_config("agent", priority_floor=-1.0)},
+        TRAIN,
+        "config.yaml: agent: priority_floor must be a positive finite number, got -1.0"),
     "gamma above 1 in config": (
         {"config.yaml": section_config("agent", gamma=1.5)},
         TRAIN,

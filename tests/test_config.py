@@ -1,8 +1,9 @@
 import re
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import pytest
+import yaml
 
 import prunerl.agent
 import prunerl.config
@@ -85,9 +86,16 @@ def test_construction_from_python_checks_the_same_rules():
     ({"gamma": 0.5, "bogus": 1, "other": 2}, "ctx: unknown key(s): ['bogus', 'other']"),
     ({1: 2}, "ctx: unknown key(s): [1]"),
     ({"eps_end": float("nan")}, "ctx: eps_end must be in (0, 1), got nan"),
-    ({"lr": float("inf")}, "ctx: lr must be a finite number, got inf"),
+    ({"lr": float("inf")}, "ctx: lr must be a positive finite number, got inf"),
     ({"t_max": True}, "ctx: t_max must be an integer >= 1, got True"),
     ({"emb_dim": 8.0}, "ctx: emb_dim must be an integer >= 1, got 8.0"),
+    # a zero rate never moves a weight and a negative one climbs the loss; a
+    # floor of zero or below lets a priority reach zero or below, and sampling
+    # weights turn infinite or NaN
+    ({"lr": 0}, "ctx: lr must be a positive finite number, got 0"),
+    ({"lr": -0.5}, "ctx: lr must be a positive finite number, got -0.5"),
+    ({"priority_floor": 0.0}, "ctx: priority_floor must be a positive finite number, got 0.0"),
+    ({"priority_floor": -1.0}, "ctx: priority_floor must be a positive finite number, got -1.0"),
 ])
 def test_build_refuses_with_one_message(data, message):
     with pytest.raises(ConfigError) as exc:
@@ -99,8 +107,29 @@ def test_agent_config_has_one_home():
     assert prunerl.agent.AgentConfig is prunerl.config.AgentConfig
 
 
+def readme_text():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def test_readme_table_lists_every_field_in_order():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    listed = re.findall(r"^\| `([a-z_.]+)` \|", readme, flags=re.M)
+    listed = re.findall(r"^\| `([a-z_.]+)` \|", readme_text(), flags=re.M)
     assert listed == [f.name if where is None else f"{where}.{f.name}"
                       for where, f in field_cases() if "section" not in f.metadata]
+
+
+def test_readme_table_states_each_default_and_rule():
+    """Each row's default, read as YAML (`required` and `none` as None), is
+    the field's, and its rule cell starts with the rule's text, backticks and
+    quotes aside."""
+    rows = {key: (default, rule) for key, default, rule in
+            re.findall(r"^\| `([a-z_.]+)` \| (.+?) \| (.+?) \|$", readme_text(), flags=re.M)}
+    plain = lambda text: re.sub("[`'\"]", "", text)  # noqa: E731
+    fields_listed = [(where, f) for where, f in field_cases() if "section" not in f.metadata]
+    assert sorted(rows) == sorted(f.name if where is None else f"{where}.{f.name}"
+                                  for where, f in fields_listed)
+    for where, f in fields_listed:
+        default, rule = rows[f.name if where is None else f"{where}.{f.name}"]
+        value = None if default in ("required", "none") else yaml.safe_load(plain(default))
+        want = f.default_factory() if f.default is MISSING else f.default
+        assert (type(value), value) == (type(want), want), f.name
+        assert plain(rule).startswith(plain(f.metadata["rule"].text)), f.name

@@ -6,10 +6,11 @@ import pytest
 
 from prunerl.errors import PruneRLError
 from prunerl.graph import CandidateSubgraph, Graph
-from prunerl.replay import ReplayBuffer, SnapshotStore, Transition
+from prunerl.replay import ReplayBuffer, SnapshotStore
 
 from conftest import complete_graph, sampling_probabilities
-from oracles import SumTree, SumTreeReplay, concat_oracle, keep_transitions, pick_oracle
+from oracles import (SumTree, SumTreeReplay, Transition, concat_oracle, keep_transitions,
+                     pick_oracle)
 
 
 def make_transition(rng, reward=0.0, done=False):
@@ -34,8 +35,10 @@ class TestTransition:
     def test_action_range_checked(self, rng):
         g = complete_graph(4)
         state = g.sample_subgraph(2, rng)
-        with pytest.raises(PruneRLError):
-            Transition(state=state, action=2, reward=0.0, next_state=state, done=False)
+        buf = ReplayBuffer(capacity=4)
+        with pytest.raises(PruneRLError, match="^action index 2 out of range for state of length 2$"):
+            buf.add(state, 2, 0.0, state, False)
+        assert len(buf) == 0
 
 
 class TestSumTree:
@@ -67,7 +70,7 @@ class TestReplayBuffer:
     def test_sample_respects_prefix(self, rng):
         buf = ReplayBuffer(capacity=8, alpha=1.0)
         for i, p in enumerate((1.0, 2.0, 3.0, 4.0)):
-            buf.add(make_transition(rng, reward=float(i)), priority=p)
+            buf.add(*make_transition(rng, reward=float(i)), priority=p)
         # cumulative boundaries: [0,1], (1,3], (3,6], (6,10]; a draw on a
         # boundary takes the lower slot, as the sum tree's walk did
         draws = np.array([0.5, 1.5, 4.0, 9.9, 1.0, 6.0]) / 10
@@ -77,7 +80,7 @@ class TestReplayBuffer:
 
     def test_update_overwrites(self, rng):
         buf = ReplayBuffer(capacity=4, alpha=1.0, priority_floor=1e-3)
-        buf.add(make_transition(rng), priority=1.0)
+        buf.add(*make_transition(rng), priority=1.0)
         buf.update_priorities([0], [5.0])
         buf.update_priorities([0], [1.0])
         assert buf.weight[0] == pytest.approx(1.001)
@@ -87,7 +90,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=4, alpha=0.6)
         ref = SumTreeReplay(capacity=4, alpha=0.6)
         for _ in range(3):
-            buf.add(make_transition(rng), priority=1.0)
+            buf.add(*make_transition(rng), priority=1.0)
             ref.add(priority=1.0)
         indices, td = np.array([1, 0, 1, 1]), np.array([2.0, -3.0, 7.0, -0.5])
         buf.update_priorities(indices, td)
@@ -108,7 +111,7 @@ class TestReplayBuffer:
         draws = 0
         for step in range(3000):
             p = None if step % 3 else float(rng.uniform(0.01, 5.0))
-            buf.add(transition, priority=p)
+            buf.add(*transition, priority=p)
             ref.add(priority=p)
             if len(buf) < batch_size:
                 continue
@@ -129,7 +132,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=16, alpha=0.6)
         priorities = [0.5, 1.0, 2.0, 4.0]
         for p in priorities:
-            buf.add(make_transition(rng), priority=p)
+            buf.add(*make_transition(rng), priority=p)
         probs = sampling_probabilities(buf)
         expected = np.array(priorities) ** 0.6
         expected /= expected.sum()
@@ -138,7 +141,7 @@ class TestReplayBuffer:
     def test_empirical_frequencies(self, rng):
         buf = ReplayBuffer(capacity=8, alpha=0.6)
         for p in (0.2, 1.0, 3.0):
-            buf.add(make_transition(rng), priority=p)
+            buf.add(*make_transition(rng), priority=p)
         counts = np.zeros(3)
         draws = 20_000
         for _ in range(draws // 4):
@@ -151,7 +154,7 @@ class TestReplayBuffer:
     def test_importance_weights(self, rng):
         buf = ReplayBuffer(capacity=8, alpha=0.6, beta=0.4)
         for p in (1.0, 2.0, 4.0):
-            buf.add(make_transition(rng), priority=p)
+            buf.add(*make_transition(rng), priority=p)
         probs = sampling_probabilities(buf)
         raw = (len(buf) * probs) ** -0.4
         expected = raw / raw.max()
@@ -160,21 +163,21 @@ class TestReplayBuffer:
 
     def test_priority_floor_applied(self, rng):
         buf = ReplayBuffer(capacity=4, alpha=1.0, priority_floor=1e-3)
-        buf.add(make_transition(rng), priority=1.0)
+        buf.add(*make_transition(rng), priority=1.0)
         buf.update_priorities([0], [0.0])  # zero TD error
         assert sampling_probabilities(buf)[0] == pytest.approx(1.0)
         assert buf.weight[0] == pytest.approx(1e-3)
 
     def test_new_items_get_max_priority(self, rng):
         buf = ReplayBuffer(capacity=4, alpha=1.0)
-        buf.add(make_transition(rng), priority=5.0)
-        buf.add(make_transition(rng))  # no explicit priority
+        buf.add(*make_transition(rng), priority=5.0)
+        buf.add(*make_transition(rng))  # no explicit priority
         assert buf.weight[1] == pytest.approx(5.0)
 
     def test_capacity_ring(self, rng):
         buf = ReplayBuffer(capacity=3, alpha=1.0)
         for i in range(5):
-            buf.add(make_transition(rng, reward=float(i)), priority=1.0)
+            buf.add(*make_transition(rng, reward=float(i)), priority=1.0)
         assert len(buf) == 3
         assert sorted(buf.reward.tolist()) == [2.0, 3.0, 4.0]
 
@@ -227,7 +230,7 @@ class TestSnapshotStore:
         slots = keep_transitions(buf)
         wraps = 0
         for tr in episode_stream(directed_graph() if directed else karate, rng, 5 * 8 + 3):
-            buf.add(tr)
+            buf.add(*tr)
             if buf.write:
                 continue
             wraps += 1
@@ -257,15 +260,15 @@ class TestSnapshotStore:
     def test_a_handed_on_state_is_stored_once(self, karate, rng):
         s0, s1, s2 = (karate.sample_subgraph(k, rng) for k in (3, 5, 4))
         buf = ReplayBuffer(capacity=8)
-        buf.add(Transition(s0, 0, 0.0, s1, False))
-        buf.add(Transition(s1, 1, 0.0, s2, False))
+        buf.add(s0, 0, 0.0, s1, False)
+        buf.add(s1, 1, 0.0, s2, False)
         used = buf.store.used
         assert used[SnapshotStore.REC] == 3
-        assert buf.recs[0, 1] == buf.recs[1, 0]
-        buf.add(Transition(s2, 2, 0.0, s2, True))  # its own next state
+        assert buf.store.recs[0, 1] == buf.store.recs[1, 0]
+        buf.add(s2, 2, 0.0, s2, True)  # its own next state
         assert used[SnapshotStore.REC] == 3
-        assert buf.recs[2].tolist() == [buf.recs[1, 1]] * 2
-        buf.add(Transition(copy.copy(s0), 0, 0.0, s2, True))  # equal, but not the same object
+        assert buf.store.recs[2].tolist() == [buf.store.recs[1, 1]] * 2
+        buf.add(copy.copy(s0), 0, 0.0, s2, True)  # equal, but not the same object
         assert used[SnapshotStore.REC] == 4
         assert used[SnapshotStore.EDGE] == 3 + 5 + 4 + 3
 
@@ -276,7 +279,7 @@ class TestSnapshotStore:
         slots = keep_transitions(buf)
         stream = episode_stream(directed_graph() if directed else karate, rng, 40 * 8)
         for tr in stream:
-            buf.add(tr)
+            buf.add(*tr)
             live = {id(s): s for t in slots if t is not None
                     for s in ([t.state] if t.done else [t.state, t.next_state])}
             need = np.sum([[len(s), len(s.node_degrees), len(s.hood)] for s in live.values()], axis=0)
