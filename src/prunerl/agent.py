@@ -141,9 +141,8 @@ class Agent:
             action = select_action(len(state), lambda: self.policy.q_forward(state, grad=False).data,
                                    self.epsilon, rng)
             eid = int(state.eids[action])
-            pre_ctx = reward_spec.before_prune(g, eid, rng)
             g.prune_edge(eid)
-            reward = reward_spec.after_prune(g, eid, pre_ctx, rng)
+            reward = reward_spec.after_prune(g, eid, rng)
             record.prunes.append(eid)
             record.rewards.append(reward)
 

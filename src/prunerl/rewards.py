@@ -3,7 +3,7 @@ structure, shortest-path preservation, and modularity.
 
 This is the only module that knows what each objective computes. Each class
 holds its objective's score once; evaluation (``evaluate``) and the training
-reward (the ``before_prune``/``after_prune`` hooks) are both derived from it.
+reward (``after_prune``, called once per prune) are both derived from it.
 Training baselines on the original graph are computed on first use, so
 evaluation never pays for them.
 """
@@ -25,21 +25,23 @@ from .metrics import (
 )
 
 
-def spsp_penalty(gp, queries):
-    """Mean shortest-path increase over the query set (a penalty: lower is
-    better). Pairs that become unreachable count as |V|; pairs that were
-    already unreachable in the baseline contribute 0."""
-    d0, d1 = queries.baseline, batch_spsp(gp, queries.pairs)
-    diffs = np.where(d0 == np.inf, 0.0, float(gp.node_count))
-    reach = d1 != np.inf  # only these are subtracted: inf - inf would warn
-    diffs[reach] = d1[reach] - d0[reach]
+def mean_path_increase(before, after, node_count):
+    """Mean rise from `before` to `after` hop distances (a penalty: lower is better):
+    a pair cut off counts `node_count`, and a pair already cut off counts 0."""
+    diffs = np.where(before == np.inf, 0.0, float(node_count))
+    reach = after != np.inf  # only these are subtracted: inf - inf would warn
+    diffs[reach] = after[reach] - before[reach]
     return float(np.mean(diffs)) if diffs.size else 0.0
 
 
+def spsp_penalty(gp, queries):
+    """`mean_path_increase` over the query set, from its baseline to `gp`."""
+    return mean_path_increase(queries.baseline, batch_spsp(gp, queries.pairs), gp.node_count)
+
+
 def sample_training_pairs(gp, eid, k, rng):
-    """Pair k random nodes against both endpoints of edge `eid`, about to be
-    pruned, with baseline distances taken on the pre-prune graph. Exploits
-    the fact that only paths through the pruned edge can change."""
+    """(2k, 2) pairs of k random nodes against both endpoints of edge `eid`, the
+    only paths its prune can change. The draw reads only |V| and the endpoints."""
     if k < 1:
         raise PruneRLError("need at least one sampled node per endpoint")
     n = gp.node_count
@@ -51,7 +53,7 @@ def sample_training_pairs(gp, eid, k, rng):
     others += others >= ends.min()
     others += others >= ends.max()
     # endpoint-major: each endpoint against every sampled node
-    return PathQuerySet.from_graph(gp, np.stack([np.repeat(ends, k), np.tile(others, 2)], axis=1))
+    return np.stack([np.repeat(ends, k), np.tile(others, 2)], axis=1)
 
 
 # ---------------------------------------------------------------- objectives
@@ -59,10 +61,10 @@ def sample_training_pairs(gp, eid, k, rng):
 
 class RewardSpec:
     """An objective on one original graph, ``graph``: ``evaluate(gp, rng)``
-    scores a sparsified graph, and the before_prune/after_prune pair pays the
-    agent inside episodes. ``on_episode_start(g_working, rng)`` sees each
-    episode's graph once its random pre-pruning is done. Evaluation budgets
-    are constructor arguments, so every objective evaluates alike."""
+    scores a sparsified graph. In an episode, ``on_episode_start(g_working,
+    rng)`` sees its graph once random pre-pruning is done, and ``after_prune(g,
+    eid, rng)`` pays each prune, once edge `eid` is gone from `g`. Evaluation
+    budgets are constructor arguments, so every objective evaluates alike."""
 
     higher_is_better = True
 
@@ -70,9 +72,6 @@ class RewardSpec:
         self.graph = g
 
     def on_episode_start(self, g_working, rng):
-        return None
-
-    def before_prune(self, g, eid, rng):
         return None
 
 
@@ -119,7 +118,7 @@ class PagerankReward(RewardSpec):
     def evaluate(self, gp, rng):
         return self._rho(gp)
 
-    def after_prune(self, g, eid, ctx, rng):
+    def after_prune(self, g, eid, rng):
         # heavy episode pre-pruning can leave a graph whose PageRank is
         # uniform; that ranking carries no information, so score rho as 0
         # rather than aborting the episode
@@ -153,17 +152,16 @@ class CommunityReward(LouvainReward):
     def score(self, gp, rng):
         return adjusted_rand_index(louvain(gp, rng).labels, self.labels)
 
-    def after_prune(self, g, eid, ctx, rng):
+    def after_prune(self, g, eid, rng):
         same = self.labels[g.src[eid]] == self.labels[g.dst[eid]]
         return self._training_score(g) + (self.label_sign if same else -self.label_sign)
 
 
 class SpspReward(RewardSpec):
-    """Shortest-path preservation, scored by ``spsp_penalty``. Evaluation
-    samples ``spsp_pairs`` fixed pairs on the original graph. During training
-    the query set is refreshed every timestep from the pruned edge's
-    endpoints; the agent is paid the negated penalty so bigger damage means
-    lower reward."""
+    """Shortest-path preservation, scored by ``mean_path_increase``. Evaluation
+    samples ``spsp_pairs`` fixed pairs on the original graph; training redraws
+    pairs against each pruned edge's endpoints and pays the negated penalty, so
+    bigger damage means lower reward."""
 
     higher_is_better = False
 
@@ -180,11 +178,14 @@ class SpspReward(RewardSpec):
             self.queries[key] = PathQuerySet.from_graph(self.graph, pairs)
         return spsp_penalty(gp, self.queries[key])
 
-    def before_prune(self, g, eid, rng):
-        return sample_training_pairs(g, eid, self.pairs_per_endpoint, rng)
-
-    def after_prune(self, g, eid, queries, rng):
-        return -spsp_penalty(g, queries)
+    def after_prune(self, g, eid, rng):
+        # one search after the prune gives the distances before it too: a shortest
+        # path from u that used edge (u, v) began with it, never coming back to u, so
+        # before(u, x) = min(after(u, x), 1 + after(v, x)); from v alike unless directed
+        pairs = sample_training_pairs(g, eid, self.pairs_per_endpoint, rng)
+        after = batch_spsp(g, pairs).reshape(2, -1)  # rows: from u, from v
+        before = np.minimum(after, after[::-1] + [[1.0], [np.inf if g.directed else 1.0]])
+        return -mean_path_increase(before.ravel(), after.ravel(), g.node_count)
 
 
 class ModularityReward(LouvainReward):
@@ -193,7 +194,7 @@ class ModularityReward(LouvainReward):
     def score(self, gp, rng):
         return louvain(gp, rng).modularity
 
-    def after_prune(self, g, eid, ctx, rng):
+    def after_prune(self, g, eid, rng):
         return self._training_score(g)
 
 

@@ -46,6 +46,12 @@ cluster draw in ascending center order; both must keep the same edge ids.
 `louvain_oracle` is the dict form of `metrics.louvain`; its dicts are filled
 in `live_edge_ids()` order, which is edge id order.
 
+`spsp_reward_oracle` is the shortest-path training reward as two searches
+paid it: the pairs and their distances searched before the prune, and
+`spsp_penalty` searched after it. `SpspReward.after_prune` derives the
+pre-prune distances from its one post-prune search and must pay the same
+reward bit for bit.
+
 `SumTreeReplay` is the sum-tree sampler that `ReplayBuffer` replaced with one
 cumulative sum: it keeps the raw priorities beside a `SumTree` of their
 powers and walks the tree once per draw. The two sum in other orders, so
@@ -59,9 +65,10 @@ import numpy as np
 
 from prunerl.errors import DataError, PruneRLError, ShapeError
 from prunerl.graph import CandidateSubgraph, concat_ranges
-from prunerl.metrics import Partition, modularity
+from prunerl.metrics import Partition, PathQuerySet, modularity
 from prunerl.nnet import BETA1, BETA2, EPS, Tensor, _scatter_rows
 from prunerl.qmodel import ATTENTION_SLOPE, HIDDEN_SLOPE
+from prunerl.rewards import sample_training_pairs, spsp_penalty
 
 from conftest import edge_id
 
@@ -614,6 +621,14 @@ def batch_spsp_oracle(g, pairs):
         d = by_source[u][v]
         out.append(math.inf if d == math.inf else int(d))
     return out
+
+
+def spsp_reward_oracle(g, eid, k, rng):
+    """Prune edge `eid` from g; return the reward and the query set searched
+    on g before the prune, k sampled nodes per endpoint."""
+    queries = PathQuerySet.from_graph(g, sample_training_pairs(g, eid, k, rng))
+    g.prune_edge(eid)
+    return -spsp_penalty(g, queries), queries
 
 
 def modularity_oracle(g, labels):

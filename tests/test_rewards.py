@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from prunerl import metrics, rewards
+from prunerl.agent import Agent
+from prunerl.config import AgentConfig
 from prunerl.errors import ConfigError, PruneRLError
-from prunerl.graph import Graph, load_communities
+from prunerl.graph import Graph, load_communities, load_edge_list
 from prunerl.metrics import (
     PathQuerySet,
     adjusted_rand_index,
@@ -13,7 +16,6 @@ from prunerl.metrics import (
     pagerank,
     spearman_rho,
 )
-from prunerl import rewards
 from prunerl.rewards import (
     OBJECTIVES,
     CommunityReward,
@@ -26,13 +28,17 @@ from prunerl.rewards import (
 )
 
 from conftest import (
+    DATA_DIR,
+    barbell_graph,
     edge_id,
     floyd_warshall,
     path_graph,
     random_connected_graph,
+    random_sparse_graph,
     star_graph,
     two_triangles,
 )
+from oracles import spsp_reward_oracle
 
 
 def bridged_triangles():
@@ -44,7 +50,7 @@ def bridged_triangles():
 
 def training_reward(spec, gp, eid=None):
     """The reward paid for the prune that produced gp."""
-    return spec.after_prune(gp, eid, None, None)
+    return spec.after_prune(gp, eid, None)
 
 
 def base_ari(g, labels):
@@ -78,7 +84,7 @@ class TestRewardPagerank:
         for eid in list(gp.live_edge_ids()):
             gp.prune_edge(int(eid))
         spec = PagerankReward(g)
-        assert spec.after_prune(gp, None, None, None) == pytest.approx(-1.0)
+        assert spec.after_prune(gp, None, None) == pytest.approx(-1.0)
 
     def test_star_leaf_prune_matches_oracle(self):
         g = star_graph(5)
@@ -92,7 +98,7 @@ class TestRewardPagerank:
         for eid in rng.permutation(gp.live_edge_ids())[:50]:
             gp.prune_edge(int(eid))
             rho = spearman_rho(base, pagerank(gp))
-            assert spec.after_prune(gp, int(eid), None, rng) == rho - 1.0
+            assert spec.after_prune(gp, int(eid), rng) == rho - 1.0
             assert spec.evaluate(gp, rng) == rho
 
     def test_evaluation_is_rho(self, karate, rng):
@@ -212,39 +218,92 @@ class TestRewardSpsp:
             last = cur
 
 
+def derived_distances(monkeypatch, g, eid, k, seed):
+    """Prune edge `eid` from g and return the reward `SpspReward.after_prune`
+    pays, with the pre- and post-prune distances it hands to
+    `mean_path_increase`."""
+    seen = []
+    real = rewards.mean_path_increase
+    monkeypatch.setattr(rewards, "mean_path_increase",
+                        lambda *args: seen.append(args[:2]) or real(*args))
+    spec = SpspReward(g, pairs_per_endpoint=k)
+    g.prune_edge(eid)
+    r = spec.after_prune(g, eid, np.random.default_rng(seed))
+    (before, after), = seen
+    return r, before, after
+
+
 class TestSampleTrainingPairs:
     def test_pair_count_law(self, karate, rng):
         ends = (int(karate.src[0]), int(karate.dst[0]))
         for k in (1, 4, 16):
-            q = sample_training_pairs(karate, 0, k, rng)
-            assert len(q.pairs) == 2 * k
-            assert all(u != v for u, v in q.pairs)
-            assert all(u in ends for u, _ in q.pairs)
+            pairs = sample_training_pairs(karate, 0, k, rng)
+            assert pairs.shape == (2 * k, 2)
+            assert all(u != v for u, v in pairs)
+            assert all(u in ends for u, _ in pairs)
 
     def test_pairs_are_endpoint_major(self, karate, rng):
-        q = sample_training_pairs(karate, 0, 5, rng)
-        assert q.pairs.dtype == np.int64
-        assert q.pairs[:, 0].tolist() == [karate.src[0]] * 5 + [karate.dst[0]] * 5
-        assert q.pairs[:5, 1].tolist() == q.pairs[5:, 1].tolist()
+        pairs = sample_training_pairs(karate, 0, 5, rng)
+        assert pairs.dtype == np.int64
+        assert pairs[:, 0].tolist() == [karate.src[0]] * 5 + [karate.dst[0]] * 5
+        assert pairs[:5, 1].tolist() == pairs[5:, 1].tolist()
 
     def test_zero_k_rejected(self, karate, rng):
         with pytest.raises(PruneRLError):
             sample_training_pairs(karate, 0, 0, rng)
 
-    def test_baselines_finite_on_connected_graph(self, karate, rng):
-        q = sample_training_pairs(karate, 5, 8, rng)
-        assert all(math.isfinite(d) for d in q.baseline)
+    def test_baselines_finite_on_connected_graph(self, karate, monkeypatch):
+        _, q = spsp_reward_oracle(karate.copy(), 5, 8, np.random.default_rng(0))
+        _, before, _ = derived_distances(monkeypatch, karate, 5, 8, 0)
+        assert before.tolist() == q.baseline.tolist()
+        assert all(math.isfinite(d) for d in before)
 
-    def test_self_consistent_with_reward(self, karate, rng):
-        q = sample_training_pairs(karate, 3, 8, rng)
-        gp = karate.copy()
-        gp.prune_edge(3)
-        dists = batch_spsp(gp, q.pairs)
+    def test_self_consistent_with_reward(self, karate, monkeypatch):
+        _, q = spsp_reward_oracle(karate.copy(), 3, 8, np.random.default_rng(0))
+        r, before, after = derived_distances(monkeypatch, karate, 3, 8, 0)
+        assert before.tolist() == q.baseline.tolist()
+        assert after.tolist() == batch_spsp(karate, q.pairs).tolist()
         manual = np.mean([
             34.0 if math.isinf(d1) else d1 - d0
-            for d0, d1 in zip(q.baseline, dists)
+            for d0, d1 in zip(before, after)
         ])
-        assert spsp_penalty(gp, q) == pytest.approx(manual)
+        assert -r == pytest.approx(manual)
+
+
+SPSP_GRAPHS = {
+    "karate": lambda rng: load_edge_list(DATA_DIR / "karate.txt"),
+    "karate-directed": lambda rng: load_edge_list(DATA_DIR / "karate.txt", directed=True),
+    "barbell": lambda rng: barbell_graph()[0],
+    "sparse": lambda rng: random_sparse_graph(40, 90, rng),
+    "sparse-directed": lambda rng: random_sparse_graph(40, 140, rng, directed=True),
+}
+
+
+class TestSpspTrainingReward:
+    @pytest.mark.parametrize("name", SPSP_GRAPHS)
+    def test_one_search_pays_the_two_search_reward(self, name):
+        # prunes every edge in a seeded order (barbell's bridge among them), so
+        # pairs fall unreachable along the way
+        for seed in range(4):
+            g = SPSP_GRAPHS[name](np.random.default_rng(seed))
+            gold, spec = g.copy(), SpspReward(g, pairs_per_endpoint=3 + 5 * seed)
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for eid in np.random.default_rng(seed + 10).permutation(g.edge_count).tolist():
+                want, _ = spsp_reward_oracle(gold, eid, spec.pairs_per_endpoint, oracle_rng)
+                g.prune_edge(eid)
+                assert spec.after_prune(g, eid, rng) == want
+            assert rng.random() == oracle_rng.random()
+
+    def test_one_hop_search_per_prune(self, karate, monkeypatch):
+        searches = []
+        real = metrics._hop_distances
+        monkeypatch.setattr(metrics, "_hop_distances",
+                            lambda g, sources: searches.append(sources) or real(g, sources))
+        agent = Agent(karate, AgentConfig(t_max=6, emb_dim=8, hidden_dim=16, batch_size=4),
+                      rng=np.random.default_rng(0))
+        spec, rng = SpspReward(karate, pairs_per_endpoint=4), np.random.default_rng(0)
+        prunes = sum(len(agent.run_episode(spec, rng).prunes) for _ in range(3))
+        assert len(searches) == prunes
 
 
 class TestRewardModularity:
@@ -314,7 +373,7 @@ class TestRewardSpecs:
         spec.evaluate(karate, np.random.default_rng(0))
         assert len(calls) == 3
         # the first training step adds the baseline run on the original graph
-        spec.after_prune(karate, 0, None, None)
+        spec.after_prune(karate, 0, None)
         assert len(calls) == 5
 
     def test_spsp_spec_negates_penalty(self, karate, rng):
@@ -322,8 +381,9 @@ class TestRewardSpecs:
         g = karate.copy()
         spec.on_episode_start(g, rng)
         edge = int(g.live_edge_ids()[0])
-        ctx = spec.before_prune(g, edge, rng)
+        pairs = sample_training_pairs(g, edge, 4, np.random.default_rng(1))
+        ctx = PathQuerySet.from_graph(g, pairs)
         g.prune_edge(edge)
-        r = spec.after_prune(g, edge, ctx, rng)
+        r = spec.after_prune(g, edge, np.random.default_rng(1))
         assert r == -spsp_penalty(g, ctx)
         assert r <= 0.0
