@@ -8,8 +8,8 @@ every sparsifier in this package is parameterized by.
 import numpy as np
 
 from prunerl.graph import load_edge_list
-from prunerl.metrics import PathQuerySet, louvain, pagerank, spearman_rho
-from prunerl.rewards import spsp_penalty
+from prunerl.metrics import louvain, pagerank, sample_pairs, spearman_rho
+from prunerl.rewards import SpspReward
 
 g = load_edge_list("data/karate.txt")
 print(f"karate club: {g.node_count} nodes, {g.edge_count} edges")
@@ -21,7 +21,7 @@ print("top-5 nodes by PageRank:", [int(t) for t in top])
 
 # prune 30 random edges and see what happens to the ranking
 rng = np.random.default_rng(0)
-queries = PathQuerySet.sample(g, 200, rng)  # fixed pairs, baseline distances
+pairs = sample_pairs(g, 200, rng)  # fixed (u, v) pairs, drawn before pruning
 gp = g.copy()
 gp.random_prune(30, rng)
 print(f"\nafter pruning 30 edges: kept ratio = {gp.edge_kept_ratio():.3f}")
@@ -29,7 +29,7 @@ print(f"\nafter pruning 30 edges: kept ratio = {gp.edge_kept_ratio():.3f}")
 rho = spearman_rho(pr_before, pagerank(gp))
 print(f"PageRank rank correlation vs original: {rho:.4f}")
 
-spsp = spsp_penalty(gp, queries)
+spsp = SpspReward(g).penalty(gp, pairs)
 print(f"mean shortest-path increase over 200 pairs: {spsp:.4f} hops")
 
 part = louvain(gp, rng)

@@ -1,8 +1,8 @@
 #!/bin/sh
 # End-to-end pipeline through the command-line interface: train an agent,
-# sparsify with it and with a baseline, score both, sweep |H|, and resume
-# training on two copies of the run.
-# Run from the repository root. Takes a couple of minutes.
+# sparsify with it and with a baseline, score both, match the agent against
+# the spanner, sweep |H|, and resume training on two copies of the run.
+# Run from the repository root. Takes about ten seconds on a 2-core machine.
 set -e
 
 OUT=$(mktemp -d)
@@ -43,10 +43,17 @@ echo "agent:";  python3 -m prunerl.cli evaluate --dataset data/karate.txt \
     --sparsified "$OUT/agent.txt" --metric pagerank
 echo "random:"; python3 -m prunerl.cli evaluate --dataset data/karate.txt \
     --sparsified "$OUT/random.txt" --metric pagerank
+echo "agent spsp:";  python3 -m prunerl.cli evaluate --dataset data/karate.txt \
+    --sparsified "$OUT/agent.txt" --metric spsp --spsp-pairs 256
+echo "random spsp:"; python3 -m prunerl.cli evaluate --dataset data/karate.txt \
+    --sparsified "$OUT/random.txt" --metric spsp --spsp-pairs 256
 
 python3 -m prunerl.cli compare --config "$OUT/config.yaml" \
     --checkpoint "$OUT/run/checkpoint.npz" --out "$OUT/cmp"
 cat "$OUT/cmp/compare_table.csv"
+
+python3 -m prunerl.cli spanner-compare --dataset data/karate.txt \
+    --checkpoint "$OUT/run/checkpoint.npz" --stretch 3 5 --runs 2 --spsp-pairs 128
 
 python3 -m prunerl.cli h-sweep --dataset data/karate.txt \
     --checkpoint "$OUT/run/checkpoint.npz" --ratio 0.5 \

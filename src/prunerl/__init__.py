@@ -25,7 +25,6 @@ from .graph import CandidateSubgraph, Graph, load_communities, load_edge_list
 from .metrics import (
     UNREACHABLE,
     Partition,
-    PathQuerySet,
     adjusted_rand_index,
     batch_spsp,
     louvain,
@@ -44,7 +43,6 @@ from .rewards import (
     RewardSpec,
     SpspReward,
     make_reward_spec,
-    spsp_penalty,
 )
 
 __version__ = "0.1.0"

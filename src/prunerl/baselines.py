@@ -12,8 +12,8 @@ from collections import deque
 import numpy as np
 
 from .errors import PruneRLError
-from .metrics import PathQuerySet, live_matrix
-from .rewards import spsp_penalty
+from .metrics import live_matrix, sample_pairs
+from .rewards import SpspReward
 
 log = logging.getLogger(__name__)
 
@@ -257,24 +257,24 @@ def spanner_comparison_protocol(g, stretch_values, sparsify, rng, runs, n_pairs)
     """Match a learned sparsifier against the spanner at equal edge budgets.
 
     For each stretch t: run the spanner `runs` times, average its kept-edge
-    count and mean shortest-path increase over a fixed query set, then call
+    count and its `SpspReward.penalty` over `n_pairs` fixed pairs, then call
     ``sparsify(g, r, rng)``, a method of `AT_RATIO`'s form, at the ratio r of
-    that mean count to |E|, and score its graph on the same queries. Even t is
-    mapped down to the nearest valid odd stretch (logged).
+    that mean count to |E|, and score its graph on the same pairs. Even t is
+    mapped down to the nearest valid odd stretch, with a warning.
 
     Returns rows (t, mean_ratio, spanner_rspsp, agent_rspsp).
     """
-    queries = PathQuerySet.sample(g, n_pairs, rng)
+    spsp, pairs = SpspReward(g), sample_pairs(g, n_pairs, rng)
     rows = []
     for t in stretch_values:
         t_eff = t if t % 2 == 1 else t - 1
         if t_eff != t:
-            log.info("stretch %d mapped to %d (spanner needs t = 2k-1)", t, t_eff)
+            log.warning("stretch %d mapped to %d (spanner needs t = 2k-1)", t, t_eff)
         counts, penalties = [], []
         for _ in range(runs):
             sp = baswana_sen_spanner(g, t_eff, rng)
             counts.append(sp.edge_count)
-            penalties.append(spsp_penalty(sp, queries))
+            penalties.append(spsp.penalty(sp, pairs))
         mean_count = int(round(float(np.mean(counts))))
         learned = sparsify(g, mean_count / g.original_edge_count, rng)
         rows.append(
@@ -282,7 +282,7 @@ def spanner_comparison_protocol(g, stretch_values, sparsify, rng, runs, n_pairs)
                 "t": t,
                 "mean_ratio": float(np.mean(counts)) / g.original_edge_count,
                 "spanner_rspsp": float(np.mean(penalties)),
-                "agent_rspsp": spsp_penalty(learned, queries),
+                "agent_rspsp": spsp.penalty(learned, pairs),
             }
         )
     return rows

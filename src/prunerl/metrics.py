@@ -4,7 +4,9 @@ communities, modularity, ARI, and BFS shortest paths.
 All functions are pure given an immutable graph snapshot. They read its live
 edges, not the order they were pruned in, so Louvain too returns one partition
 per live edge set and seed. Unreachability is represented by ``math.inf``,
-never an integer; turning it into a penalty is the reward module's business.
+never an integer. `sample_pairs` draws shortest-path pairs as a (k, 2) array
+and `batch_spsp` searches them; scoring them, inf included, is the reward
+module's business (``SpspReward.penalty``).
 Kernels are array code over the live edges (PageRank on a small graph is one
 dense solve), except Louvain's list sweeps.
 """
@@ -27,28 +29,6 @@ class Partition:
 
     labels: np.ndarray  # (|V|,) community index of each node
     modularity: float
-
-
-@dataclass
-class PathQuerySet:
-    """(u, v) query pairs with per-pair baseline distances in a fixed graph."""
-
-    pairs: np.ndarray  # (k, 2) int64 node ids
-    baseline: np.ndarray  # (k,) float hop distances, inf = unreachable
-
-    @classmethod
-    def from_graph(cls, g, pairs):
-        pairs = np.asarray(pairs, dtype=np.int64)
-        loops = pairs[:, 0] == pairs[:, 1]
-        if loops.any():
-            u, v = pairs[np.argmax(loops)].tolist()
-            raise PruneRLError(f"SPSP pair must have distinct endpoints, got ({u},{v})")
-        return cls(pairs=pairs, baseline=batch_spsp(g, pairs))
-
-    @classmethod
-    def sample(cls, g, max_pairs, rng):
-        """The query set of `sample_pairs`' draw."""
-        return cls.from_graph(g, sample_pairs(g, max_pairs, rng))
 
 
 def sample_pairs(g, max_pairs, rng):

@@ -5,7 +5,9 @@ This is the only module that knows what each objective computes. Each class
 holds its objective's score once; evaluation (``evaluate``) and the training
 reward (``after_prune``, called once per prune) are both derived from it.
 Training baselines on the original graph are computed on first use, so
-evaluation never pays for them.
+evaluation never pays for them. Shortest-path data is plain arrays: (k, 2)
+int64 pairs and float distances with inf for unreachable pairs, and
+``SpspReward.penalty`` is the one scorer of fixed pairs.
 """
 
 import inspect
@@ -14,7 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, PruneRLError
 from .metrics import (
-    PathQuerySet,
     adjusted_rand_index,
     batch_spsp,
     centered_ranks,
@@ -32,11 +33,6 @@ def mean_path_increase(before, after, node_count):
     reach = after != np.inf  # only these are subtracted: inf - inf would warn
     diffs[reach] = after[reach] - before[reach]
     return float(np.mean(diffs)) if diffs.size else 0.0
-
-
-def spsp_penalty(gp, queries):
-    """`mean_path_increase` over the query set, from its baseline to `gp`."""
-    return mean_path_increase(queries.baseline, batch_spsp(gp, queries.pairs), gp.node_count)
 
 
 def sample_training_pairs(gp, eid, k, rng):
@@ -158,8 +154,9 @@ class CommunityReward(LouvainReward):
 
 
 class SpspReward(RewardSpec):
-    """Shortest-path preservation, scored by ``mean_path_increase``. Evaluation
-    samples ``spsp_pairs`` fixed pairs on the original graph; training redraws
+    """Shortest-path preservation, scored by ``mean_path_increase``. ``penalty(gp,
+    pairs)`` scores fixed pairs against their distances in the original graph,
+    and evaluation scores ``spsp_pairs`` pairs drawn on it; training redraws
     pairs against each pruned edge's endpoints and pays the negated penalty, so
     bigger damage means lower reward."""
 
@@ -169,14 +166,23 @@ class SpspReward(RewardSpec):
         super().__init__(g)
         self.pairs_per_endpoint = pairs_per_endpoint
         self.spsp_pairs = spsp_pairs
-        self.queries = {}  # drawn pairs' bytes -> their PathQuerySet, searched once
+        self.base = {}  # pair array bytes -> their distances in the original graph
+
+    def penalty(self, gp, pairs):
+        """``mean_path_increase`` of (k, 2) pairs from the original graph to `gp`.
+        The original graph is searched once per distinct pair array."""
+        pairs = np.asarray(pairs, dtype=np.int64)
+        key = pairs.tobytes()
+        if key not in self.base:
+            loops = pairs[:, 0] == pairs[:, 1]
+            if loops.any():
+                u, v = pairs[np.argmax(loops)].tolist()
+                raise PruneRLError(f"SPSP pair must have distinct endpoints, got ({u},{v})")
+            self.base[key] = batch_spsp(self.graph, pairs)
+        return mean_path_increase(self.base[key], batch_spsp(gp, pairs), gp.node_count)
 
     def evaluate(self, gp, rng):
-        pairs = sample_pairs(self.graph, self.spsp_pairs, rng)
-        key = pairs.tobytes()
-        if key not in self.queries:
-            self.queries[key] = PathQuerySet.from_graph(self.graph, pairs)
-        return spsp_penalty(gp, self.queries[key])
+        return self.penalty(gp, sample_pairs(self.graph, self.spsp_pairs, rng))
 
     def after_prune(self, g, eid, rng):
         # one search after the prune gives the distances before it too: a shortest

@@ -47,8 +47,8 @@ cluster draw in ascending center order; both must keep the same edge ids.
 in `live_edge_ids()` order, which is edge id order.
 
 `spsp_reward_oracle` is the shortest-path training reward as two searches
-paid it: the pairs and their distances searched before the prune, and
-`spsp_penalty` searched after it. `SpspReward.after_prune` derives the
+paid it: `batch_spsp` on the working graph before the prune and again after
+it, scored by `mean_path_increase`. `SpspReward.after_prune` derives the
 pre-prune distances from its one post-prune search and must pay the same
 reward bit for bit.
 
@@ -65,10 +65,10 @@ import numpy as np
 
 from prunerl.errors import DataError, PruneRLError, ShapeError
 from prunerl.graph import CandidateSubgraph, concat_ranges
-from prunerl.metrics import Partition, PathQuerySet, modularity
+from prunerl.metrics import Partition, batch_spsp, modularity
 from prunerl.nnet import BETA1, BETA2, EPS, Tensor, _scatter_rows
 from prunerl.qmodel import ATTENTION_SLOPE, HIDDEN_SLOPE
-from prunerl.rewards import sample_training_pairs, spsp_penalty
+from prunerl.rewards import mean_path_increase, sample_training_pairs
 
 from conftest import edge_id
 
@@ -624,11 +624,12 @@ def batch_spsp_oracle(g, pairs):
 
 
 def spsp_reward_oracle(g, eid, k, rng):
-    """Prune edge `eid` from g; return the reward and the query set searched
-    on g before the prune, k sampled nodes per endpoint."""
-    queries = PathQuerySet.from_graph(g, sample_training_pairs(g, eid, k, rng))
+    """Prune edge `eid` from g; return the reward, the pairs (k sampled nodes
+    per endpoint) and their distances searched on g before the prune."""
+    pairs = sample_training_pairs(g, eid, k, rng)
+    before = batch_spsp(g, pairs)
     g.prune_edge(eid)
-    return -spsp_penalty(g, queries), queries
+    return -mean_path_increase(before, batch_spsp(g, pairs), g.node_count), pairs, before
 
 
 def modularity_oracle(g, labels):

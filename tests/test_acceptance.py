@@ -21,7 +21,6 @@ from prunerl.agent import Agent, AgentConfig, epsilon_at, train_loop
 from prunerl.errors import PruneRLError
 from prunerl.graph import Graph, load_communities, load_edge_list, open_output
 from prunerl.metrics import (
-    PathQuerySet,
     adjusted_rand_index,
     bfs_distances,
     louvain,

@@ -1085,6 +1085,18 @@ class TestSpannerCompare:
             assert float(row["spanner_rspsp"]) >= 0.0
             assert float(row["agent_rspsp"]) >= 0.0
 
+    def test_even_stretch_mapping_reaches_stderr(self, trained, tmp_path):
+        out = tmp_path / "spanner.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "prunerl.cli", "spanner-compare",
+                               "--dataset", KARATE, "--checkpoint", str(trained["checkpoint"]),
+                               "--stretch", "4", "--runs", "2", "--spsp-pairs", "32",
+                               "--eval-subgraph-len", "8", "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stderr == "stretch 4 mapped to 3 (spanner needs t = 2k-1)\n"
+        assert [int(row["t"]) for row in read_csv(out)] == [4]
+
 
 class TestHSweep:
     def test_series_and_timing(self, trained, tmp_path):

@@ -1,9 +1,10 @@
-"""Smoke test: the Python demos run to completion from the repository root.
+"""Smoke test: the Python demos run to completion from the repository root,
+with numpy's RuntimeWarnings (overflow, invalid values) raised as errors.
 
 The ones that train for several seconds (03 and 04) are marked slow. Demo
 04 is the one end-to-end run of `load_communities` into `CommunityReward`,
-and 05 of the spanner protocol's `PathQuerySet` and `spsp_penalty`. Demo 07
-is the shell pipeline through the CLI.
+and 05 of the spanner protocol, which scores every graph through one
+`SpspReward.penalty`. Demo 07 is the shell pipeline through the CLI.
 """
 
 import os
@@ -26,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ])
 def test_demo_exits_0(demo):
     src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)

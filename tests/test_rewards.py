@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from prunerl import metrics, rewards
+from prunerl import baselines, metrics, rewards
 from prunerl.agent import Agent
 from prunerl.config import AgentConfig
 from prunerl.errors import ConfigError, PruneRLError
 from prunerl.graph import Graph, load_communities, load_edge_list
 from prunerl.metrics import (
-    PathQuerySet,
     adjusted_rand_index,
     batch_spsp,
     louvain,
     pagerank,
+    sample_pairs,
     spearman_rho,
 )
 from prunerl.rewards import (
@@ -24,7 +24,6 @@ from prunerl.rewards import (
     SpspReward,
     make_reward_spec,
     sample_training_pairs,
-    spsp_penalty,
 )
 
 from conftest import (
@@ -169,53 +168,71 @@ class TestRewardCommunity:
 
 class TestRewardSpsp:
     def test_unchanged_graph_zero(self, karate, rng):
-        q = PathQuerySet.sample(karate, 50, rng)
-        assert spsp_penalty(karate, q) == 0.0
+        pairs = sample_pairs(karate, 50, rng)
+        assert SpspReward(karate).penalty(karate, pairs) == 0.0
 
     def test_unreachable_pair_counts_node_total(self):
         g = path_graph(3)
-        q = PathQuerySet.from_graph(g, [(0, 2)])
         gp = g.copy()
         gp.prune_edge(edge_id(g, 1, 2))
         # severed pair enters the mean as a flat |V| = 3, not a difference
-        assert spsp_penalty(gp, q) == pytest.approx(3.0)
+        assert SpspReward(g).penalty(gp, [(0, 2)]) == pytest.approx(3.0)
 
     def test_already_unreachable_contributes_zero(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        q = PathQuerySet.from_graph(g, [(0, 2)])
         gp = g.copy()
         gp.prune_edge(0)
-        assert spsp_penalty(gp, q) == 0.0
+        assert SpspReward(g).penalty(gp, [(0, 2)]) == 0.0
 
     def test_matches_floyd_warshall(self, rng):
         for _ in range(10):
             g = random_connected_graph(12, rng)
-            q = PathQuerySet.sample(g, 30, rng)
+            pairs = sample_pairs(g, 30, rng)
             gp = g.copy()
             gp.random_prune(min(5, gp.edge_count - 1), rng)
-            after = floyd_warshall(gp)
+            before, after = floyd_warshall(g), floyd_warshall(gp)
             diffs = []
-            for (u, v), d0 in zip(q.pairs, q.baseline):
-                d1 = after[u][v]
+            for u, v in pairs:
+                d0, d1 = before[u][v], after[u][v]
                 if math.isinf(d1):
                     diffs.append(0.0 if math.isinf(d0) else 12.0)
                 else:
                     diffs.append(d1 - d0)
-            assert spsp_penalty(gp, q) == pytest.approx(np.mean(diffs))
+            assert SpspReward(g).penalty(gp, pairs) == pytest.approx(np.mean(diffs))
 
     def test_pair_with_equal_endpoints_named(self, karate):
         with pytest.raises(PruneRLError, match=r"got \(4,4\)"):
-            PathQuerySet.from_graph(karate, np.array([(0, 2), (4, 4), (5, 5)]))
+            SpspReward(karate).penalty(karate, np.array([(0, 2), (4, 4), (5, 5)]))
 
     def test_monotone_in_pruning(self, karate, rng):
-        q = PathQuerySet.sample(karate, 100, rng)
+        spec, pairs = SpspReward(karate), sample_pairs(karate, 100, rng)
         gp = karate.copy()
         last = 0.0
         for _ in range(10):
             gp.random_prune(5, rng)
-            cur = spsp_penalty(gp, q)
+            cur = spec.penalty(gp, pairs)
             assert cur >= last - 1e-12
             last = cur
+
+    def test_original_graph_searched_once_per_pair_draw(self, karate, monkeypatch):
+        searched = []
+        real = metrics._hop_distances
+        monkeypatch.setattr(metrics, "_hop_distances",
+                            lambda g, sources: searched.append(g) or real(g, sources))
+        spec, rng = SpspReward(karate, spsp_pairs=40), np.random.default_rng(5)
+        graphs = [karate.copy() for _ in range(3)]
+        for gp in graphs:
+            gp.random_prune(10, rng)
+        for gp in graphs:
+            spec.evaluate(gp, np.random.default_rng(0))
+        spec.evaluate(graphs[0], np.random.default_rng(1))
+        assert [g is karate for g in searched] == [True, False, False, False, True, False]
+        searched.clear()
+        baselines.spanner_comparison_protocol(karate, [3, 5], baselines.AT_RATIO["random_edge"],
+                                              np.random.default_rng(0), runs=2, n_pairs=40)
+        # the original once, then 2 spanners and the learned graph per stretch
+        assert sum(g is karate for g in searched) == 1
+        assert len(searched) == 1 + 2 * 3
 
 
 def derived_distances(monkeypatch, g, eid, k, seed):
@@ -253,16 +270,16 @@ class TestSampleTrainingPairs:
             sample_training_pairs(karate, 0, 0, rng)
 
     def test_baselines_finite_on_connected_graph(self, karate, monkeypatch):
-        _, q = spsp_reward_oracle(karate.copy(), 5, 8, np.random.default_rng(0))
+        _, _, base = spsp_reward_oracle(karate.copy(), 5, 8, np.random.default_rng(0))
         _, before, _ = derived_distances(monkeypatch, karate, 5, 8, 0)
-        assert before.tolist() == q.baseline.tolist()
+        assert before.tolist() == base.tolist()
         assert all(math.isfinite(d) for d in before)
 
     def test_self_consistent_with_reward(self, karate, monkeypatch):
-        _, q = spsp_reward_oracle(karate.copy(), 3, 8, np.random.default_rng(0))
+        _, pairs, base = spsp_reward_oracle(karate.copy(), 3, 8, np.random.default_rng(0))
         r, before, after = derived_distances(monkeypatch, karate, 3, 8, 0)
-        assert before.tolist() == q.baseline.tolist()
-        assert after.tolist() == batch_spsp(karate, q.pairs).tolist()
+        assert before.tolist() == base.tolist()
+        assert after.tolist() == batch_spsp(karate, pairs).tolist()
         manual = np.mean([
             34.0 if math.isinf(d1) else d1 - d0
             for d0, d1 in zip(before, after)
@@ -289,7 +306,7 @@ class TestSpspTrainingReward:
             gold, spec = g.copy(), SpspReward(g, pairs_per_endpoint=3 + 5 * seed)
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for eid in np.random.default_rng(seed + 10).permutation(g.edge_count).tolist():
-                want, _ = spsp_reward_oracle(gold, eid, spec.pairs_per_endpoint, oracle_rng)
+                want, _, _ = spsp_reward_oracle(gold, eid, spec.pairs_per_endpoint, oracle_rng)
                 g.prune_edge(eid)
                 assert spec.after_prune(g, eid, rng) == want
             assert rng.random() == oracle_rng.random()
@@ -382,8 +399,8 @@ class TestRewardSpecs:
         spec.on_episode_start(g, rng)
         edge = int(g.live_edge_ids()[0])
         pairs = sample_training_pairs(g, edge, 4, np.random.default_rng(1))
-        ctx = PathQuerySet.from_graph(g, pairs)
         g.prune_edge(edge)
         r = spec.after_prune(g, edge, np.random.default_rng(1))
-        assert r == -spsp_penalty(g, ctx)
+        # g is karate before this one prune, so the original graph's distances are its own
+        assert r == -spec.penalty(g, pairs)
         assert r <= 0.0
